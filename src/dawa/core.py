@@ -195,6 +195,11 @@ class Partition:
     def lengths(self) -> np.ndarray:
         return np.fromiter((b.length for b in self.buckets), dtype=np.int64, count=self.k)
 
+    def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        los = np.fromiter((b.lo for b in self.buckets), dtype=np.int64, count=self.k)
+        his = np.fromiter((b.hi for b in self.buckets), dtype=np.int64, count=self.k)
+        return los, his
+
     def bucket_index(self, j: int) -> int:
         """0-based index of the bucket containing position j."""
         if not 1 <= j <= self.n:

@@ -2,17 +2,17 @@
 
 Bucket counts are measured through a hierarchy of interval sums, each
 scaled by a weight chosen greedily to suit the (transformed) workload, then
-reconciled by ordinary least squares.  Weights obey a unit-sensitivity
-constraint: the scalings covering any single bucket sum to at most 1, so
-each noisy answer costs Laplace(1/eps2) regardless of how many are taken.
+reconciled by least squares.  Weights obey a unit-sensitivity constraint:
+the scalings covering any single bucket sum to at most 1, so each noisy
+answer costs Laplace(1/eps2) regardless of how many are taken.
 
-The greedy pass keeps, per subtree, the inverse of the scaled strategy's
-Gram matrix together with a few low-rank summaries of it.  Raising the
-weight of a parent node is a rank-one change to its subtree Gram, so the
-objective can be scanned in constant time per candidate weight and the
-inverse updated without refactorizing.  Caches reflect the scalings at the
-moment a node was processed; ancestors account for their own later scaling,
-and only the root cache (which has no ancestors) stays current to the end.
+Raising a parent's weight is a rank-one change to its subtree Gram, so the
+weight search needs only three scalars and one workload image (an m-vector)
+per child (NodeCache); no Gram matrix or inverse is formed.  The greedy pass
+searches a whole tree level at once, bottom-up.  Least squares runs in the
+eliminated form of Hay et al. (VLDB 2010) with unequal per-node variances
+(Qardaji, Yang & Li, VLDB 2013), linear in the tree size, for every scaled
+tree including the fixed hierarchies of the hier_* baselines.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .core import (
     DataVector,
     DimensionError,
     Histogram,
-    Interval,
     ParameterError,
     Partition,
     RngStream,
@@ -55,14 +54,6 @@ class TreeNode:
         self.scaling = 1.0 if not children else 0.0
         self.cache: "NodeCache | None" = None
 
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.lo, self.hi)
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
-
     def is_leaf(self) -> bool:
         return not self.children
 
@@ -72,18 +63,15 @@ class TreeNode:
 
 @dataclass
 class NodeCache:
-    """Inverse-Gram summaries for one subtree.
+    """Summaries of one subtree's scaled strategy for its parent's weight search.
 
-    inv_gram is the inverse of the subtree strategy's Gram matrix; ones_sol
-    solves Gram @ v = 1 and ones_quad is its total.  wl_image maps ones_sol
-    through the subtree's workload columns; its squared norm and err_trace
-    (workload error contribution) are kept so the parent's weight search
-    never touches a matrix.
+    With v solving (subtree Gram) @ v = 1, ones_quad is the total of v and
+    wl_image maps v through the subtree's workload columns; wl_image_norm2
+    is its squared norm and err_trace the subtree's workload error term.
+    Caches reflect the scalings when the node was processed.
     """
 
-    inv_gram: np.ndarray
     err_trace: float
-    ones_sol: np.ndarray
     ones_quad: float
     wl_image: np.ndarray
     wl_image_norm2: float
@@ -114,8 +102,9 @@ class QueryTree:
 def build_query_tree(k: int, t: int = 2) -> QueryTree:
     """Complete-as-possible t-ary tree whose leaves are the unit intervals.
 
-    Trailing nodes on each level may hold fewer than t children; all leaves
-    sit on the deepest level.
+    Node i of a level has nodes t*i .. t*i + t - 1 of the level below as
+    children; only the last node of a level may hold fewer than t.  All
+    leaves sit on the deepest level.
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
@@ -158,43 +147,50 @@ def leaf_cover_sums(tree: QueryTree) -> np.ndarray:
     return cover
 
 
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    size = sum(b.shape[0] for b in blocks)
-    out = np.zeros((size, size))
-    at = 0
-    for b in blocks:
-        s = b.shape[0]
-        out[at : at + s, at : at + s] = b
-        at += s
-    return out
+def _squares(g: np.ndarray) -> np.ndarray:
+    """Elementwise g ** 2 through float pow, which rounds differently from
+    g * g on about 0.1 % of inputs, so weights match the scalar objective."""
+    return np.array([v ** 2 for v in g.tolist()])
 
 
-def _child_scalars(node: TreeNode) -> tuple[float, float, float, float, np.ndarray]:
-    """Aggregate the children's cache summaries for the weight search."""
-    trace_sum = 0.0
-    quad_sum = 0.0
-    norm2_sum = 0.0
-    image_sum = None
-    for child in node.children:
-        cache = child.cache
-        if cache is None:
-            raise ParameterError("children caches missing; process levels bottom-up")
-        trace_sum += cache.err_trace
-        quad_sum += cache.ones_quad
-        norm2_sum += cache.wl_image_norm2
-        image_sum = cache.wl_image.copy() if image_sum is None else image_sum + cache.wl_image
-    image2 = float(image_sum @ image_sum)
-    return trace_sum, quad_sum, image2, norm2_sum, image_sum
+def _objective(sums: np.ndarray, mu: float, lam, g2) -> np.ndarray:
+    """Weight-search objective at weights lam for columns of child sums.
 
-
-def _objective(trace_sum: float, quad_sum: float, image2: float, norm2_sum: float,
-               mu: float, lam: float) -> float:
-    if lam == 0.0:
-        return trace_sum
-    g2 = (1.0 - lam) ** 2
+    The rows of sums are (trace_sum, quad_sum, image2, norm2_sum); g2 is
+    (1 - lam) ** 2 and broadcasts like lam.  At lam = 0 it is trace_sum.
+    """
+    trace_sum, quad_sum, image2, norm2_sum = sums
     lam2 = lam * lam
     beta = lam2 / (g2 * (g2 + lam2 * quad_sum))
     return trace_sum / g2 - beta * (mu * image2 + (1.0 - mu) * norm2_sum)
+
+
+def _row_norms2(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row, each one a BLAS dot like a 1-D `v @ v`."""
+    return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1)
+
+
+def _sum_children(t: int, summaries: np.ndarray, images: np.ndarray):
+    """Add up runs of t consecutive children in child order: the columns of
+    (err_trace, ones_quad, wl_image_norm2) and the image rows (made contiguous)."""
+    total = summaries[:, ::t].copy()
+    image = images[::t].copy(order="K")  # the leaves' images are matrix columns
+    for j in range(1, t):
+        n_j = summaries[:, j::t].shape[1]
+        total[:, :n_j] += summaries[:, j::t]
+        image[:n_j] += images[j::t]
+    return total, np.ascontiguousarray(image)
+
+
+def _child_sums(node: TreeNode) -> np.ndarray:
+    """One internal node's search inputs, from its children's caches, as a (4, 1) array."""
+    caches = [child.cache for child in node.children]
+    if not caches or any(cache is None for cache in caches):
+        raise ParameterError("weights are searched at internal nodes whose children are scaled")
+    summaries = np.array([[c.err_trace, c.ones_quad, c.wl_image_norm2] for c in caches]).T
+    (trace_sum, quad_sum, norm2_sum), image = _sum_children(
+        len(caches), summaries, np.stack([c.wl_image for c in caches]))
+    return np.stack([trace_sum, quad_sum, _row_norms2(image), norm2_sum])
 
 
 def objective_at_lambda(node: TreeNode, lam: float, mu: float) -> float:
@@ -204,145 +200,111 @@ def objective_at_lambda(node: TreeNode, lam: float, mu: float) -> float:
     children's block-diagonal terms (weight 1 - mu); at the root mu is 1 and
     the proxy is the exact strategy error up to the 2/eps2^2 factor.
     """
-    if node.is_leaf():
-        raise ParameterError("objective is defined for internal nodes only")
     if not 0.0 <= lam <= LAMBDA_CAP:
         raise ParameterError(f"lam must lie in [0, {LAMBDA_CAP}], got {lam}")
     if not 0.0 <= mu <= 1.0:
         raise ParameterError(f"mu must lie in [0, 1], got {mu}")
-    trace_sum, quad_sum, image2, norm2_sum, _ = _child_scalars(node)
-    return _objective(trace_sum, quad_sum, image2, norm2_sum, mu, lam)
-
-
-def _golden_min(f, a: float, b: float, tol: float) -> float:
-    c = b - (b - a) * _INVPHI
-    d = a + (b - a) * _INVPHI
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INVPHI
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INVPHI
-            fd = f(d)
-    return (a + b) / 2.0
+    return float(_objective(_child_sums(node), mu, lam, (1.0 - lam) ** 2)[0])
 
 
 GRID_POINTS = 33
+_GRID = np.linspace(0.0, LAMBDA_CAP, GRID_POINTS)
+_GRID_G2 = _squares(1.0 - _GRID)
+
+
+def _search_lambda(sums: np.ndarray, mu: float, tol: float = 1e-6) -> np.ndarray:
+    """Minimize the objective over [0, LAMBDA_CAP] for every column of sums.
+
+    A coarse grid scan brackets each minimum, golden-section refines it
+    (nodes drop out as their brackets shrink below tol), and both endpoints
+    are checked explicitly.  Ties go to 0 so that workloads already served
+    by the children leave the subtree untouched.
+    """
+    def f(lam: np.ndarray, cols) -> np.ndarray:
+        return _objective(sums[:, cols], mu, lam, _squares(1.0 - lam))
+
+    values = _objective(sums[:, :, None], mu, _GRID, _GRID_G2)
+    i = np.argmin(values, axis=1)
+    a = _GRID[np.maximum(i - 1, 0)]
+    b = _GRID[np.minimum(i + 1, GRID_POINTS - 1)]
+    c, d = b - (b - a) * _INVPHI, a + (b - a) * _INVPHI
+    fc, fd = f(c, slice(None)), f(d, slice(None))
+    live = np.flatnonzero((b - a) > tol)
+    while live.size:
+        left = fc[live] < fd[live]
+        lo, hi = live[left], live[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - (b[lo] - a[lo]) * _INVPHI
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + (b[hi] - a[hi]) * _INVPHI
+        fx = f(np.where(left, c[live], d[live]), live)
+        fc[lo], fd[hi] = fx[left], fx[~left]
+        live = live[(b[live] - a[live]) > tol]
+    lam_mid = (a + b) / 2.0
+    f0, fmid, fcap = values[:, 0], f(lam_mid, slice(None)), values[:, -1]
+    lam = np.where(fmid <= fcap, lam_mid, LAMBDA_CAP)
+    lam[(f0 <= fmid) & (f0 <= fcap)] = 0.0
+    return lam
 
 
 def optimize_lambda(node: TreeNode, mu: float, tol: float = 1e-6) -> float:
-    """Minimize the weight-search objective over [0, LAMBDA_CAP].
-
-    A coarse grid scan brackets the minimum, golden-section refines it, and
-    both endpoints are checked explicitly.  Ties go to 0 so that workloads
-    already served by the children leave the subtree untouched.
-    """
-    if node.is_leaf():
-        raise ParameterError("weights are searched at internal nodes only")
-    trace_sum, quad_sum, image2, norm2_sum, _ = _child_scalars(node)
-
-    def f(lam: float) -> float:
-        return _objective(trace_sum, quad_sum, image2, norm2_sum, mu, lam)
-
-    grid = np.linspace(0.0, LAMBDA_CAP, GRID_POINTS)
-    values = [f(lam) for lam in grid]
-    i = int(np.argmin(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, GRID_POINTS - 1)]
-    lam_mid = _golden_min(f, lo, hi, tol)
-    f0, fmid, fcap = f(0.0), f(lam_mid), f(LAMBDA_CAP)
-    if f0 <= fmid and f0 <= fcap:
-        return 0.0
-    if fmid <= fcap:
-        return float(lam_mid)
-    return LAMBDA_CAP
-
-
-def _leaf_cache(column: np.ndarray) -> NodeCache:
-    norm2 = float(column @ column)
-    return NodeCache(
-        inv_gram=np.ones((1, 1)),
-        err_trace=norm2,
-        ones_sol=np.ones(1),
-        ones_quad=1.0,
-        wl_image=column.copy(),
-        wl_image_norm2=norm2,
-    )
-
-
-def _combined_cache(node: TreeNode, lam: float) -> NodeCache:
-    trace_sum, quad_sum, image2, norm2_sum, image_sum = _child_scalars(node)
-    w = np.concatenate([child.cache.ones_sol for child in node.children])
-    bd = _block_diag([child.cache.inv_gram for child in node.children])
-    if lam == 0.0:
-        return NodeCache(
-            inv_gram=bd,
-            err_trace=trace_sum,
-            ones_sol=w,
-            ones_quad=quad_sum,
-            wl_image=image_sum,
-            wl_image_norm2=image2,
-        )
-    g2 = (1.0 - lam) ** 2
-    lam2 = lam * lam
-    denom = g2 + lam2 * quad_sum
-    beta = lam2 / (g2 * denom)
-    return NodeCache(
-        inv_gram=bd / g2 - beta * np.outer(w, w),
-        err_trace=trace_sum / g2 - beta * image2,
-        ones_sol=w / denom,
-        ones_quad=quad_sum / denom,
-        wl_image=image_sum / denom,
-        wl_image_norm2=image2 / (denom * denom),
-    )
+    """The weight greedy_scale picks for node, given its children's caches."""
+    return float(_search_lambda(_child_sums(node), mu, tol)[0])
 
 
 def greedy_scale(What: "TransformedWorkload | np.ndarray", tree: QueryTree) -> QueryTree:
-    """Choose node scalings for the workload, bottom-up, one weight at a time.
+    """Choose node scalings for the workload, bottom-up, one level at a time.
 
-    Leaves start at scaling 1 and internal nodes at 0.  Each internal node
-    picks the weight minimizing its objective and discounts its whole
-    subtree by the complement, preserving the unit cover sum per position.
-    Mutates and returns the tree.
+    Each internal node with two or more children picks the weight lam
+    minimizing its objective, all nodes of a level searched together.  A
+    node's scaling is its weight (1 at a leaf) times 1 - lam of every
+    ancestor, applied nearest ancestor first, which keeps the cover sum of
+    every position at 1.  Mutates and returns the tree.
     """
     matrix = What.matrix if isinstance(What, TransformedWorkload) else np.asarray(What, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != tree.k:
         raise DimensionError(f"workload matrix shape {matrix.shape} does not match k={tree.k}")
-    for i, leaf in enumerate(tree.leaves):
-        leaf.scaling = 1.0
-        leaf.cache = _leaf_cache(matrix[:, i])
-    for level in reversed(tree.levels[:-1]):
-        for node in level:
-            if len(node.children) == 1:
-                node.scaling = 0.0
-                node.cache = node.children[0].cache
-                continue
-            mu = decay_factor(tree.t, node.depth)
-            lam = optimize_lambda(node, mu)
-            node.scaling = lam
-            if lam > 0.0:
-                discount = 1.0 - lam
-                for desc in subtree_nodes(node):
-                    if desc is not node:
-                        desc.scaling *= discount
-            node.cache = _combined_cache(node, lam)
+    t = tree.t
+    images = matrix.T  # row i is leaf i's workload column
+    norms = _row_norms2(images)
+    summaries = np.stack([norms, np.ones(tree.k), norms])
+    _attach_caches(tree.leaves, summaries, images)
+    lams = [np.zeros(len(level)) for level in tree.levels[:-1]]
+    for depth in range(len(lams) - 1, -1, -1):
+        (trace_sum, quad_sum, norm2_sum), image = _sum_children(t, summaries, images)
+        image2 = _row_norms2(image)
+        # A lone (last) child passes its summaries up unchanged at weight 0.
+        lone = t * np.arange(len(image2)) + 1 == summaries.shape[1]
+        image2[lone] = norm2_sum[lone]
+        lam = lams[depth]
+        sums = np.stack([trace_sum, quad_sum, image2, norm2_sum])
+        lam[~lone] = _search_lambda(sums[:, ~lone], decay_factor(t, depth))
+        # Rank-one update of the subtree summaries; exact identity at lam = 0.
+        g2 = _squares(1.0 - lam)
+        lam2 = lam * lam
+        denom = g2 + lam2 * quad_sum
+        beta = lam2 / (g2 * denom)
+        summaries = np.stack([trace_sum / g2 - beta * image2, quad_sum / denom, image2 / (denom * denom)])
+        images = np.divide(image, denom[:, None], out=image)
+        _attach_caches(tree.levels[depth], summaries, images)
+    for depth, level in enumerate(tree.levels):
+        scaling = lams[depth].copy() if depth < len(lams) else np.ones(len(level))
+        up = np.arange(len(level))
+        for anc in range(depth - 1, -1, -1):
+            up //= t
+            scaling *= 1.0 - lams[anc][up]
+        for node, value in zip(level, scaling.tolist()):
+            node.scaling = value
     return tree
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One noisy scaled interval sum over bucket positions."""
-
-    interval: Interval
-    scaling: float
-    value: float
+def _attach_caches(level, summaries: np.ndarray, images: np.ndarray) -> None:
+    for node, (e, q, n2), image in zip(level, summaries.T.tolist(), images):
+        node.cache = NodeCache(err_trace=e, ones_quad=q, wl_image=image, wl_image_norm2=n2)
 
 
-def measure(bucket_counts: np.ndarray, tree: QueryTree, eps2: float, rng: RngStream) -> list[Measurement]:
-    """Noisy answers for every node with positive scaling, in level order.
+def measure(bucket_counts: np.ndarray, tree: QueryTree, eps2: float, rng: RngStream) -> np.ndarray:
+    """Noisy answers of the nodes with positive scaling, in level order.
 
     Each answer is scaling * true_sum + Laplace(1/eps2); nodes with zero
     scaling are skipped entirely and consume no randomness.
@@ -355,35 +317,59 @@ def measure(bucket_counts: np.ndarray, tree: QueryTree, eps2: float, rng: RngStr
     prefix = np.concatenate(([0.0], np.cumsum(counts)))
     active = [node for node in tree.nodes() if node.scaling > 0.0]
     noise = laplace_sample(1.0 / eps2, rng, size=len(active))
-    out = []
-    for node, z in zip(active, noise):
-        true = prefix[node.hi] - prefix[node.lo - 1]
-        out.append(Measurement(interval=node.interval, scaling=node.scaling,
-                               value=node.scaling * true + float(z)))
-    return out
+    scalings = np.array([node.scaling for node in active], dtype=np.float64)
+    los = np.array([node.lo for node in active], dtype=np.int64)
+    his = np.array([node.hi for node in active], dtype=np.int64)
+    return scalings * (prefix[his] - prefix[los - 1]) + noise
 
 
-def ols_infer(tree: QueryTree, measurements: list[Measurement]) -> np.ndarray:
+def ols_infer(tree: QueryTree, measurements: np.ndarray) -> np.ndarray:
     """Least-squares bucket estimate from scaled noisy interval sums.
 
-    Solves the normal equations of the scaled strategy.  When the tree was
-    scaled by greedy_scale the root cache already holds the inverse Gram;
-    otherwise the Gram is assembled from the scalings and factorized here.
+    measurements are the answers of the positively scaled nodes in level
+    order, as measure returns them; answer / scaling estimates a node's sum
+    with variance proportional to 1/scaling^2.  Bottom-up, each node merges
+    that with its children's summed estimates by inverse variance; top-down,
+    each node's final sum minus its children's estimates is shared among
+    them in proportion to their variances, so a child of infinite variance
+    (nothing answered on some path below it) takes the whole share.
     """
-    z = np.zeros(tree.k)
-    for meas in measurements:
-        z[meas.interval.lo - 1 : meas.interval.hi] += meas.scaling * meas.value
-    root_cache = tree.root.cache
-    if root_cache is not None and root_cache.inv_gram.shape == (tree.k, tree.k):
-        return root_cache.inv_gram @ z
-    gram = np.zeros((tree.k, tree.k))
-    for node in tree.nodes():
-        if node.scaling != 0.0:
-            gram[node.lo - 1 : node.hi, node.lo - 1 : node.hi] += node.scaling**2
-    try:
-        return np.linalg.solve(gram, z)
-    except np.linalg.LinAlgError as err:
-        raise SingularStrategyError(f"strategy does not determine every bucket: {err}") from None
+    t = tree.t
+    scalings = scaling_vector(tree)
+    answered = scalings > 0.0
+    if np.count_nonzero(answered) != len(measurements):
+        raise DimensionError(f"{len(measurements)} measurements for {np.count_nonzero(answered)} scaled nodes")
+    weight = np.where(answered, scalings * scalings, 0.0)
+    num = np.zeros(len(scalings))
+    num[answered] = scalings[answered] * np.asarray(measurements, dtype=np.float64)
+    edges = np.cumsum([0] + [len(level) for level in tree.levels])
+    levels = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    est, var = np.zeros(len(scalings)), np.zeros(len(scalings))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for at, below in zip(levels[::-1], [None] + levels[:0:-1]):
+            w, z, fallback = weight[at], num[at], 0.0
+            if below is not None:
+                fallback = _sum_groups(est[below], t)
+                child_weight = 1.0 / _sum_groups(var[below], t)
+                w, z = w + child_weight, z + fallback * child_weight
+            est[at] = np.where(w > 0.0, z / w, fallback)
+            var[at] = 1.0 / w
+        if np.isinf(var[0]):
+            raise SingularStrategyError("the answers do not determine the total")
+        final = est[:1]
+        for at in levels[1:]:
+            free = np.isinf(var[at])
+            if _sum_groups(free.astype(np.int64), t).max() > 1:
+                raise SingularStrategyError("two sibling subtrees are both undetermined")
+            parent = np.arange(at.stop - at.start) // t
+            share = np.where(free, 1.0, var[at] / _sum_groups(var[at], t)[parent])
+            final = est[at] + (final - _sum_groups(est[at], t))[parent] * share
+    return final
+
+
+def _sum_groups(values: np.ndarray, t: int) -> np.ndarray:
+    """Sums over consecutive runs of t entries: per parent, over its children."""
+    return np.add.reduceat(values, np.arange(0, len(values), t))
 
 
 def scaling_vector(tree: QueryTree) -> np.ndarray:
@@ -405,19 +391,16 @@ def strategy_error(What: "TransformedWorkload | np.ndarray", tree: QueryTree, ep
 
     Dense evaluation from first principles: 2/eps2^2 times the trace of the
     workload Gram against the inverse strategy Gram.  Used as the reference
-    the incremental path is checked against.
+    the greedy objective is checked against.
     """
     matrix = What.matrix if isinstance(What, TransformedWorkload) else np.asarray(What, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != tree.k:
         raise DimensionError(f"workload matrix shape {matrix.shape} does not match k={tree.k}")
     if eps2 <= 0:
         raise ParameterError(f"eps2 must be positive, got {eps2}")
-    gram = np.zeros((tree.k, tree.k))
-    for node in tree.nodes():
-        if node.scaling != 0.0:
-            gram[node.lo - 1 : node.hi, node.lo - 1 : node.hi] += node.scaling**2
+    scaled = scaling_vector(tree)[:, None] * strategy_matrix(tree)
     try:
-        inv = np.linalg.inv(gram)
+        inv = np.linalg.inv(scaled.T @ scaled)
     except np.linalg.LinAlgError as err:
         raise SingularStrategyError(f"strategy Gram is singular: {err}") from None
     return (2.0 / eps2**2) * float(np.sum((matrix.T @ matrix) * inv))
@@ -440,8 +423,7 @@ def estimate_buckets(
     tree = build_query_tree(partition.k, t)
     greedy_scale(What, tree)
     prefix = np.concatenate(([0], np.cumsum(x.counts)))
-    los = np.fromiter((b.lo for b in partition), dtype=np.int64, count=partition.k)
-    his = np.fromiter((b.hi for b in partition), dtype=np.int64, count=partition.k)
+    los, his = partition.bounds_arrays()
     counts = (prefix[his] - prefix[los - 1]).astype(np.float64)
     measurements = measure(counts, tree, eps2, rng)
     stats = ols_infer(tree, measurements)

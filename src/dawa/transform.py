@@ -33,17 +33,28 @@ class TransformedWorkload:
 
 def transform_query(q: Interval, partition: Partition) -> np.ndarray:
     """Coefficients of q over the buckets: covered fraction of each bucket."""
-    if not q.valid_for(partition.n):
-        raise DimensionError(f"query {q} outside domain [1, {partition.n}]")
-    los = np.fromiter((b.lo for b in partition), dtype=np.int64, count=partition.k)
-    his = np.fromiter((b.hi for b in partition), dtype=np.int64, count=partition.k)
-    overlap = np.minimum(q.hi, his) - np.maximum(q.lo, los) + 1
-    np.clip(overlap, 0, None, out=overlap)
-    return overlap / (his - los + 1)
+    return transform_workload(Workload((q,)), partition).matrix[0].copy()
 
 
 def transform_workload(W: Workload, partition: Partition) -> TransformedWorkload:
-    rows = np.empty((W.m, partition.k), dtype=np.float64)
-    for i, q in enumerate(W):
-        rows[i] = transform_query(q, partition)
+    """One row of covered bucket fractions per query, built from bound arrays.
+
+    A query covers every bucket strictly between its end buckets fully: a
+    +1/-1 marker pair per row and one in-place cumulative sum over the flat
+    matrix write those 1.0 runs, then the two end entries are set.
+    """
+    if W.max_hi() > partition.n:
+        raise DimensionError(f"workload reaches {W.max_hi()} but partition covers [1, {partition.n}]")
+    q_lo, q_hi = W.bounds_arrays()
+    b_lo, b_hi = partition.bounds_arrays()
+    first, last = np.searchsorted(b_hi, q_lo), np.searchsorted(b_lo, q_hi, side="right") - 1
+    rows = np.zeros((W.m, partition.k))
+    flat = rows.reshape(-1)
+    inner = np.flatnonzero(last - first > 1)
+    flat[inner * partition.k + first[inner] + 1] = 1.0
+    flat[inner * partition.k + last[inner]] = -1.0
+    np.cumsum(flat, out=flat)
+    for end in (first, last):
+        overlap = np.minimum(q_hi, b_hi[end]) - np.maximum(q_lo, b_lo[end]) + 1
+        rows[np.arange(W.m), end] = overlap / (b_hi[end] - b_lo[end] + 1)
     return TransformedWorkload(matrix=rows, source=W, partition=partition)

@@ -32,6 +32,7 @@ from dawa.estimation import (
     greedy_scale,
     leaf_cover_sums,
     objective_at_lambda,
+    ols_infer,
     scaling_vector,
     strategy_matrix,
     subtree_nodes,
@@ -200,7 +201,23 @@ def test_a04_bucket_transform_is_exact():
     _ok(f"bucket-space workload answers match position space on 1000 triples (max gap {worst:.1e})")
 
 
-def test_a05_fast_objective_and_incremental_inverse():
+def _implicit_inverse(tree) -> np.ndarray:
+    """Inverse strategy Gram, one column per OLS solve.
+
+    Answering leaf j with 1/scaling and every other node with 0 makes the
+    normal equations' right-hand side the j-th identity column, so the
+    least-squares solve returns column j of the inverse Gram.
+    """
+    active = [node for node in tree.nodes() if node.scaling > 0.0]
+    assert all(leaf.scaling > 0.0 for leaf in tree.leaves)
+    inv = np.empty((tree.k, tree.k))
+    for j, leaf in enumerate(tree.leaves):
+        answers = np.array([1.0 / node.scaling if node is leaf else 0.0 for node in active])
+        inv[:, j] = ols_infer(tree, answers)
+    return inv
+
+
+def test_a05_fast_objective_and_implicit_inverse():
     rng = np.random.default_rng(105)
     grid = np.linspace(0.0, 0.95, 20)
     worst_obj = 0.0
@@ -211,12 +228,12 @@ def test_a05_fast_objective_and_incremental_inverse():
         What = rng.uniform(0.0, 1.0, size=(int(rng.integers(3, 13)), k))
         tree = greedy_scale(What, build_query_tree(k, t))
 
-        # incremental root inverse against direct inversion of the final gram
+        # tree least-squares inverse against direct inversion of the final gram
         Y = strategy_matrix(tree)
         c = scaling_vector(tree)
         gram = (c[:, None] * Y).T @ (c[:, None] * Y)
         direct = np.linalg.inv(gram)
-        fast = tree.root.cache.inv_gram
+        fast = _implicit_inverse(tree)
         worst_inv = max(worst_inv, float(np.linalg.norm(fast - direct) / np.linalg.norm(direct)))
 
         node = _undo_root_discount(tree)
@@ -229,7 +246,7 @@ def test_a05_fast_objective_and_incremental_inverse():
             worst_obj = max(worst_obj, abs(fast_val - dense_val) / abs(dense_val))
     assert worst_obj <= 1e-6
     assert worst_inv <= 1e-6
-    _ok(f"fast objective and incremental inverse track dense algebra (rel {worst_obj:.1e}, {worst_inv:.1e})")
+    _ok(f"fast objective and tree least-squares inverse track dense algebra (rel {worst_obj:.1e}, {worst_inv:.1e})")
 
 
 def test_a06_identity_workload_keeps_leaf_allocation():

@@ -135,6 +135,12 @@ class TestPartition:
         got = [example_partition.bucket_index(j) for j in range(1, 11)]
         assert got == want
 
+    def test_bounds_arrays(self, example_partition):
+        los, his = example_partition.bounds_arrays()
+        assert los.dtype == his.dtype == np.int64
+        assert los.tolist() == [1, 3, 4, 8]
+        assert his.tolist() == [2, 3, 7, 10]
+
     def test_validate_partition_wrong_n(self, example_partition):
         assert not validate_partition(example_partition, 12)
 

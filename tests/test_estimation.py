@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dawa.core import (
+    DataVector,
     DimensionError,
     Interval,
     ParameterError,
@@ -18,7 +19,7 @@ from dawa.core import (
 )
 from dawa.estimation import (
     LAMBDA_CAP,
-    Measurement,
+    NodeCache,
     QueryTree,
     build_query_tree,
     decay_factor,
@@ -48,6 +49,40 @@ def random_workload_matrix(rng, m, k, nonneg=True):
 def scaled_identity_tree(k, t=2):
     """Tree scaled by the greedy pass on the k-by-k identity workload."""
     return greedy_scale(np.eye(k), build_query_tree(k, t))
+
+
+def node_by_node_greedy(What, tree):
+    """Reference greedy pass: one node at a time, scalar cache updates and an
+    explicit walk discounting each subtree."""
+    for i, leaf in enumerate(tree.leaves):
+        column = What[:, i]
+        norm2 = float(column @ column)
+        leaf.scaling = 1.0
+        leaf.cache = NodeCache(err_trace=norm2, ones_quad=1.0, wl_image=column.copy(),
+                               wl_image_norm2=norm2)
+    for level in reversed(tree.levels[:-1]):
+        for node in level:
+            caches = [child.cache for child in node.children]
+            if len(caches) == 1:
+                node.scaling, node.cache = 0.0, caches[0]
+                continue
+            lam = optimize_lambda(node, decay_factor(tree.t, node.depth))
+            image = caches[0].wl_image.copy()
+            for cache in caches[1:]:
+                image = image + cache.wl_image
+            trace = sum(cache.err_trace for cache in caches)
+            quad = sum(cache.ones_quad for cache in caches)
+            image2 = float(image @ image)
+            g2 = (1.0 - lam) ** 2
+            denom = g2 + lam * lam * quad
+            beta = lam * lam / (g2 * denom)
+            node.cache = NodeCache(err_trace=trace / g2 - beta * image2, ones_quad=quad / denom,
+                                   wl_image=image / denom, wl_image_norm2=image2 / (denom * denom))
+            node.scaling = lam
+            for desc in subtree_nodes(node):
+                if desc is not node:
+                    desc.scaling *= 1.0 - lam
+    return tree
 
 
 def undo_root_discount(tree):
@@ -261,6 +296,29 @@ class TestGreedyScale:
         want = oracle_dense_stage2(What, Y[keep], c[keep], 0.7)
         assert got == pytest.approx(want, rel=1e-9)
 
+    def test_levels_match_node_by_node_reference(self):
+        # the level-batched pass must reproduce the per-node pass bit for bit:
+        # same weights, same products of discounts, same caches
+        rng = np.random.default_rng(46)
+        for trial in range(60):
+            k = int(rng.integers(1, 48))
+            t = int(rng.choice([2, 3, 4]))
+            What = random_workload_matrix(rng, int(rng.integers(1, 12)), k)
+            if trial % 4 == 1:
+                What = What * (rng.uniform(size=What.shape) < 0.3)
+            elif trial % 4 == 2:
+                What = np.ones((1, k))
+            elif k > 1:
+                # the intervals of the top three levels give weight below the root
+                What = strategy_matrix(build_query_tree(k, t))[:1 + t + t * t]
+            got = greedy_scale(What, build_query_tree(k, t))
+            want = node_by_node_greedy(What, build_query_tree(k, t))
+            assert scaling_vector(got).tobytes() == scaling_vector(want).tobytes()
+            for a, b in zip(got.nodes(), want.nodes()):
+                assert (a.cache.err_trace, a.cache.ones_quad, a.cache.wl_image_norm2) == (
+                    b.cache.err_trace, b.cache.ones_quad, b.cache.wl_image_norm2)
+                assert a.cache.wl_image.tobytes() == b.cache.wl_image.tobytes()
+
     def test_rejects_bad_matrix(self):
         tree = build_query_tree(4, 2)
         with pytest.raises(DimensionError):
@@ -270,9 +328,11 @@ class TestGreedyScale:
 class TestMeasure:
     def test_zero_scaling_skipped(self, example_counts):
         tree = scaled_identity_tree(4)
-        got = measure(example_counts, tree, 1.0, RngStream(0))
+        ledger = []
+        got = measure(example_counts, tree, 1.0, RngStream(0, ledger=ledger))
         assert len(got) == 4  # leaves only; internals carry zero scaling
-        assert all(m.scaling == 1.0 for m in got)
+        assert ledger == [(1.0, 4)]
+        assert all(leaf.scaling == 1.0 for leaf in tree.leaves)
 
     def test_values_near_truth_at_huge_budget(self, example_counts):
         tree = build_query_tree(4, 2)
@@ -280,15 +340,16 @@ class TestMeasure:
             node.scaling = 0.5
         got = measure(example_counts, tree, 1e9, RngStream(1))
         prefix = np.concatenate(([0.0], np.cumsum(example_counts)))
-        for m in got:
-            true = prefix[m.interval.hi] - prefix[m.interval.lo - 1]
-            assert m.value == pytest.approx(0.5 * true, abs=1e-6)
+        assert len(got) == tree.num_nodes()
+        for value, node in zip(got, tree.nodes()):
+            true = prefix[node.hi] - prefix[node.lo - 1]
+            assert value == pytest.approx(0.5 * true, abs=1e-6)
 
     def test_deterministic(self, example_counts):
         tree = scaled_identity_tree(4)
         a = measure(example_counts, tree, 1.0, RngStream(7))
         b = measure(example_counts, tree, 1.0, RngStream(7))
-        assert [m.value for m in a] == [m.value for m in b]
+        assert np.array_equal(a, b)
 
     def test_shape_checks(self, example_counts):
         tree = scaled_identity_tree(4)
@@ -310,7 +371,7 @@ class TestOls:
             assert np.max(np.abs(got - counts)) <= 1e-6
 
     def test_matches_dense_on_manual_tree(self, example_counts):
-        # hand-set scalings force the dense fallback; compare to lstsq
+        # hand-set scalings unlike any greedy output; compare to lstsq
         tree = build_query_tree(4, 2)
         scal = iter([0.3, 0.2, 0.25, 0.6, 0.55, 0.5, 0.45])
         for node in tree.nodes():
@@ -319,9 +380,50 @@ class TestOls:
         got = ols_infer(tree, ms)
         Y = strategy_matrix(tree)
         c = scaling_vector(tree)
-        vals = np.array([m.value for m in ms])
-        want = dense_ols(Y, c, vals)
+        want = dense_ols(Y, c, ms)
         assert np.allclose(got, want, atol=1e-9)
+
+    @given(
+        st.integers(1, 13),
+        st.sampled_from([2, 3]),
+        st.data(),
+    )
+    def test_matches_dense_on_hand_set_scalings(self, k, t, data):
+        # random scalings, zeros included: the tree solve equals lstsq when
+        # the answered intervals have full rank and raises otherwise
+        tree = build_query_tree(k, t)
+        choices = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+        for node in tree.nodes():
+            node.scaling = data.draw(choices)
+        counts = np.arange(1.0, k + 1.0)
+        ms = measure(counts, tree, 1.0, RngStream(k))
+        Y = strategy_matrix(tree)
+        c = scaling_vector(tree)
+        keep = c > 0.0
+        if keep.any() and np.linalg.matrix_rank(Y[keep]) == k:
+            want = dense_ols(Y[keep], c[keep], ms)
+            assert np.allclose(ols_infer(tree, ms), want, rtol=1e-9, atol=1e-9)
+        else:
+            with pytest.raises(SingularStrategyError):
+                ols_infer(tree, ms)
+
+    def test_saturated_root_recovers_exactly(self):
+        # one query over everything pushes the root weight to the cap, so
+        # the leaves are measured at scalings near 4e-6; the tree solve must
+        # still recover the data at a noise-free budget
+        x = DataVector([3, 1, 4, 1, 5, 9, 2, 6])
+        W = Workload((Interval(1, 8),))
+        tree = greedy_scale(transform_workload(W, Partition.unit(8)), build_query_tree(8, 2))
+        assert tree.root.scaling > 1.0 - 1e-5
+        assert max(leaf.scaling for leaf in tree.leaves) < 1e-5
+        h = estimate_buckets(Partition.unit(8), W, x, 1e300, 2, RngStream(0))
+        assert np.max(np.abs(h.stats - x.counts)) <= 1e-9
+
+    def test_measurement_count_must_match(self, example_counts):
+        tree = scaled_identity_tree(4)
+        ms = measure(example_counts, tree, 1.0, RngStream(0))
+        with pytest.raises(DimensionError):
+            ols_infer(tree, ms[:-1])
 
     def test_unbiased_rough(self, example_counts):
         tree = scaled_identity_tree(4)
@@ -393,8 +495,8 @@ class TestStrategyErrorEdges:
 
 class TestComplexitySmoke:
     def test_doubling_k_stays_subquartic(self):
-        # O(mk log k + k^2) predicts at most ~4x plus logs when k doubles;
-        # best-of-reps and retry shed scheduler interference
+        # greedy is O(mk) plus a per-level search, so doubling k about
+        # doubles the time; best-of-reps and retry shed scheduler interference
         rng = np.random.default_rng(45)
         m = 8
         small = rng.uniform(0.0, 1.0, size=(m, 512))

@@ -1,5 +1,7 @@
 """End-to-end mechanisms: budget accounting, baselines, dispatch."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,28 @@ class TestGreedyNoPartition:
     def test_zero_noise(self, piecewise_x, uniform_W):
         got = run_greedy_no_partition(piecewise_x, uniform_W, 1e9, RngStream(0))
         assert np.max(np.abs(got.values - piecewise_x.counts)) < 1e-5
+
+
+class TestLargeDomainMemory:
+    # n = 16384 unit buckets: a dense k x k Gram alone would take 2 GiB
+    N = 16384
+
+    @pytest.mark.parametrize("runner", ["greedy_no_partition", "hier_uniform"])
+    def test_peak_traced_memory(self, runner):
+        x = gen_synthetic_data("piecewise_constant", self.N, seed=4, segments=8)
+        W = gen_workload("uniform", self.N, seed=5, num_queries=20)
+        tracemalloc.start()
+        try:
+            if runner == "greedy_no_partition":
+                got = run_greedy_no_partition(x, W, 1.0, RngStream(6))
+            else:
+                got = run_hier_uniform(x, 1.0, RngStream(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.values.shape == (self.N,)
+        assert np.all(np.isfinite(got.values))
+        assert peak < 200 * 2**20
 
 
 class TestDawa:

@@ -64,6 +64,16 @@ class TestTransformQuery:
 
 
 class TestTransformWorkload:
+    @given(partitions_of(24), st.lists(intervals_for(24), min_size=1, max_size=8))
+    def test_rows_are_exact_overlap_fractions(self, part, qs):
+        tw = transform_workload(Workload(tuple(qs)), part)
+        want = np.array([[q.overlap(b) / b.length for b in part.buckets] for q in qs])
+        assert tw.matrix.tobytes() == want.tobytes()
+
+    def test_query_past_domain_rejected(self, example_partition):
+        with pytest.raises(DimensionError):
+            transform_workload(Workload((Interval(1, 11),)), example_partition)
+
     def test_matrix_shape_and_rows(self, example_partition, tiny_workload):
         tw = transform_workload(tiny_workload, example_partition)
         assert tw.matrix.shape == (3, 4)
