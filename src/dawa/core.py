@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -42,8 +43,16 @@ class Interval:
     hi: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
-            raise InvalidIntervalError(f"endpoints must be ints, got ({self.lo!r}, {self.hi!r})")
+        if type(self.lo) is not int or type(self.hi) is not int:
+            # numpy integers are stored as Python ints, so equality, hash and
+            # repr do not depend on where the endpoints came from
+            try:
+                object.__setattr__(self, "lo", operator.index(self.lo))
+                object.__setattr__(self, "hi", operator.index(self.hi))
+            except TypeError:
+                raise InvalidIntervalError(
+                    f"endpoints must be integers, got ({self.lo!r}, {self.hi!r})"
+                ) from None
         if not 1 <= self.lo <= self.hi:
             raise InvalidIntervalError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
 
@@ -59,16 +68,26 @@ class Interval:
         return max(0, min(self.hi, other.hi) - max(self.lo, other.lo) + 1)
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _as_count_array(counts: Iterable) -> np.ndarray:
     arr = np.asarray(counts)
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError("counts must be a non-empty 1-d sequence")
     if np.issubdtype(arr.dtype, np.floating):
-        if not np.all(arr == np.floor(arr)):
+        if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
             raise ParameterError("counts must be integral")
-    out = arr.astype(np.int64)
+        if np.any(np.abs(arr) >= 2.0**63):
+            raise ParameterError("counts must fit in int64")
+    try:
+        out = arr.astype(np.int64)
+    except (OverflowError, TypeError, ValueError):
+        raise ParameterError("counts must be integers that fit in int64") from None
     if np.any(out < 0):
-        raise ParameterError("counts must be nonnegative")
+        raise ParameterError("counts must be nonnegative integers that fit in int64")
+    if int(out.max()) * out.size > _INT64_MAX and sum(out.tolist()) > _INT64_MAX:
+        raise ParameterError("the total count must fit in int64")
     return out
 
 
@@ -199,14 +218,6 @@ class Partition:
         los = np.fromiter((b.lo for b in self.buckets), dtype=np.int64, count=self.k)
         his = np.fromiter((b.hi for b in self.buckets), dtype=np.int64, count=self.k)
         return los, his
-
-    def bucket_index(self, j: int) -> int:
-        """0-based index of the bucket containing position j."""
-        if not 1 <= j <= self.n:
-            raise InvalidIntervalError(f"position {j} outside [1, {self.n}]")
-        los = [b.lo for b in self.buckets]
-        idx = int(np.searchsorted(los, j, side="right")) - 1
-        return idx
 
     @classmethod
     def unit(cls, n: int) -> "Partition":
@@ -386,7 +397,7 @@ def read_data_file(path: "str | Path") -> DataVector:
                 raise ParameterError(f"{path}:{lineno}: not an integer: {s!r}") from None
     if not counts:
         raise ParameterError(f"{path}: no counts found")
-    return DataVector(np.asarray(counts, dtype=np.int64))
+    return DataVector(counts)
 
 
 def write_data_file(path: "str | Path", x: DataVector) -> None:

@@ -1,15 +1,18 @@
 """Stage 1: choose a low-cost interval partition of the domain privately.
 
 A bucket's cost is its internal deviation from uniformity plus the 1/eps2
-noise price a bucket will pay in stage 2.  All deviations are computed as
-exact integer numerators over a single rational factor, so a cost entry is
-one float division away from the exact value and the sliding-window scan
-reproduces the direct per-bucket computation bit for bit.
+noise price a bucket will pay in stage 2.  The deviation is 2*N/L for the
+exact integer numerator N = L*S - T*C, where T is the bucket total and C and
+S count and sum the values at or above the mean T/L.  `all_costs` computes
+N for every candidate bucket at once from prefix sums and a merge-sort tree,
+so each cost is one float division away from the exact value and matches
+the direct per-bucket computation bit for bit.  The costs live in one flat
+array, perturbation is one vector add, and the dynamic program indexes it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,25 +24,26 @@ from .core import (
     RngStream,
     laplace_sample,
 )
-from .devtree import DeviationTree
 
 # One count added or removed changes a bucket's deviation by at most 2.
 BUCKET_COST_SENSITIVITY = 2.0
 
+# Every numerator L*S - T*C is at most n * total; doubled, it must stay an
+# exact float64 integer for the cost to round exactly once.
+EXACT_COST_LIMIT = 2**52
+
+# Candidates per slice of the cost computation; sized for the L2 cache.
+_CHUNK = 1 << 13
+
 
 @dataclass(frozen=True)
 class PartitionParams:
-    """Knobs for the private partition stage.
-
-    per_bucket_noise is a placeholder for a refinement that scales noise to
-    interval-specific sensitivities; it is not implemented and must stay off.
-    """
+    """Knobs for the private partition stage."""
 
     eps1: float
     eps2: float
     mode: str = "pow2"
     delta_bcost: float = BUCKET_COST_SENSITIVITY
-    per_bucket_noise: bool = False
 
     def __post_init__(self) -> None:
         for name in ("eps1", "eps2"):
@@ -52,20 +56,34 @@ class PartitionParams:
             raise ParameterError("delta_bcost must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostTable:
-    """Noisy or exact costs for candidate buckets, keyed by (lo, hi)."""
+    """Noisy or exact costs of every candidate bucket, as one flat array.
+
+    `costs` runs over lengths ascending and, within a length, lo ascending:
+    the bucket of length `lengths[i]` starting at lo sits at
+    `offsets[i] + lo - 1`.
+    """
 
     n: int
     mode: str
-    entries: dict[tuple[int, int], float]
-    lengths: tuple[int, ...]
+    lengths: np.ndarray
+    offsets: np.ndarray
+    costs: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.lengths, self.offsets, self.costs):
+            arr.setflags(write=False)
 
     def cost(self, lo: int, hi: int) -> float:
-        return self.entries[(lo, hi)]
+        length = hi - lo + 1
+        i = int(np.searchsorted(self.lengths, length))
+        if not (lo >= 1 and hi <= self.n and i < self.lengths.size and self.lengths[i] == length):
+            raise KeyError((lo, hi))
+        return float(self.costs[self.offsets[i] + lo - 1])
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return int(self.costs.size)
 
 
 def candidate_lengths(n: int, mode: str) -> tuple[int, ...]:
@@ -74,12 +92,7 @@ def candidate_lengths(n: int, mode: str) -> tuple[int, ...]:
     if mode == "all":
         return tuple(range(1, n + 1))
     if mode == "pow2":
-        out = []
-        length = 1
-        while length <= n:
-            out.append(length)
-            length *= 2
-        return tuple(out)
+        return tuple(1 << j for j in range(int(n).bit_length()))
     raise ParameterError(f"mode must be 'all' or 'pow2', got {mode!r}")
 
 
@@ -121,43 +134,81 @@ def partition_cost(x: DataVector, buckets: "Partition | list[Interval]", eps2: f
     return total
 
 
-def costs_size_k(x: DataVector, eps2: float, length: int) -> dict[tuple[int, int], float]:
-    """Exact costs of every bucket of the given length, via one sliding window."""
-    n = x.n
-    if not 1 <= length <= n:
-        raise ParameterError(f"length must be in [1, {n}], got {length}")
-    if eps2 <= 0:
-        raise ParameterError(f"eps2 must be positive, got {eps2}")
-    values = [int(v) for v in x.counts]
-    noise_price = 1.0 / eps2
-    out: dict[tuple[int, int], float] = {}
-    if length == 1:
-        for j in range(1, n + 1):
-            out[(j, j)] = 0.0 + noise_price
-        return out
-    tree = DeviationTree(values[:length])
-    total = sum(values[:length])
-    lo = 1
-    while True:
-        hi = lo + length - 1
-        num = tree.above_scaled(total, length)
-        out[(lo, hi)] = (2 * num) / length + noise_price
-        if hi == n:
-            break
-        tree.remove(values[lo - 1])
-        tree.insert(values[hi])
-        total += values[hi] - values[lo - 1]
-        lo += 1
-    return out
+class _MergeSortTree:
+    """Count and sum of the values in a window that reach a threshold.
+
+    Level l holds every aligned block of 2**l values sorted, with prefix
+    sums.  Keying a value by block * (max + 1) + value keeps a whole level
+    one sorted array, so one searchsorted per level and side places every
+    query's threshold inside its block.  A bottom-up segment-tree walk
+    splits each window into at most one block per level and side.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.stride = int(values.max()) + 1
+        position = np.arange(values.size)
+        self.levels = []
+        for level in range(values.size.bit_length()):
+            base = (position >> level) * self.stride
+            keys = np.sort(base + values)
+            self.levels.append((keys, np.concatenate(([0], np.cumsum(keys - base)))))
+
+    def count_sum_at_least(
+        self, starts: np.ndarray, stops: np.ndarray, thresholds: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per query, count and sum of values[a:b] that are >= t."""
+        count = np.zeros(starts.size, dtype=np.int64)
+        total = np.zeros(starts.size, dtype=np.int64)
+        lo, hi = starts.copy(), stops.copy()
+        for level, (keys, sums) in enumerate(self.levels):
+            live = lo < hi
+            if not live.any():
+                break
+            take_lo = live & ((lo & 1) == 1)
+            take_hi = live & ((hi & 1) == 1)
+            lo_side, hi_side = np.flatnonzero(take_lo), np.flatnonzero(take_hi)
+            for idx, block in ((lo_side, lo[lo_side]), (hi_side, hi[hi_side] - 1)):
+                first = np.searchsorted(keys, block * self.stride + thresholds[idx])
+                end = (block + 1) << level
+                count[idx] += end - first
+                total[idx] += sums[end] - sums[first]
+            # halving an odd hi already steps past the block it just took
+            lo += take_lo
+            lo >>= 1
+            hi >>= 1
+        return count, total
 
 
 def all_costs(x: DataVector, eps2: float, mode: str = "pow2") -> CostTable:
-    """Exact cost table over all candidate buckets for the given mode."""
-    lengths = candidate_lengths(x.n, mode)
-    entries: dict[tuple[int, int], float] = {}
-    for length in lengths:
-        entries.update(costs_size_k(x, eps2, length))
-    return CostTable(n=x.n, mode=mode, entries=entries, lengths=lengths)
+    """Exact cost table over all candidate buckets for the given mode.
+
+    Candidates are processed in slices of _CHUNK so the per-query arrays
+    stay cache-resident and slices of short buckets stop after few levels.
+    """
+    if eps2 <= 0:
+        raise ParameterError(f"eps2 must be positive, got {eps2}")
+    n = x.n
+    if n * x.total() > EXACT_COST_LIMIT:
+        raise ParameterError(
+            f"n * total = {n * x.total()} exceeds 2**52; stage-1 costs would not be exact"
+        )
+    lengths = np.asarray(candidate_lengths(n, mode), dtype=np.int64)
+    sizes = n - lengths + 1
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    prefix = np.concatenate(([0], np.cumsum(x.counts)))
+    tree = _MergeSortTree(x.counts)
+    costs = np.empty(int(sizes.sum()))
+    for at in range(0, costs.size, _CHUNK):
+        index = np.arange(at, min(at + _CHUNK, costs.size))
+        group = np.searchsorted(offsets, index, side="right") - 1
+        length = lengths[group]
+        start = index - offsets[group]
+        window_total = prefix[start + length] - prefix[start]
+        at_least = -(-window_total // length)
+        count, total = tree.count_sum_at_least(start, start + length, at_least)
+        num = length * total - window_total * count
+        costs[at : at + index.size] = (2 * num) / length + 1.0 / eps2
+    return CostTable(n=n, mode=mode, lengths=lengths, offsets=offsets, costs=costs)
 
 
 def perturb_costs(
@@ -173,10 +224,8 @@ def perturb_costs(
     """
     if eps1 <= 0:
         raise ParameterError(f"eps1 must be positive, got {eps1}")
-    keys = list(table.entries.keys())
-    noise = laplace_sample(2.0 * delta_bcost / eps1, rng, size=len(keys))
-    entries = {key: table.entries[key] + float(z) for key, z in zip(keys, noise)}
-    return CostTable(n=table.n, mode=table.mode, entries=entries, lengths=table.lengths)
+    noise = laplace_sample(2.0 * delta_bcost / eps1, rng, size=len(table))
+    return replace(table, costs=table.costs + noise)
 
 
 def least_cost_partition(table: CostTable, n: int) -> Partition:
@@ -188,19 +237,19 @@ def least_cost_partition(table: CostTable, n: int) -> Partition:
     """
     if n != table.n:
         raise ParameterError(f"table covers [1, {table.n}], asked for [1, {n}]")
-    entries = table.entries
-    lengths_desc = sorted(table.lengths, reverse=True)
+    costs = table.costs.tolist()
+    by_length = sorted(zip(table.lengths.tolist(), table.offsets.tolist()), reverse=True)
     best = [math.inf] * (n + 1)
     best[0] = 0.0
     pick = [0] * (n + 1)
     for j in range(1, n + 1):
         bj = math.inf
         pj = 0
-        for length in lengths_desc:
+        for length, offset in by_length:
             if length > j:
                 continue
             lo = j - length + 1
-            c = best[lo - 1] + entries[(lo, j)]
+            c = best[lo - 1] + costs[offset + lo - 1]
             if c < bj:
                 bj = c
                 pj = length
@@ -228,10 +277,6 @@ def private_partition(x: DataVector, params: PartitionParams, rng: RngStream) ->
     to twice the per-entry sensitivity, then solves the least-cost dynamic
     program on the noisy table.
     """
-    if params.per_bucket_noise:
-        raise NotImplementedError(
-            "per-bucket noise scaling is not specified precisely enough to implement"
-        )
     table = all_costs(x, params.eps2, params.mode)
     noisy = perturb_costs(table, params.eps1, rng, delta_bcost=params.delta_bcost)
     return least_cost_partition(noisy, x.n)

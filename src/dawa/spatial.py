@@ -38,8 +38,12 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.g < 1:
             raise ParameterError(f"need g >= 1, got {self.g}")
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
-            raise ParameterError("bounding box must be non-degenerate")
+        spans = (self.xmax - self.xmin, self.ymax - self.ymin)
+        if not all(np.isfinite(s) and s > 0 for s in spans):
+            raise ParameterError(
+                "bounding box must be finite and non-degenerate, got "
+                f"x [{self.xmin}, {self.xmax}], y [{self.ymin}, {self.ymax}]"
+            )
 
     @property
     def side(self) -> int:
@@ -143,6 +147,8 @@ def grid_discretize(points, spec: GridSpec) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ParameterError(f"points must be (N, 2), got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ParameterError("points must have finite coordinates")
     cx = _cells_of(pts[:, 0], spec.xmin, spec.cell_width, spec.side)
     cy = _cells_of(pts[:, 1], spec.ymin, spec.cell_height, spec.side)
     grid = np.zeros((spec.side, spec.side), dtype=np.int64)

@@ -46,6 +46,7 @@ from dawa.partition import (
     all_costs,
     bucket_cost,
     bucket_dev,
+    candidate_lengths,
     least_cost_partition,
     partition_cost,
     private_partition,
@@ -125,8 +126,13 @@ def test_a02_cost_tables_match_naive_recomputation():
     eps2 = 0.37
     for mode in ("all", "pow2"):
         table = all_costs(x, eps2, mode=mode)
-        for (lo, hi), cost in table.entries.items():
-            assert cost == bucket_cost(x, Interval(lo, hi), eps2)
+        checked = 0
+        for length in candidate_lengths(x.n, mode):
+            for lo in range(1, x.n - length + 2):
+                hi = lo + length - 1
+                assert table.cost(lo, hi) == bucket_cost(x, Interval(lo, hi), eps2)
+                checked += 1
+        assert checked == len(table)
 
     # worked-example anchors
     ex, part = _example()

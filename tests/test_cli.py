@@ -87,6 +87,17 @@ class TestPartitionCmd:
         assert capsys.readouterr().out == first
 
 
+    def test_count_outside_int64_is_clean_error(self, tmp_path, capsys):
+        p = tmp_path / "huge.txt"
+        p.write_text(f"3\n{2**70}\n")
+        rc = main(["partition", "--data", str(p), "--eps1", "0.25", "--eps2", "0.75"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("dawa: error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestRunCmd:
     def test_end_to_end(self, tmp_path, capsys):
         cfg = {

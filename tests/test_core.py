@@ -58,6 +58,18 @@ class TestInterval:
         assert a.overlap(Interval(8, 10)) == 0
         assert a.overlap(Interval(2, 6)) == 5
 
+    def test_numpy_integer_endpoints_stored_as_int(self):
+        q = Interval(np.int64(1), np.int32(3))
+        assert type(q.lo) is int and type(q.hi) is int
+        assert q == Interval(1, 3)
+        assert hash(q) == hash(Interval(1, 3))
+        assert repr(q) == "Interval(lo=1, hi=3)"
+
+    @pytest.mark.parametrize("lo", [1.0, np.float64(1.0), "1", None])
+    def test_non_integer_endpoints_rejected(self, lo):
+        with pytest.raises(InvalidIntervalError):
+            Interval(lo, 3)
+
     @given(intervals_for(20), intervals_for(20))
     def test_overlap_symmetric(self, a, b):
         assert a.overlap(b) == b.overlap(a)
@@ -85,6 +97,24 @@ class TestDataVector:
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):
             DataVector([])
+
+    @pytest.mark.parametrize("counts", [
+        [2**70],
+        [1, 2**63],
+        np.array([2**63], dtype=np.uint64),
+        np.array([2.0**63]),
+        np.array([1.0, np.inf]),
+        np.array([np.nan]),
+    ])
+    def test_rejects_counts_outside_int64(self, counts):
+        with pytest.raises(ParameterError):
+            DataVector(counts)
+
+    def test_rejects_total_outside_int64(self):
+        with pytest.raises(ParameterError):
+            DataVector([2**62, 2**62])
+        x = DataVector([2**62, 2**62 - 1])
+        assert x.total() == 2**63 - 1
 
 
 class TestPartition:
@@ -129,11 +159,6 @@ class TestPartition:
         p = Partition((Interval(1, 5), Interval(6, 9)))
         assert validate_partition(p, 9)
         assert not validate_partition(p, 10)
-
-    def test_bucket_index(self, example_partition):
-        want = [0, 0, 1, 2, 2, 2, 2, 3, 3, 3]
-        got = [example_partition.bucket_index(j) for j in range(1, 11)]
-        assert got == want
 
     def test_bounds_arrays(self, example_partition):
         los, his = example_partition.bounds_arrays()

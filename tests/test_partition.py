@@ -1,6 +1,7 @@
-"""Bucket costs, the sliding cost table, and the least-cost dynamic program."""
+"""Bucket costs, the flat cost table, and the least-cost dynamic program."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,18 +14,18 @@ from dawa.core import (
     ParameterError,
     Partition,
     RngStream,
+    laplace_sample,
     validate_partition,
 )
 from dawa.oracles import BRUTE_FORCE_MAX_N, oracle_brute_partition
 from dawa.partition import (
     BUCKET_COST_SENSITIVITY,
-    CostTable,
+    EXACT_COST_LIMIT,
     PartitionParams,
     all_costs,
     bucket_cost,
     bucket_dev,
     candidate_lengths,
-    costs_size_k,
     exact_partition,
     least_cost_partition,
     partition_cost,
@@ -121,35 +122,91 @@ class TestBucketAndPartitionCost:
             bucket_cost(example_x, Interval(1, 2), 0.0)
 
 
+def candidates(n: int, mode: str):
+    """Every candidate bucket, in the cost table's order."""
+    for length in candidate_lengths(n, mode):
+        for lo in range(1, n - length + 2):
+            yield lo, lo + length - 1
+
+
 class TestCostTable:
     def test_size_k_anchor(self, example_x):
-        table = costs_size_k(example_x, 1.0, 4)
-        assert table[(4, 7)] == pytest.approx(4.0)  # dev 3 plus price 1
+        table = all_costs(example_x, 1.0, "all")
+        assert table.cost(4, 7) == pytest.approx(4.0)  # dev 3 plus price 1
 
     def test_size_k_matches_direct(self, example_x):
+        # the length-k slice of the flat array, read directly by offset
+        table = all_costs(example_x, 0.7, "all")
         for length in (1, 2, 3, 7, 10):
-            table = costs_size_k(example_x, 0.7, length)
-            assert len(table) == 10 - length + 1
-            for (lo, hi), cost in table.items():
-                assert cost == bucket_cost(example_x, Interval(lo, hi), 0.7)
+            i = length - 1
+            assert table.lengths[i] == length
+            assert table.offsets[i] == sum(10 - short + 1 for short in range(1, length))
+            for lo in range(1, 10 - length + 2):
+                want = bucket_cost(example_x, Interval(lo, lo + length - 1), 0.7)
+                assert table.costs[table.offsets[i] + lo - 1] == want
 
     @given(data_vectors(max_n=20), st.sampled_from([0.1, 1.0, 3.0]))
     def test_sliding_equals_direct(self, x, eps2):
-        # the sliding-window tree must reproduce the direct formula bit for bit
-        for length in range(1, x.n + 1):
-            for (lo, hi), cost in costs_size_k(x, eps2, length).items():
-                assert cost == bucket_cost(x, Interval(lo, hi), eps2)
+        # the vectorised numerators must reproduce the direct formula bit for bit
+        for mode in ("all", "pow2"):
+            table = all_costs(x, eps2, mode)
+            got = [table.cost(lo, hi) for lo, hi in candidates(x.n, mode)]
+            assert len(got) == len(table)
+            assert table.costs.tolist() == got
+            assert got == [bucket_cost(x, Interval(lo, hi), eps2) for lo, hi in candidates(x.n, mode)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(data_vectors(min_n=20, max_n=70, max_count=3000))
+    def test_large_counts_equal_direct(self, x):
+        # wider values and windows exercise more merge-sort-tree levels
+        table = all_costs(x, 0.37, "all")
+        for lo, hi in candidates(x.n, "all"):
+            assert table.cost(lo, hi) == bucket_cost(x, Interval(lo, hi), 0.37)
 
     def test_all_costs_entry_counts(self, example_x):
-        assert len(all_costs(example_x, 1.0, "all").entries) == 55
+        assert len(all_costs(example_x, 1.0, "all")) == 55
         x8 = DataVector(example_x.counts[:8])
-        assert len(all_costs(x8, 1.0, "pow2").entries) == 21
+        assert len(all_costs(x8, 1.0, "pow2")) == 21
 
     def test_all_costs_metadata(self, example_x):
         t = all_costs(example_x, 1.0, "pow2")
         assert t.n == 10
         assert t.mode == "pow2"
-        assert t.lengths == (1, 2, 4, 8)
+        assert t.lengths.tolist() == [1, 2, 4, 8]
+        assert t.offsets.tolist() == [0, 10, 19, 26]
+
+    def test_missing_candidate_raises(self, example_x):
+        t = all_costs(example_x, 1.0, "pow2")
+        for lo, hi in [(1, 3), (0, 1), (10, 11), (5, 4)]:
+            with pytest.raises(KeyError):
+                t.cost(lo, hi)
+
+    def test_arrays_read_only(self, example_x):
+        t = all_costs(example_x, 1.0, "pow2")
+        with pytest.raises(ValueError):
+            t.costs[0] = 0.0
+
+    def test_invalid_eps2(self, example_x):
+        with pytest.raises(ParameterError):
+            all_costs(example_x, 0.0, "pow2")
+
+    def test_overflow_guard_at_limit(self):
+        # n * total = 2**52 is the largest product whose numerators stay exact
+        for counts in ([2**48] + [0] * 15, [2**45, 0, 2**45 - 1, 1] * 4):
+            x = DataVector(counts)
+            assert x.n * x.total() == EXACT_COST_LIMIT
+            table = all_costs(x, 0.5, "all")
+            for lo, hi in candidates(x.n, "all"):
+                assert table.cost(lo, hi) == bucket_cost(x, Interval(lo, hi), 0.5)
+
+    def test_overflow_guard_rejects_past_limit(self):
+        # 2**52 + 1 = 17 * 264917625139441
+        x = DataVector([264917625139441 - 16] + [1] * 16)
+        assert x.n * x.total() == EXACT_COST_LIMIT + 1
+        with pytest.raises(ParameterError, match="2\\*\\*52"):
+            all_costs(x, 0.5, "pow2")
+        with pytest.raises(ParameterError):
+            private_partition(x, PartitionParams(0.25, 0.75), RngStream(0))
 
 
 class TestPerturb:
@@ -157,15 +214,26 @@ class TestPerturb:
         t = all_costs(example_x, 1.0, "all")
         a = perturb_costs(t, 0.5, RngStream(3))
         b = perturb_costs(t, 0.5, RngStream(3))
-        assert a.entries == b.entries
-        assert a.entries != t.entries
+        assert np.array_equal(a.costs, b.costs)
+        assert not np.array_equal(a.costs, t.costs)
+        assert a.lengths is t.lengths and a.offsets is t.offsets
+
+    def test_draw_order(self, example_x):
+        # one vector draw, matched to candidates in the table's order
+        for mode in ("all", "pow2"):
+            t = all_costs(example_x, 1.0, mode)
+            noisy = perturb_costs(t, 0.5, RngStream(11))
+            want = laplace_sample(2.0 * BUCKET_COST_SENSITIVITY / 0.5, RngStream(11), size=len(t))
+            # the sum is bit-exact; the difference only up to rounding
+            assert np.array_equal(noisy.costs, t.costs + want)
+            assert np.allclose(noisy.costs - t.costs, want, rtol=0.0, atol=1e-12)
 
     def test_noise_scale_on_ledger(self, example_x):
         t = all_costs(example_x, 1.0, "pow2")
         ledger = []
         perturb_costs(t, 0.5, RngStream(3, ledger=ledger))
         # every entry gets one draw at scale 2 * sensitivity / eps1
-        assert ledger == [(2.0 * BUCKET_COST_SENSITIVITY / 0.5, len(t.entries))]
+        assert ledger == [(2.0 * BUCKET_COST_SENSITIVITY / 0.5, len(t))]
 
     def test_custom_sensitivity(self, example_x):
         t = all_costs(example_x, 1.0, "pow2")
@@ -222,12 +290,7 @@ class TestLeastCost:
         # positive rescaling of all costs reorders nothing, ties included
         table = all_costs(example_x, 0.6, "all")
         base = least_cost_partition(table, 10)
-        scaled = CostTable(
-            n=table.n,
-            mode=table.mode,
-            entries={key: 3.7 * c for key, c in table.entries.items()},
-            lengths=table.lengths,
-        )
+        scaled = replace(table, costs=3.7 * table.costs)
         assert least_cost_partition(scaled, 10).buckets == base.buckets
 
 
@@ -264,11 +327,6 @@ class TestPrivatePartition:
         got = private_partition(example_x, p, RngStream(0))
         want = exact_partition(example_x, 0.75, "all")
         assert got == want
-
-    def test_per_bucket_noise_unimplemented(self, example_x):
-        p = PartitionParams(0.25, 0.75, "all", per_bucket_noise=True)
-        with pytest.raises(NotImplementedError):
-            private_partition(example_x, p, RngStream(0))
 
     def test_param_validation(self):
         with pytest.raises(ParameterError):

@@ -61,6 +61,17 @@ class TestGridSpec:
         with pytest.raises(ParameterError):
             GridSpec(g=2, xmin=1, xmax=1, ymin=0, ymax=1)
 
+    @pytest.mark.parametrize("box", [
+        (0.0, np.inf, 0.0, 1.0),
+        (-np.inf, 1.0, 0.0, 1.0),
+        (0.0, 1.0, 0.0, np.nan),
+        (-1e308, 1e308, 0.0, 1.0),
+    ])
+    def test_rejects_non_finite_box(self, box):
+        xmin, xmax, ymin, ymax = box
+        with pytest.raises(ParameterError):
+            GridSpec(g=2, xmin=xmin, xmax=xmax, ymin=ymin, ymax=ymax)
+
 
 class TestHilbertCurve:
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -139,6 +150,13 @@ class TestDiscretize:
         spec = GridSpec(g=2, xmin=0, xmax=4, ymin=0, ymax=4)
         with pytest.raises(ParameterError):
             grid_discretize(np.array([1.0, 2.0, 3.0]), spec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        spec = GridSpec(g=2, xmin=0, xmax=4, ymin=0, ymax=4)
+        for pts in ([[bad, 1.0]], [[1.0, 1.0], [2.0, bad]]):
+            with pytest.raises(ParameterError):
+                grid_discretize(np.array(pts), spec)
 
     def test_count_conservation(self):
         rng = np.random.default_rng(0)
