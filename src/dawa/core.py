@@ -172,17 +172,21 @@ class Workload:
         return los, his
 
 
-def is_contiguous_cover(buckets: Sequence[Interval]) -> bool:
-    """True when sorted buckets start at 1 and tile with no gap or overlap."""
-    if not buckets:
-        return False
-    ordered = sorted(buckets)
-    if ordered[0].lo != 1:
-        return False
+def _sorted_cover(buckets: Sequence[Interval]) -> "tuple[Interval, ...] | None":
+    """The buckets sorted, when they start at 1 and tile with no gap or
+    overlap; None otherwise."""
+    ordered = tuple(sorted(buckets))
+    if not ordered or ordered[0].lo != 1:
+        return None
     for prev, cur in zip(ordered, ordered[1:]):
         if cur.lo != prev.hi + 1:
-            return False
-    return True
+            return None
+    return ordered
+
+
+def is_contiguous_cover(buckets: Sequence[Interval]) -> bool:
+    """True when sorted buckets start at 1 and tile with no gap or overlap."""
+    return _sorted_cover(buckets) is not None
 
 
 @dataclass(frozen=True)
@@ -192,10 +196,10 @@ class Partition:
     buckets: tuple[Interval, ...]
 
     def __post_init__(self) -> None:
-        bs = tuple(self.buckets)
-        if not is_contiguous_cover(bs):
-            raise InvalidPartitionError(f"buckets do not tile the domain: {bs}")
-        object.__setattr__(self, "buckets", tuple(sorted(bs)))
+        ordered = _sorted_cover(self.buckets)
+        if ordered is None:
+            raise InvalidPartitionError(f"buckets do not tile the domain: {tuple(self.buckets)}")
+        object.__setattr__(self, "buckets", ordered)
 
     @property
     def k(self) -> int:
@@ -232,7 +236,8 @@ def validate_partition(buckets: "Partition | Sequence[Interval]", n: int) -> boo
     """Check that the buckets tile [1, n] exactly."""
     if isinstance(buckets, Partition):
         return buckets.n == n
-    return is_contiguous_cover(buckets) and sorted(buckets)[-1].hi == n
+    ordered = _sorted_cover(buckets)
+    return ordered is not None and ordered[-1].hi == n
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,13 @@ reconciled by least squares.  Weights obey a unit-sensitivity constraint:
 the scalings covering any single bucket sum to at most 1, so each noisy
 answer costs Laplace(1/eps2) regardless of how many are taken.
 
-Raising a parent's weight is a rank-one change to its subtree Gram, so the
-weight search needs only three scalars and one workload image (an m-vector)
-per child (NodeCache); no Gram matrix or inverse is formed.  The greedy pass
-searches a whole tree level at once, bottom-up.  Least squares runs in the
+The tree is implicit in (k, t): a node is its index in level order, its
+interval follows from its level and position, and the only per-node state
+is one float64 array of scalings.  Raising a parent's weight is a rank-one
+change to its subtree Gram, so the weight search needs only three scalars
+and one workload image (an m-vector) per child, kept as arrays for one
+level at a time while the greedy pass searches the tree bottom-up; no Gram
+matrix or inverse is formed.  Least squares runs in the
 eliminated form of Hay et al. (VLDB 2010) with unequal per-node variances
 (Qardaji, Yang & Li, VLDB 2013), linear in the tree size, for every scaled
 tree including the fixed hierarchies of the hier_* baselines.
@@ -41,97 +44,60 @@ LAMBDA_CAP = 1.0 - 1e-6
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class TreeNode:
-    """One interval sum over bucket positions [lo, hi]."""
+@dataclass(frozen=True, eq=False)
+class QueryTree:
+    """Interval-sum hierarchy over k bucket positions with branching t.
 
-    __slots__ = ("lo", "hi", "depth", "children", "scaling", "cache")
-
-    def __init__(self, lo: int, hi: int, children: "tuple[TreeNode, ...]" = ()):
-        self.lo = lo
-        self.hi = hi
-        self.depth = 0
-        self.children = children
-        self.scaling = 1.0 if not children else 0.0
-        self.cache: "NodeCache | None" = None
-
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def __repr__(self) -> str:
-        return f"TreeNode([{self.lo},{self.hi}], depth={self.depth}, c={self.scaling:.4g})"
-
-
-@dataclass
-class NodeCache:
-    """Summaries of one subtree's scaled strategy for its parent's weight search.
-
-    With v solving (subtree Gram) @ v = 1, ones_quad is the total of v and
-    wl_image maps v through the subtree's workload columns; wl_image_norm2
-    is its squared norm and err_trace the subtree's workload error term.
-    Caches reflect the scalings when the node was processed.
+    The shape is implicit: the level of height h (leaves have h = 0) holds
+    ceil(k / t**h) nodes, and its node i covers [i*t**h + 1,
+    min((i+1)*t**h, k)], so node i's children are nodes t*i .. t*i + t - 1
+    of the level below and only the last node of a level may hold fewer
+    than t.  Nodes are numbered in level order, root first, left to right;
+    scalings holds one weight per node in that order.
     """
 
-    err_trace: float
-    ones_quad: float
-    wl_image: np.ndarray
-    wl_image_norm2: float
-
-
-@dataclass(frozen=True)
-class QueryTree:
-    """Interval-sum hierarchy over k bucket positions with branching t."""
-
-    root: TreeNode
-    levels: tuple[tuple[TreeNode, ...], ...]
     k: int
     t: int
-
-    @property
-    def leaves(self) -> tuple[TreeNode, ...]:
-        return self.levels[-1]
-
-    def nodes(self):
-        """All nodes in level order, root first, left to right."""
-        for level in self.levels:
-            yield from level
+    level_sizes: tuple[int, ...]
+    scalings: np.ndarray
 
     def num_nodes(self) -> int:
-        return sum(len(level) for level in self.levels)
+        return len(self.scalings)
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Inclusive (los, his) of every node in level order, as int64 arrays."""
+        height = len(self.level_sizes) - 1
+        los, his = [], []
+        for d, size in enumerate(self.level_sizes):
+            span = self.t ** (height - d)
+            lo = np.arange(size, dtype=np.int64) * span
+            los.append(lo + 1)
+            his.append(np.minimum(lo + span, self.k))
+        return np.concatenate(los), np.concatenate(his)
+
+
+def _level_slices(tree: QueryTree) -> list[slice]:
+    """Each level's slice of the level-order node numbering, root first."""
+    edges = np.cumsum((0,) + tree.level_sizes).tolist()
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def build_query_tree(k: int, t: int = 2) -> QueryTree:
     """Complete-as-possible t-ary tree whose leaves are the unit intervals.
 
-    Node i of a level has nodes t*i .. t*i + t - 1 of the level below as
-    children; only the last node of a level may hold fewer than t.  All
-    leaves sit on the deepest level.
+    Scalings start leaves-only: 1 at every leaf, 0 at every internal node.
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     if t < 2:
         raise ParameterError(f"need branching t >= 2, got {t}")
-    level = [TreeNode(j, j) for j in range(1, k + 1)]
-    levels = [tuple(level)]
-    while len(level) > 1:
-        level = [
-            TreeNode(group[0].lo, group[-1].hi, tuple(group))
-            for group in (level[i : i + t] for i in range(0, len(level), t))
-        ]
-        levels.append(tuple(level))
-    levels.reverse()
-    for depth, lev in enumerate(levels):
-        for node in lev:
-            node.depth = depth
-    return QueryTree(root=levels[0][0], levels=tuple(levels), k=k, t=t)
-
-
-def subtree_nodes(node: TreeNode):
-    """Pre-order walk of the subtree rooted at node."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        stack.extend(reversed(cur.children))
+    sizes = [k]
+    while sizes[-1] > 1:
+        sizes.append(-(-sizes[-1] // t))
+    sizes.reverse()
+    scalings = np.zeros(sum(sizes))
+    scalings[-k:] = 1.0
+    return QueryTree(k=k, t=t, level_sizes=tuple(sizes), scalings=scalings)
 
 
 def decay_factor(t: int, depth: int) -> float:
@@ -140,10 +106,12 @@ def decay_factor(t: int, depth: int) -> float:
 
 
 def leaf_cover_sums(tree: QueryTree) -> np.ndarray:
-    """Per bucket position, the sum of scalings of nodes covering it."""
+    """Per bucket position, the sum of scalings of nodes covering it, added
+    one level at a time from the root down."""
     cover = np.zeros(tree.k)
-    for node in tree.nodes():
-        cover[node.lo - 1 : node.hi] += node.scaling
+    height = len(tree.level_sizes) - 1
+    for d, level in enumerate(_level_slices(tree)):
+        cover += np.repeat(tree.scalings[level], tree.t ** (height - d))[: tree.k]
     return cover
 
 
@@ -180,31 +148,6 @@ def _sum_children(t: int, summaries: np.ndarray, images: np.ndarray):
         total[:, :n_j] += summaries[:, j::t]
         image[:n_j] += images[j::t]
     return total, np.ascontiguousarray(image)
-
-
-def _child_sums(node: TreeNode) -> np.ndarray:
-    """One internal node's search inputs, from its children's caches, as a (4, 1) array."""
-    caches = [child.cache for child in node.children]
-    if not caches or any(cache is None for cache in caches):
-        raise ParameterError("weights are searched at internal nodes whose children are scaled")
-    summaries = np.array([[c.err_trace, c.ones_quad, c.wl_image_norm2] for c in caches]).T
-    (trace_sum, quad_sum, norm2_sum), image = _sum_children(
-        len(caches), summaries, np.stack([c.wl_image for c in caches]))
-    return np.stack([trace_sum, quad_sum, _row_norms2(image), norm2_sum])
-
-
-def objective_at_lambda(node: TreeNode, lam: float, mu: float) -> float:
-    """Workload error proxy if node takes weight lam and discounts its subtree.
-
-    The proxy blends the node's own error term (weight mu) with the
-    children's block-diagonal terms (weight 1 - mu); at the root mu is 1 and
-    the proxy is the exact strategy error up to the 2/eps2^2 factor.
-    """
-    if not 0.0 <= lam <= LAMBDA_CAP:
-        raise ParameterError(f"lam must lie in [0, {LAMBDA_CAP}], got {lam}")
-    if not 0.0 <= mu <= 1.0:
-        raise ParameterError(f"mu must lie in [0, 1], got {mu}")
-    return float(_objective(_child_sums(node), mu, lam, (1.0 - lam) ** 2)[0])
 
 
 GRID_POINTS = 33
@@ -247,11 +190,6 @@ def _search_lambda(sums: np.ndarray, mu: float, tol: float = 1e-6) -> np.ndarray
     return lam
 
 
-def optimize_lambda(node: TreeNode, mu: float, tol: float = 1e-6) -> float:
-    """The weight greedy_scale picks for node, given its children's caches."""
-    return float(_search_lambda(_child_sums(node), mu, tol)[0])
-
-
 def greedy_scale(What: "TransformedWorkload | np.ndarray", tree: QueryTree) -> QueryTree:
     """Choose node scalings for the workload, bottom-up, one level at a time.
 
@@ -259,7 +197,7 @@ def greedy_scale(What: "TransformedWorkload | np.ndarray", tree: QueryTree) -> Q
     minimizing its objective, all nodes of a level searched together.  A
     node's scaling is its weight (1 at a leaf) times 1 - lam of every
     ancestor, applied nearest ancestor first, which keeps the cover sum of
-    every position at 1.  Mutates and returns the tree.
+    every position at 1.  Writes tree.scalings in place and returns the tree.
     """
     matrix = What.matrix if isinstance(What, TransformedWorkload) else np.asarray(What, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != tree.k:
@@ -268,8 +206,7 @@ def greedy_scale(What: "TransformedWorkload | np.ndarray", tree: QueryTree) -> Q
     images = matrix.T  # row i is leaf i's workload column
     norms = _row_norms2(images)
     summaries = np.stack([norms, np.ones(tree.k), norms])
-    _attach_caches(tree.leaves, summaries, images)
-    lams = [np.zeros(len(level)) for level in tree.levels[:-1]]
+    lams = [np.zeros(size) for size in tree.level_sizes[:-1]]
     for depth in range(len(lams) - 1, -1, -1):
         (trace_sum, quad_sum, norm2_sum), image = _sum_children(t, summaries, images)
         image2 = _row_norms2(image)
@@ -286,21 +223,14 @@ def greedy_scale(What: "TransformedWorkload | np.ndarray", tree: QueryTree) -> Q
         beta = lam2 / (g2 * denom)
         summaries = np.stack([trace_sum / g2 - beta * image2, quad_sum / denom, image2 / (denom * denom)])
         images = np.divide(image, denom[:, None], out=image)
-        _attach_caches(tree.levels[depth], summaries, images)
-    for depth, level in enumerate(tree.levels):
-        scaling = lams[depth].copy() if depth < len(lams) else np.ones(len(level))
-        up = np.arange(len(level))
+    for depth, level in enumerate(_level_slices(tree)):
+        scaling = tree.scalings[level]
+        scaling[:] = lams[depth] if depth < len(lams) else 1.0
+        up = np.arange(len(scaling))
         for anc in range(depth - 1, -1, -1):
             up //= t
             scaling *= 1.0 - lams[anc][up]
-        for node, value in zip(level, scaling.tolist()):
-            node.scaling = value
     return tree
-
-
-def _attach_caches(level, summaries: np.ndarray, images: np.ndarray) -> None:
-    for node, (e, q, n2), image in zip(level, summaries.T.tolist(), images):
-        node.cache = NodeCache(err_trace=e, ones_quad=q, wl_image=image, wl_image_norm2=n2)
 
 
 def measure(bucket_counts: np.ndarray, tree: QueryTree, eps2: float, rng: RngStream) -> np.ndarray:
@@ -315,12 +245,10 @@ def measure(bucket_counts: np.ndarray, tree: QueryTree, eps2: float, rng: RngStr
     if eps2 <= 0:
         raise ParameterError(f"eps2 must be positive, got {eps2}")
     prefix = np.concatenate(([0.0], np.cumsum(counts)))
-    active = [node for node in tree.nodes() if node.scaling > 0.0]
-    noise = laplace_sample(1.0 / eps2, rng, size=len(active))
-    scalings = np.array([node.scaling for node in active], dtype=np.float64)
-    los = np.array([node.lo for node in active], dtype=np.int64)
-    his = np.array([node.hi for node in active], dtype=np.int64)
-    return scalings * (prefix[his] - prefix[los - 1]) + noise
+    active = tree.scalings > 0.0
+    noise = laplace_sample(1.0 / eps2, rng, size=int(np.count_nonzero(active)))
+    los, his = (bound[active] for bound in tree.bounds())
+    return tree.scalings[active] * (prefix[his] - prefix[los - 1]) + noise
 
 
 def ols_infer(tree: QueryTree, measurements: np.ndarray) -> np.ndarray:
@@ -335,15 +263,14 @@ def ols_infer(tree: QueryTree, measurements: np.ndarray) -> np.ndarray:
     (nothing answered on some path below it) takes the whole share.
     """
     t = tree.t
-    scalings = scaling_vector(tree)
+    scalings = tree.scalings
     answered = scalings > 0.0
     if np.count_nonzero(answered) != len(measurements):
         raise DimensionError(f"{len(measurements)} measurements for {np.count_nonzero(answered)} scaled nodes")
     weight = np.where(answered, scalings * scalings, 0.0)
     num = np.zeros(len(scalings))
     num[answered] = scalings[answered] * np.asarray(measurements, dtype=np.float64)
-    edges = np.cumsum([0] + [len(level) for level in tree.levels])
-    levels = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    levels = _level_slices(tree)
     est, var = np.zeros(len(scalings)), np.zeros(len(scalings))
     with np.errstate(divide="ignore", invalid="ignore"):
         for at, below in zip(levels[::-1], [None] + levels[:0:-1]):
@@ -372,18 +299,11 @@ def _sum_groups(values: np.ndarray, t: int) -> np.ndarray:
     return np.add.reduceat(values, np.arange(0, len(values), t))
 
 
-def scaling_vector(tree: QueryTree) -> np.ndarray:
-    """Scalings of all nodes in level order; aligns with strategy_matrix."""
-    return np.fromiter((node.scaling for node in tree.nodes()), dtype=np.float64,
-                       count=tree.num_nodes())
-
-
 def strategy_matrix(tree: QueryTree) -> np.ndarray:
     """Dense 0/1 interval-indicator rows of all nodes in level order."""
-    rows = np.zeros((tree.num_nodes(), tree.k))
-    for i, node in enumerate(tree.nodes()):
-        rows[i, node.lo - 1 : node.hi] = 1.0
-    return rows
+    los, his = tree.bounds()
+    positions = np.arange(1, tree.k + 1)
+    return ((los[:, None] <= positions) & (positions <= his[:, None])).astype(np.float64)
 
 
 def strategy_error(What: "TransformedWorkload | np.ndarray", tree: QueryTree, eps2: float) -> float:
@@ -398,7 +318,7 @@ def strategy_error(What: "TransformedWorkload | np.ndarray", tree: QueryTree, ep
         raise DimensionError(f"workload matrix shape {matrix.shape} does not match k={tree.k}")
     if eps2 <= 0:
         raise ParameterError(f"eps2 must be positive, got {eps2}")
-    scaled = scaling_vector(tree)[:, None] * strategy_matrix(tree)
+    scaled = tree.scalings[:, None] * strategy_matrix(tree)
     try:
         inv = np.linalg.inv(scaled.T @ scaled)
     except np.linalg.LinAlgError as err:

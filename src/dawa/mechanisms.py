@@ -113,9 +113,8 @@ def _run_hierarchical(x: DataVector, eps: float, t: int, rng: RngStream, raw_wei
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     tree = build_query_tree(x.n, t)
-    weights = _level_weights(raw_weights(len(tree.levels), t))
-    for node in tree.nodes():
-        node.scaling = weights[node.depth]
+    weights = _level_weights(raw_weights(len(tree.level_sizes), t))
+    tree.scalings[:] = np.repeat(weights, tree.level_sizes)
     measurements = measure(x.counts.astype(np.float64), tree, eps, rng)
     return EstimateVector(ols_infer(tree, measurements))
 

@@ -2,14 +2,15 @@
 
 Everything here recomputes results by the most direct method available and
 shares no code path with the implementations under test beyond the shared
-primitive definitions (bucket costs, matrix shapes).
+primitive definitions (bucket costs, the tree's node intervals, matrix
+shapes).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .core import DataVector, Interval, ParameterError, Partition, SingularStrategyError
-from .estimation import TreeNode, subtree_nodes
+from .estimation import QueryTree, strategy_matrix
 from .partition import bucket_cost
 from .transform import TransformedWorkload
 
@@ -71,51 +72,36 @@ def oracle_dense_stage2(
     return (2.0 / eps2**2) * float(np.sum((matrix.T @ matrix) * inv))
 
 
-def _subtree_rows(node: TreeNode) -> tuple[np.ndarray, np.ndarray]:
-    """Indicator rows and current scalings of a subtree, over its own span."""
-    nodes = list(subtree_nodes(node))
-    span = node.hi - node.lo + 1
-    rows = np.zeros((len(nodes), span))
-    scalings = np.empty(len(nodes))
-    for i, p in enumerate(nodes):
-        rows[i, p.lo - node.lo : p.hi - node.lo + 1] = 1.0
-        scalings[i] = p.scaling
-    return rows, scalings
-
-
 def dense_scaling_objective(
     What: "TransformedWorkload | np.ndarray",
-    node: TreeNode,
+    tree: QueryTree,
     lam: float,
     mu: float,
 ) -> float:
-    """Direct evaluation of the greedy weight-search objective at one node.
+    """Direct evaluation of the greedy weight-search objective at the root.
 
-    Builds the node's subtree strategy explicitly: the node takes weight lam,
-    every descendant's current scaling is discounted by (1 - lam), and the
-    target matrix blends the node's workload Gram with the block-diagonal of
-    its children's workload Grams.
+    Builds the whole strategy explicitly: the root takes weight lam, every
+    other node's current scaling is discounted by (1 - lam), and the target
+    matrix blends the workload Gram with the block-diagonal of the root's
+    children's workload Grams.
     """
     matrix = What.matrix if isinstance(What, TransformedWorkload) else np.asarray(What, dtype=np.float64)
-    if node.is_leaf():
+    if tree.k < 2:
         raise ParameterError("objective is defined for internal nodes only")
-    rows, scalings = _subtree_rows(node)
-    scalings = scalings * (1.0 - lam)
+    scalings = tree.scalings * (1.0 - lam)
     scalings[0] = lam
-    scaled = scalings[:, None] * rows
+    scaled = scalings[:, None] * strategy_matrix(tree)
     gram = scaled.T @ scaled
     try:
         inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError as err:
-        raise SingularStrategyError(f"subtree Gram is singular: {err}") from None
-    Wq = matrix[:, node.lo - 1 : node.hi]
-    target = mu * (Wq.T @ Wq)
-    off = 1.0 - mu
-    for child in node.children:
-        Wc = matrix[:, child.lo - 1 : child.hi]
-        a = child.lo - node.lo
-        b = child.hi - node.lo + 1
-        target[a:b, a:b] += off * (Wc.T @ Wc)
+        raise SingularStrategyError(f"strategy Gram is singular: {err}") from None
+    target = mu * (matrix.T @ matrix)
+    los, his = tree.bounds()
+    children = slice(1, 1 + tree.level_sizes[1])
+    for lo, hi in zip(los[children].tolist(), his[children].tolist()):
+        Wc = matrix[:, lo - 1 : hi]
+        target[lo - 1 : hi, lo - 1 : hi] += (1.0 - mu) * (Wc.T @ Wc)
     return float(np.sum(target * inv))
 
 

@@ -26,16 +26,14 @@ from dawa.core import (
     uniform_expand,
 )
 from dawa.estimation import (
+    _objective,
     build_query_tree,
     decay_factor,
     estimate_buckets,
     greedy_scale,
     leaf_cover_sums,
-    objective_at_lambda,
     ols_infer,
-    scaling_vector,
     strategy_matrix,
-    subtree_nodes,
 )
 from dawa.experiments import ExperimentConfig, report_emit, run_experiment
 from dawa.generators import gen_synthetic_data, gen_workload
@@ -63,6 +61,8 @@ from dawa.spatial import (
 )
 from dawa.transform import transform_query, transform_workload
 
+from .reference import node_by_node_greedy, undo_root_discount
+
 EXAMPLE_COUNTS = [2, 3, 8, 1, 0, 2, 0, 4, 2, 4]
 EXAMPLE_BUCKETS = (Interval(1, 2), Interval(3, 3), Interval(4, 7), Interval(8, 10))
 
@@ -89,19 +89,6 @@ def _random_workload(rng, n: int, m: int) -> Workload:
         hi = int(rng.integers(lo, n + 1))
         qs.append(Interval(lo, hi))
     return Workload(tuple(qs))
-
-
-def _undo_root_discount(tree):
-    """Rewind the final greedy step so cached children tables line up with
-    the stored scalings again; returns the root."""
-    root = tree.root
-    lam = root.scaling
-    if lam > 0.0:
-        for desc in subtree_nodes(root):
-            if desc is not root:
-                desc.scaling /= 1.0 - lam
-        root.scaling = 0.0
-    return root
 
 
 def test_a01_dynamic_program_matches_brute_force():
@@ -214,11 +201,12 @@ def _implicit_inverse(tree) -> np.ndarray:
     normal equations' right-hand side the j-th identity column, so the
     least-squares solve returns column j of the inverse Gram.
     """
-    active = [node for node in tree.nodes() if node.scaling > 0.0]
-    assert all(leaf.scaling > 0.0 for leaf in tree.leaves)
+    active = np.flatnonzero(tree.scalings > 0.0)
+    leaves = np.arange(tree.num_nodes() - tree.k, tree.num_nodes())
+    assert np.all(tree.scalings[leaves] > 0.0)
     inv = np.empty((tree.k, tree.k))
-    for j, leaf in enumerate(tree.leaves):
-        answers = np.array([1.0 / node.scaling if node is leaf else 0.0 for node in active])
+    for j, leaf in enumerate(leaves.tolist()):
+        answers = np.where(active == leaf, 1.0 / tree.scalings[leaf], 0.0)
         inv[:, j] = ols_infer(tree, answers)
     return inv
 
@@ -236,19 +224,20 @@ def test_a05_fast_objective_and_implicit_inverse():
 
         # tree least-squares inverse against direct inversion of the final gram
         Y = strategy_matrix(tree)
-        c = scaling_vector(tree)
+        c = tree.scalings
         gram = (c[:, None] * Y).T @ (c[:, None] * Y)
         direct = np.linalg.inv(gram)
         fast = _implicit_inverse(tree)
         worst_inv = max(worst_inv, float(np.linalg.norm(fast - direct) / np.linalg.norm(direct)))
 
-        node = _undo_root_discount(tree)
-        if len(node.children) < 2:
-            continue
-        mu = decay_factor(t, node.depth)
+        # the root's objective from the reference's child summaries against
+        # dense algebra on the scalings its weight was searched against
+        sums = node_by_node_greedy(What, build_query_tree(k, t))
+        undo_root_discount(tree)
+        mu = decay_factor(t, 0)
         for lam in grid:
-            fast_val = objective_at_lambda(node, float(lam), mu)
-            dense_val = dense_scaling_objective(What, node, float(lam), mu)
+            fast_val = float(_objective(sums, mu, lam, (1.0 - lam) ** 2)[0])
+            dense_val = dense_scaling_objective(What, tree, float(lam), mu)
             worst_obj = max(worst_obj, abs(fast_val - dense_val) / abs(dense_val))
     assert worst_obj <= 1e-6
     assert worst_inv <= 1e-6
@@ -258,8 +247,8 @@ def test_a05_fast_objective_and_implicit_inverse():
 def test_a06_identity_workload_keeps_leaf_allocation():
     for k in range(1, 65):
         tree = greedy_scale(np.eye(k), build_query_tree(k, 2))
-        for node in tree.nodes():
-            assert node.scaling == (1.0 if node.is_leaf() else 0.0)
+        internal = tree.num_nodes() - k
+        assert tree.scalings.tolist() == [0.0] * internal + [1.0] * k
     _ok("greedy scaling leaves identity workloads on the leaf-only allocation, k = 1..64")
 
 

@@ -97,6 +97,22 @@ class TestPartitionCmd:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_out_of_memory_is_clean_error(self, data_file, monkeypatch, capsys):
+        # numpy reports a failed allocation as a MemoryError subclass whose
+        # message states the size; the CLI passes that message on
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 GiB for an array with shape "
+                              "(134217728,) and data type float64")
+
+        monkeypatch.setattr("dawa.cli.private_partition", allocate)
+        rc = main(["partition", "--data", str(data_file), "--eps1", "0.25", "--eps2", "0.75",
+                   "--mode", "all"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("dawa: error: out of memory: Unable to allocate 1.00 GiB")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestRunCmd:
     def test_end_to_end(self, tmp_path, capsys):

@@ -155,6 +155,21 @@ class TestPartition:
         p = Partition((Interval(6, 10), Interval(1, 5)))
         assert p.buckets == (Interval(1, 5), Interval(6, 10))
 
+    def test_unsorted_sequence_validates(self):
+        buckets = (Interval(6, 10), Interval(1, 5))
+        assert is_contiguous_cover(buckets)
+        assert validate_partition(buckets, 10)
+        assert not validate_partition(buckets, 5)
+        assert not validate_partition((), 0)
+
+    def test_buckets_sorted_once(self, monkeypatch):
+        # already sorted input costs one comparison per adjacent pair
+        calls = []
+        less = Interval.__lt__
+        monkeypatch.setattr(Interval, "__lt__", lambda a, b: calls.append(1) or less(a, b))
+        Partition(tuple(Interval(j, j) for j in range(1, 101)))
+        assert len(calls) == 99
+
     def test_short_cover_fails_for_larger_n(self):
         p = Partition((Interval(1, 5), Interval(6, 9)))
         assert validate_partition(p, 9)

@@ -16,27 +16,25 @@ from dawa.core import (
     RngStream,
     SingularStrategyError,
     Workload,
+    laplace_sample,
 )
 from dawa.estimation import (
-    LAMBDA_CAP,
-    NodeCache,
-    QueryTree,
+    _objective,
+    _search_lambda,
     build_query_tree,
     decay_factor,
     estimate_buckets,
     greedy_scale,
     leaf_cover_sums,
     measure,
-    objective_at_lambda,
     ols_infer,
-    optimize_lambda,
-    scaling_vector,
     strategy_error,
     strategy_matrix,
-    subtree_nodes,
 )
 from dawa.oracles import dense_ols, dense_scaling_objective, oracle_dense_stage2
 from dawa.transform import transform_workload
+
+from .reference import node_by_node_greedy, undo_root_discount
 
 
 def random_workload_matrix(rng, m, k, nonneg=True):
@@ -51,117 +49,101 @@ def scaled_identity_tree(k, t=2):
     return greedy_scale(np.eye(k), build_query_tree(k, t))
 
 
-def node_by_node_greedy(What, tree):
-    """Reference greedy pass: one node at a time, scalar cache updates and an
-    explicit walk discounting each subtree."""
-    for i, leaf in enumerate(tree.leaves):
-        column = What[:, i]
-        norm2 = float(column @ column)
-        leaf.scaling = 1.0
-        leaf.cache = NodeCache(err_trace=norm2, ones_quad=1.0, wl_image=column.copy(),
-                               wl_image_norm2=norm2)
-    for level in reversed(tree.levels[:-1]):
-        for node in level:
-            caches = [child.cache for child in node.children]
-            if len(caches) == 1:
-                node.scaling, node.cache = 0.0, caches[0]
-                continue
-            lam = optimize_lambda(node, decay_factor(tree.t, node.depth))
-            image = caches[0].wl_image.copy()
-            for cache in caches[1:]:
-                image = image + cache.wl_image
-            trace = sum(cache.err_trace for cache in caches)
-            quad = sum(cache.ones_quad for cache in caches)
-            image2 = float(image @ image)
-            g2 = (1.0 - lam) ** 2
-            denom = g2 + lam * lam * quad
-            beta = lam * lam / (g2 * denom)
-            node.cache = NodeCache(err_trace=trace / g2 - beta * image2, ones_quad=quad / denom,
-                                   wl_image=image / denom, wl_image_norm2=image2 / (denom * denom))
-            node.scaling = lam
-            for desc in subtree_nodes(node):
-                if desc is not node:
-                    desc.scaling *= 1.0 - lam
-    return tree
+def explicit_grouping_bounds(k, t):
+    """Node bounds in level order from grouping runs of t nodes bottom-up."""
+    level = [(j, j) for j in range(1, k + 1)]
+    levels = [level]
+    while len(level) > 1:
+        level = [(group[0][0], group[-1][1]) for group in (level[i : i + t] for i in range(0, len(level), t))]
+        levels.append(level)
+    return [node for lev in reversed(levels) for node in lev]
 
 
-def undo_root_discount(tree):
-    """Rewind the final greedy step so stored scalings match the root's
-    children caches again; returns the tree's root for convenience."""
-    root = tree.root
-    lam = root.scaling
-    if lam > 0.0:
-        for desc in subtree_nodes(root):
-            if desc is not root:
-                desc.scaling /= 1.0 - lam
-        root.scaling = 0.0
-    return root
+def objective_at(sums, lam, mu):
+    return float(_objective(sums, mu, lam, (1.0 - lam) ** 2)[0])
 
 
 class TestTreeStructure:
     def test_single_leaf(self):
         tree = build_query_tree(1)
         assert tree.k == 1
-        assert len(tree.levels) == 1
-        assert tree.root is tree.leaves[0]
-        assert tree.root.lo == 1 and tree.root.hi == 1
+        assert tree.level_sizes == (1,)
+        assert tree.num_nodes() == 1
+        los, his = tree.bounds()
+        assert los.tolist() == [1] and his.tolist() == [1]
 
     def test_balanced_eight(self):
         tree = build_query_tree(8, 2)
-        assert [len(level) for level in tree.levels] == [1, 2, 4, 8]
-        assert tree.root.depth == 0
-        assert all(leaf.depth == 3 for leaf in tree.leaves)
+        assert tree.level_sizes == (1, 2, 4, 8)
+        los, his = tree.bounds()
+        assert list(zip(los.tolist()[:3], his.tolist()[:3])) == [(1, 8), (1, 4), (5, 8)]
 
     def test_ragged_seven(self):
         tree = build_query_tree(7, 2)
-        assert len(tree.leaves) == 7
-        # every leaf sits on the deepest level
-        deepest = len(tree.levels) - 1
-        assert all(leaf.depth == deepest for leaf in tree.leaves)
-        # internal fan-out never exceeds the branching factor
-        for level in tree.levels[:-1]:
-            for node in level:
-                assert 1 <= len(node.children) <= 2
+        assert tree.level_sizes == (1, 2, 4, 7)
+        los, his = tree.bounds()
+        # the last node of each level holds the remainder
+        assert list(zip(los.tolist()[1:7], his.tolist()[1:7])) == [
+            (1, 4), (5, 7), (1, 2), (3, 4), (5, 6), (7, 7)]
 
     def test_ternary(self):
         tree = build_query_tree(9, 3)
-        assert [len(level) for level in tree.levels] == [1, 3, 9]
+        assert tree.level_sizes == (1, 3, 9)
 
     def test_leaf_intervals_are_units(self):
         tree = build_query_tree(12, 3)
-        assert [(lf.lo, lf.hi) for lf in tree.leaves] == [(j, j) for j in range(1, 13)]
+        los, his = tree.bounds()
+        assert los[-12:].tolist() == his[-12:].tolist() == list(range(1, 13))
 
     def test_parent_spans_children(self):
-        tree = build_query_tree(13, 2)
-        for level in tree.levels[:-1]:
-            for node in level:
-                assert node.lo == node.children[0].lo
-                assert node.hi == node.children[-1].hi
-                for a, b in zip(node.children, node.children[1:]):
-                    assert b.lo == a.hi + 1
+        # node i's children are nodes t*i .. t*i + t - 1 of the level below,
+        # which tile the parent's interval left to right
+        for k, t in ((13, 2), (29, 3), (70, 4)):
+            tree = build_query_tree(k, t)
+            los, his = tree.bounds()
+            starts = np.cumsum((0,) + tree.level_sizes)
+            for d in range(len(tree.level_sizes) - 1):
+                for i in range(tree.level_sizes[d]):
+                    first = starts[d + 1] + t * i
+                    last = min(first + t, starts[d + 2]) - 1
+                    assert los[starts[d] + i] == los[first]
+                    assert his[starts[d] + i] == his[last]
+                    assert np.array_equal(los[first + 1 : last + 1], his[first:last] + 1)
 
     def test_levels_are_top_down(self):
         tree = build_query_tree(16, 2)
-        assert tree.levels[0][0] is tree.root
-        assert tree.levels[-1] == tree.leaves
+        los, his = tree.bounds()
+        assert tree.level_sizes[0] == 1 and (los[0], his[0]) == (1, 16)
+        assert tree.level_sizes[-1] == 16
 
     def test_nodes_level_order(self):
+        # root first; each level's nodes run left to right and tile [1, k]
+        # in spans of t**height, the last one possibly shorter
         tree = build_query_tree(6, 2)
-        seen = list(tree.nodes())
-        assert len(seen) == tree.num_nodes()
-        depths = [node.depth for node in seen]
-        assert depths == sorted(depths)
+        los, his = tree.bounds()
+        assert len(los) == tree.num_nodes()
+        starts = np.cumsum((0,) + tree.level_sizes)
+        height = len(tree.level_sizes) - 1
+        for d, (a, b) in enumerate(zip(starts, starts[1:])):
+            assert los[a] == 1 and his[b - 1] == 6
+            assert np.array_equal(los[a + 1 : b], his[a : b - 1] + 1)
+            assert np.all(his[a:b] - los[a:b] + 1 <= 2 ** (height - d))
+            assert his[a] - los[a] + 1 == min(2 ** (height - d), 6)
+
+    def test_bounds_match_explicit_grouping(self):
+        # the closed form equals grouping runs of t nodes level by level
+        for t in (2, 3, 4, 5):
+            for k in range(1, 300):
+                tree = build_query_tree(k, t)
+                los, his = tree.bounds()
+                assert los.dtype == his.dtype == np.int64
+                assert list(zip(los.tolist(), his.tolist())) == explicit_grouping_bounds(k, t)
+                assert sum(tree.level_sizes) == tree.num_nodes() == len(los)
 
     def test_initial_scalings(self):
         tree = build_query_tree(8, 2)
-        assert all(leaf.scaling == 1.0 for leaf in tree.leaves)
-        for level in tree.levels[:-1]:
-            assert all(node.scaling == 0.0 for node in level)
-
-    def test_subtree_nodes_count(self):
-        tree = build_query_tree(8, 2)
-        assert len(list(subtree_nodes(tree.root))) == tree.num_nodes()
-        assert list(subtree_nodes(tree.leaves[0])) == [tree.leaves[0]]
+        assert tree.scalings.dtype == np.float64
+        assert tree.scalings.tolist() == [0.0] * 7 + [1.0] * 8
 
     def test_invalid_args(self):
         with pytest.raises(ParameterError):
@@ -189,10 +171,19 @@ class TestCoverSums:
 
     def test_manual_scaling(self):
         tree = build_query_tree(4, 2)
-        for node in tree.nodes():
-            node.scaling = 0.25
+        tree.scalings[:] = 0.25
         # each leaf is covered once per level
         assert np.allclose(leaf_cover_sums(tree), 0.75)
+
+    def test_matches_strategy_matrix(self):
+        # ragged trees: the per-level repeat equals the column sums of the
+        # scaled indicator rows
+        rng = np.random.default_rng(13)
+        for k, t in ((7, 2), (13, 3), (30, 4), (1, 2)):
+            tree = build_query_tree(k, t)
+            tree.scalings[:] = rng.uniform(size=tree.num_nodes())
+            want = tree.scalings @ strategy_matrix(tree)
+            assert np.allclose(leaf_cover_sums(tree), want, rtol=1e-12)
 
 
 class TestObjectiveAgainstDense:
@@ -202,48 +193,46 @@ class TestObjectiveAgainstDense:
             k = int(rng.integers(2, 24))
             t = int(rng.choice([2, 3]))
             What = random_workload_matrix(rng, int(rng.integers(1, 12)), k)
+            sums = node_by_node_greedy(What, build_query_tree(k, t))
             tree = greedy_scale(What, build_query_tree(k, t))
-            node = undo_root_discount(tree)
-            if len(node.children) < 2:
-                continue
-            mu = decay_factor(t, node.depth)
+            undo_root_discount(tree)
+            mu = decay_factor(t, 0)
             for lam in (0.0, 0.1, 0.5, 0.9):
-                fast = objective_at_lambda(node, lam, mu)
-                dense = dense_scaling_objective(What, node, lam, mu)
+                fast = objective_at(sums, lam, mu)
+                dense = dense_scaling_objective(What, tree, lam, mu)
                 assert fast == pytest.approx(dense, rel=1e-6, abs=1e-9)
 
     def test_lambda_zero_is_plain_sum(self):
         rng = np.random.default_rng(3)
         What = random_workload_matrix(rng, 6, 8)
+        sums = node_by_node_greedy(What, build_query_tree(8, 2))
         tree = greedy_scale(What, build_query_tree(8, 2))
-        node = undo_root_discount(tree)
+        undo_root_discount(tree)
         mu = decay_factor(2, 0)
-        f0 = objective_at_lambda(node, 0.0, mu)
-        dense = dense_scaling_objective(What, node, 0.0, mu)
+        f0 = objective_at(sums, 0.0, mu)
+        assert f0 == sums[0, 0]
+        dense = dense_scaling_objective(What, tree, 0.0, mu)
         assert f0 == pytest.approx(dense, rel=1e-9)
 
     def test_domain_checks(self):
-        tree = scaled_identity_tree(4)
+        # the weight search is defined at internal nodes; a one-node tree has none
         with pytest.raises(ParameterError):
-            objective_at_lambda(tree.root, -0.1, 1.0)
-        with pytest.raises(ParameterError):
-            objective_at_lambda(tree.root, 1.0, 1.0)
+            dense_scaling_objective(np.ones((1, 1)), build_query_tree(1), 0.5, 1.0)
 
 
 class TestOptimizeLambda:
     def test_identity_prefers_zero_exactly(self):
         for k in (2, 3, 4, 7, 16):
-            tree = scaled_identity_tree(k)
-            # after the greedy pass every internal lambda stayed at zero,
-            # so re-running the search at the root must return exact 0.0
-            lam = optimize_lambda(tree.root, decay_factor(2, 0))
-            assert lam == 0.0
+            # every internal lambda stays at zero on the identity workload,
+            # so the search at the root must return exact 0.0
+            sums = node_by_node_greedy(np.eye(k), build_query_tree(k, 2))
+            assert _search_lambda(sums, decay_factor(2, 0))[0] == 0.0
 
     def test_total_sum_pushes_to_cap(self):
         k = 16
         What = np.ones((1, k))
         tree = greedy_scale(What, build_query_tree(k, 2))
-        assert tree.root.scaling > 0.9
+        assert tree.scalings[0] > 0.9
 
     def test_result_in_domain(self):
         rng = np.random.default_rng(8)
@@ -251,17 +240,15 @@ class TestOptimizeLambda:
             k = int(rng.integers(2, 20))
             What = random_workload_matrix(rng, 5, k)
             tree = greedy_scale(What, build_query_tree(k, 2))
-            for node in tree.nodes():
-                assert 0.0 <= node.scaling <= 1.0
+            assert np.all((0.0 <= tree.scalings) & (tree.scalings <= 1.0))
 
 
 class TestGreedyScale:
     def test_identity_fixed_point(self):
         for k in (1, 2, 5, 8, 13, 32):
             tree = scaled_identity_tree(k)
-            assert all(leaf.scaling == 1.0 for leaf in tree.leaves)
-            for level in tree.levels[:-1]:
-                assert all(node.scaling == 0.0 for node in level)
+            internal = tree.num_nodes() - k
+            assert tree.scalings.tolist() == [0.0] * internal + [1.0] * k
 
     def test_sensitivity_constraint(self):
         rng = np.random.default_rng(4)
@@ -290,7 +277,7 @@ class TestGreedyScale:
         What = random_workload_matrix(rng, 6, k)
         tree = greedy_scale(What, build_query_tree(k, 2))
         Y = strategy_matrix(tree)
-        c = scaling_vector(tree)
+        c = tree.scalings
         keep = c > 0
         got = strategy_error(What, tree, 0.7)
         want = oracle_dense_stage2(What, Y[keep], c[keep], 0.7)
@@ -298,7 +285,7 @@ class TestGreedyScale:
 
     def test_levels_match_node_by_node_reference(self):
         # the level-batched pass must reproduce the per-node pass bit for bit:
-        # same weights, same products of discounts, same caches
+        # same weights, same products of discounts
         rng = np.random.default_rng(46)
         for trial in range(60):
             k = int(rng.integers(1, 48))
@@ -312,12 +299,9 @@ class TestGreedyScale:
                 # the intervals of the top three levels give weight below the root
                 What = strategy_matrix(build_query_tree(k, t))[:1 + t + t * t]
             got = greedy_scale(What, build_query_tree(k, t))
-            want = node_by_node_greedy(What, build_query_tree(k, t))
-            assert scaling_vector(got).tobytes() == scaling_vector(want).tobytes()
-            for a, b in zip(got.nodes(), want.nodes()):
-                assert (a.cache.err_trace, a.cache.ones_quad, a.cache.wl_image_norm2) == (
-                    b.cache.err_trace, b.cache.ones_quad, b.cache.wl_image_norm2)
-                assert a.cache.wl_image.tobytes() == b.cache.wl_image.tobytes()
+            want = build_query_tree(k, t)
+            node_by_node_greedy(What, want)
+            assert got.scalings.tobytes() == want.scalings.tobytes()
 
     def test_rejects_bad_matrix(self):
         tree = build_query_tree(4, 2)
@@ -332,18 +316,29 @@ class TestMeasure:
         got = measure(example_counts, tree, 1.0, RngStream(0, ledger=ledger))
         assert len(got) == 4  # leaves only; internals carry zero scaling
         assert ledger == [(1.0, 4)]
-        assert all(leaf.scaling == 1.0 for leaf in tree.leaves)
+        assert tree.scalings[-4:].tolist() == [1.0] * 4
 
     def test_values_near_truth_at_huge_budget(self, example_counts):
         tree = build_query_tree(4, 2)
-        for node in tree.nodes():
-            node.scaling = 0.5
+        tree.scalings[:] = 0.5
         got = measure(example_counts, tree, 1e9, RngStream(1))
         prefix = np.concatenate(([0.0], np.cumsum(example_counts)))
         assert len(got) == tree.num_nodes()
-        for value, node in zip(got, tree.nodes()):
-            true = prefix[node.hi] - prefix[node.lo - 1]
+        for value, lo, hi in zip(got, *tree.bounds()):
+            true = prefix[hi] - prefix[lo - 1]
             assert value == pytest.approx(0.5 * true, abs=1e-6)
+
+    def test_level_order_of_active_nodes(self, example_counts):
+        # answers follow level order over the positively scaled nodes only,
+        # one Laplace draw each, in that order
+        tree = build_query_tree(4, 2)
+        tree.scalings[:] = [0.5, 0.0, 0.25, 0.0, 0.75, 0.5, 0.0]
+        got = measure(example_counts, tree, 2.0, RngStream(5))
+        prefix = np.concatenate(([0.0], np.cumsum(example_counts)))
+        noise = laplace_sample(0.5, RngStream(5), size=4)
+        want = [0.5 * prefix[4], 0.25 * (prefix[4] - prefix[2]),
+                0.75 * (prefix[2] - prefix[1]), 0.5 * (prefix[3] - prefix[2])]
+        assert got.tolist() == (np.array(want) + noise).tolist()
 
     def test_deterministic(self, example_counts):
         tree = scaled_identity_tree(4)
@@ -373,13 +368,11 @@ class TestOls:
     def test_matches_dense_on_manual_tree(self, example_counts):
         # hand-set scalings unlike any greedy output; compare to lstsq
         tree = build_query_tree(4, 2)
-        scal = iter([0.3, 0.2, 0.25, 0.6, 0.55, 0.5, 0.45])
-        for node in tree.nodes():
-            node.scaling = next(scal)
+        tree.scalings[:] = [0.3, 0.2, 0.25, 0.6, 0.55, 0.5, 0.45]
         ms = measure(example_counts, tree, 2.0, RngStream(21))
         got = ols_infer(tree, ms)
         Y = strategy_matrix(tree)
-        c = scaling_vector(tree)
+        c = tree.scalings
         want = dense_ols(Y, c, ms)
         assert np.allclose(got, want, atol=1e-9)
 
@@ -393,12 +386,11 @@ class TestOls:
         # the answered intervals have full rank and raises otherwise
         tree = build_query_tree(k, t)
         choices = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
-        for node in tree.nodes():
-            node.scaling = data.draw(choices)
+        tree.scalings[:] = [data.draw(choices) for _ in range(tree.num_nodes())]
         counts = np.arange(1.0, k + 1.0)
         ms = measure(counts, tree, 1.0, RngStream(k))
         Y = strategy_matrix(tree)
-        c = scaling_vector(tree)
+        c = tree.scalings
         keep = c > 0.0
         if keep.any() and np.linalg.matrix_rank(Y[keep]) == k:
             want = dense_ols(Y[keep], c[keep], ms)
@@ -414,8 +406,8 @@ class TestOls:
         x = DataVector([3, 1, 4, 1, 5, 9, 2, 6])
         W = Workload((Interval(1, 8),))
         tree = greedy_scale(transform_workload(W, Partition.unit(8)), build_query_tree(8, 2))
-        assert tree.root.scaling > 1.0 - 1e-5
-        assert max(leaf.scaling for leaf in tree.leaves) < 1e-5
+        assert tree.scalings[0] > 1.0 - 1e-5
+        assert tree.scalings[-8:].max() < 1e-5
         h = estimate_buckets(Partition.unit(8), W, x, 1e300, 2, RngStream(0))
         assert np.max(np.abs(h.stats - x.counts)) <= 1e-9
 
@@ -438,9 +430,8 @@ class TestOls:
 
     def test_singular_raises(self, example_counts):
         tree = build_query_tree(4, 2)
-        for node in tree.nodes():
-            node.scaling = 0.0
-        tree.root.scaling = 1.0  # one measurement cannot pin four buckets
+        tree.scalings[:] = 0.0
+        tree.scalings[0] = 1.0  # one measurement cannot pin four buckets
         ms = measure(example_counts, tree, 1.0, RngStream(3))
         with pytest.raises(SingularStrategyError):
             ols_infer(tree, ms)
@@ -486,11 +477,9 @@ class TestStrategyErrorEdges:
         tree = greedy_scale(What, build_query_tree(12, 2))
         base = strategy_error(What, tree, 1.0)
         for alpha in (0.5, 2.0, 7.0):
-            for node in tree.nodes():
-                node.scaling *= alpha
+            tree.scalings[:] *= alpha
             assert strategy_error(What, tree, 1.0) == pytest.approx(base / alpha**2, rel=1e-9)
-            for node in tree.nodes():
-                node.scaling /= alpha
+            tree.scalings[:] /= alpha
 
 
 class TestComplexitySmoke:

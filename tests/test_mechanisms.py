@@ -69,12 +69,11 @@ class TestHierBaselines:
         # the per-level weights must make every leaf column sum to 1.0
         # exactly, not within float tolerance: that is the privacy budget
         tree = build_query_tree(n, 2)
-        L = len(tree.levels)
+        L = len(tree.level_sizes)
         for raw in ([1.0] * L, [2.0 ** (-(L - 1 - d) / 3.0) for d in range(L)]):
             weights = _level_weights(raw)
             assert sum(w for w in weights) <= 1.0 + 0.0  # no overshoot
-            for node in tree.nodes():
-                node.scaling = weights[node.depth]
+            tree.scalings[:] = np.repeat(weights, tree.level_sizes)
             cover = leaf_cover_sums(tree)
             assert np.all(cover == 1.0)
 
@@ -192,6 +191,20 @@ class TestDispatch:
         a = run_mechanism(cfg, piecewise_x, uniform_W, RngStream(5))
         b = run_dawa(piecewise_x, uniform_W, cfg.budget, RngStream(5))
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_tiny_epsilon(self, name, n):
+        # at 1e-300 every noise scale is finite and so are the estimates; at
+        # 1e-310 (subnormal) 1/eps overflows and the sampler rejects the scale
+        x = gen_synthetic_data("piecewise_constant", n, seed=2, segments=4)
+        W = gen_workload("uniform", n, seed=3, num_queries=20)
+        got = run_mechanism(MechanismConfig(name=name, budget=PrivacyBudget.split(1e-300)),
+                            x, W, RngStream(0))
+        assert np.all(np.isfinite(got.values))
+        with pytest.raises(ParameterError, match="scale must be positive and finite"):
+            run_mechanism(MechanismConfig(name=name, budget=PrivacyBudget.split(1e-310)),
+                          x, W, RngStream(0))
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

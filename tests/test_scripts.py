@@ -1,0 +1,48 @@
+"""Smoke tests for the example scripts and configs under scripts/."""
+
+import dataclasses
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from dawa.experiments import ExperimentConfig, run_experiment
+from dawa.mechanisms import MECHANISM_NAMES
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_partition_demo(capsys):
+    assert load_script("partition_demo").main(["--n", "32"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("n = 32")
+    assert lines[1].startswith("exact:")
+    assert len(lines) == 2 + 4  # one line per default eps1
+
+
+def test_regime_sweep(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    rc = load_script("regime_sweep").main(
+        ["--n", "32", "--queries", "10", "--workloads", "1", "--trials", "1", "--out", str(out)])
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == len(MECHANISM_NAMES) * 3  # every mechanism at the default epsilons
+    assert json.loads(out.read_text())["aggregates"]
+
+
+@pytest.mark.parametrize("config", sorted((SCRIPTS / "configs").glob("*.json")), ids=lambda p: p.name)
+def test_config_loads_and_runs(config):
+    cfg = ExperimentConfig.from_json(config)
+    assert set(cfg.mechanisms) <= set(MECHANISM_NAMES)
+    small = dataclasses.replace(cfg, n=32, num_workloads=1, trials=1,
+                                workload={**cfg.workload, "num_queries": 10})
+    report = run_experiment(small)
+    assert len(report.aggregates) == len(cfg.mechanisms) * len(cfg.epsilons)
