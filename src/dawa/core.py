@@ -411,13 +411,38 @@ def write_data_file(path: "str | Path", x: DataVector) -> None:
             fh.write(f"{int(c)}\n")
 
 
+def read_csv_rows(path: "str | Path", header: tuple[str, ...], parse) -> list[tuple]:
+    """Rows of a CSV file whose header reads `header`, fields converted by `parse`.
+
+    Whitespace around header names and values is allowed and blank lines
+    are skipped.  A row with missing or extra fields, or a field `parse`
+    rejects, raises ParameterError naming path:line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        names = next(reader, None)
+        if names is None or [f.strip() for f in names] != list(header):
+            raise ParameterError(f"{path}: expected header {','.join(header)!r}, got {names}")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ParameterError(f"{where}: expected {len(header)} fields, got {len(row)}: {row}")
+            values = []
+            for field in row:
+                try:
+                    values.append(parse(field))
+                except ValueError:
+                    raise ParameterError(f"{where}: not {parse.__name__}: {field!r}") from None
+            rows.append(tuple(values))
+    return rows
+
+
 def read_workload_file(path: "str | Path") -> Workload:
     """Read interval queries from a CSV file with header lo,hi."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["lo", "hi"]:
-            raise ParameterError(f"{path}: expected header 'lo,hi', got {reader.fieldnames}")
-        queries = [Interval(int(row["lo"]), int(row["hi"])) for row in reader]
+    queries = [Interval(lo, hi) for lo, hi in read_csv_rows(path, ("lo", "hi"), int)]
     if not queries:
         raise ParameterError(f"{path}: no queries found")
     return Workload(tuple(queries))

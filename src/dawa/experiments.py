@@ -165,6 +165,18 @@ def compute_aggregates(results: "tuple[TrialResult, ...] | list[TrialResult]") -
     return tuple(out)
 
 
+def _thread_count() -> int:
+    """Worker processes for experiment trials: DAWA_THREADS, 1 when unset."""
+    value = os.environ.get(THREADS_ENV, "1")
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ParameterError(f"{THREADS_ENV} must be a positive integer, got {value!r}")
+    return workers
+
+
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Execute the full grid deterministically.
 
@@ -173,6 +185,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     unchanged.  Set the DAWA_THREADS env var above 1 to run trials in
     worker processes; results are merged in deterministic order either way.
     """
+    workers = _thread_count()
     x = _load_data(cfg)
     n = x.n
     tasks = []
@@ -185,7 +198,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                     seed = derive_seed(cfg.master_seed, "trial", wid, trial)
                     tasks.append((name, eps, wid, trial, seed, cfg.mode, cfg.branching,
                                   cfg.stage1_fraction, cfg.record_timing, x, W))
-    workers = int(os.environ.get(THREADS_ENV, "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = tuple(pool.map(_execute_trial, tasks))

@@ -7,7 +7,8 @@ S count and sum the values at or above the mean T/L.  `all_costs` computes
 N for every candidate bucket at once from prefix sums and a merge-sort tree,
 so each cost is one float division away from the exact value and matches
 the direct per-bucket computation bit for bit.  The costs live in one flat
-array, perturbation is one vector add, and the dynamic program indexes it.
+array, perturbation is one vector add, and the dynamic program gathers the
+candidates ending at each endpoint as one row of it.
 """
 from __future__ import annotations
 
@@ -32,7 +33,8 @@ BUCKET_COST_SENSITIVITY = 2.0
 # exact float64 integer for the cost to round exactly once.
 EXACT_COST_LIMIT = 2**52
 
-# Candidates per slice of the cost computation; sized for the L2 cache.
+# Candidates per slice of the cost computation, and per block of rows the
+# dynamic program gathers; sized for the L2 cache.
 _CHUNK = 1 << 13
 
 
@@ -231,30 +233,36 @@ def perturb_costs(
 def least_cost_partition(table: CostTable, n: int) -> Partition:
     """Minimize total bucket cost over partitions drawn from the table.
 
-    Dynamic program over right endpoints; candidate lengths are scanned
-    longest first with strict improvement, so among equal-cost partitions
-    the one with the longer final bucket wins.
+    Dynamic program over right endpoints.  The candidates ending at j form
+    one row, lengths longest first: the bucket of length L = lengths[i]
+    sits at offsets[i] - L + j in the flat costs, and L > j costs inf.  Rows
+    are gathered a block of endpoints at a time; per endpoint the row is
+    added to best[j - L] and argmin, which returns the first minimum, picks
+    the length.  That is the same rule as a longest-first scan with strict
+    improvement, so among equal-cost partitions the one with the longer
+    final bucket wins.
     """
     if n != table.n:
         raise ParameterError(f"table covers [1, {table.n}], asked for [1, {n}]")
-    costs = table.costs.tolist()
-    by_length = sorted(zip(table.lengths.tolist(), table.offsets.tolist()), reverse=True)
-    best = [math.inf] * (n + 1)
+    lengths = table.lengths[::-1]
+    base = (table.offsets - table.lengths)[::-1]
+    best = np.full(n + 1, math.inf)
     best[0] = 0.0
-    pick = [0] * (n + 1)
-    for j in range(1, n + 1):
-        bj = math.inf
-        pj = 0
-        for length, offset in by_length:
-            if length > j:
-                continue
-            lo = j - length + 1
-            c = best[lo - 1] + costs[offset + lo - 1]
-            if c < bj:
-                bj = c
-                pj = length
-        best[j] = bj
-        pick[j] = pj
+    pick = np.zeros(n + 1, dtype=np.intp)
+    rows = max(1, _CHUNK // lengths.size)
+    for first in range(1, n + 1, rows):
+        ends = np.arange(first, min(first + rows, n + 1))[:, None]
+        prev = ends - lengths
+        fits = prev >= 0
+        block = np.where(fits, table.costs[np.where(fits, base + ends, 0)], math.inf)
+        prev[~fits] = 0
+        for j, row, back in zip(ends[:, 0].tolist(), block, prev):
+            c = best[back]
+            c += row
+            at = c.argmin()
+            best[j] = c[at]
+            pick[j] = at
+    pick = lengths[pick].tolist()
     buckets = []
     j = n
     while j > 0:

@@ -6,7 +6,6 @@ sets of 1D runs, and answers assume uniformity within each cell.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .core import (
     PrivacyBudget,
     RngStream,
     Workload,
+    read_csv_rows,
 )
 from .mechanisms import run_dawa
 
@@ -289,11 +289,7 @@ def run_spatial(
 
 def read_points_file(path: "str | Path") -> np.ndarray:
     """Read points from a CSV file with header x,y."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["x", "y"]:
-            raise ParameterError(f"{path}: expected header 'x,y', got {reader.fieldnames}")
-        pts = [(float(row["x"]), float(row["y"])) for row in reader]
+    pts = read_csv_rows(path, ("x", "y"), float)
     if not pts:
         raise ParameterError(f"{path}: no points found")
     return np.asarray(pts, dtype=np.float64)
@@ -301,12 +297,7 @@ def read_points_file(path: "str | Path") -> np.ndarray:
 
 def read_rectangles_file(path: "str | Path") -> list[tuple[float, float, float, float]]:
     """Read rectangles from a CSV file with header xlo,xhi,ylo,yhi (real units)."""
-    expected = ["xlo", "xhi", "ylo", "yhi"]
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
-            raise ParameterError(f"{path}: expected header 'xlo,xhi,ylo,yhi', got {reader.fieldnames}")
-        boxes = [tuple(float(row[k]) for k in expected) for row in reader]
+    boxes = read_csv_rows(path, ("xlo", "xhi", "ylo", "yhi"), float)
     if not boxes:
         raise ParameterError(f"{path}: no rectangles found")
     return boxes

@@ -1,8 +1,47 @@
-"""Node-by-node reference for the level-batched greedy scaling pass."""
+"""Scalar references for the array-native passes: the least-cost dynamic
+program and the level-batched greedy scaling."""
+
+import math
 
 import numpy as np
 
+from dawa.core import Interval, ParameterError, Partition
 from dawa.estimation import _search_lambda, decay_factor
+
+
+def reference_least_cost_partition(table, n):
+    """Least-cost partition by a scalar loop over (endpoint, length) pairs.
+
+    Candidate lengths are scanned longest first with strict improvement, so
+    among equal-cost partitions the one with the longer final bucket wins.
+    """
+    if n != table.n:
+        raise ParameterError(f"table covers [1, {table.n}], asked for [1, {n}]")
+    costs = table.costs.tolist()
+    by_length = sorted(zip(table.lengths.tolist(), table.offsets.tolist()), reverse=True)
+    best = [math.inf] * (n + 1)
+    best[0] = 0.0
+    pick = [0] * (n + 1)
+    for j in range(1, n + 1):
+        bj = math.inf
+        pj = 0
+        for length, offset in by_length:
+            if length > j:
+                continue
+            lo = j - length + 1
+            c = best[lo - 1] + costs[offset + lo - 1]
+            if c < bj:
+                bj = c
+                pj = length
+        best[j] = bj
+        pick[j] = pj
+    buckets = []
+    j = n
+    while j > 0:
+        length = pick[j]
+        buckets.append(Interval(j - length + 1, j))
+        j -= length
+    return Partition(tuple(reversed(buckets)))
 
 
 def node_by_node_greedy(What, tree):

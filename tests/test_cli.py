@@ -137,6 +137,21 @@ class TestRunCmd:
         printed = capsys.readouterr().out
         assert "identity" in printed and "dawa" in printed
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_threads_is_clean_error(self, tmp_path, monkeypatch, capsys, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "mechanisms": ["identity"], "epsilons": [0.5],
+            "workload": {"kind": "uniform", "num_queries": 5},
+            "data": {"kind": "constant"}, "n": 8, "num_workloads": 1, "trials": 1,
+        }))
+        monkeypatch.setenv("DAWA_THREADS", value)
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"dawa: error: DAWA_THREADS must be a positive integer, got {value!r}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_config(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "r.json")])
@@ -172,6 +187,33 @@ class TestSpatialCmd:
         # a lone full-domain query drives the tree root to the weight cap,
         # which floors the recovery error near 1e-4 regardless of budget
         assert float(lines[1].rsplit(",", 1)[1]) == pytest.approx(2.0, abs=1e-2)
+
+
+    def test_header_with_spaces(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x, y\n0.0, 0.0\n4.0, 4.0\n")
+        rects = tmp_path / "rects.csv"
+        rects.write_text("xlo, xhi, ylo, yhi\n0.0, 4.0, 0.0, 4.0\n")
+        rc = main(["spatial", "--points", str(pts), "--rects", str(rects),
+                   "--g", "1", "--epsilon", "1.0", "--seed", "0"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("points, rects, bad, line", [
+        ("x, y\n0,0\n4\n", "xlo,xhi,ylo,yhi\n0,4,0,4\n", "pts.csv", 3),
+        ("x,y\n0,0\n4,four\n", "xlo,xhi,ylo,yhi\n0,4,0,4\n", "pts.csv", 3),
+        ("x,y\n0,0\n4,4\n", "xlo,xhi,ylo,yhi\n0,4,0\n", "rects.csv", 2),
+    ], ids=["points-short-row", "points-not-number", "rects-short-row"])
+    def test_bad_row_is_clean_error(self, tmp_path, capsys, points, rects, bad, line):
+        (tmp_path / "pts.csv").write_text(points)
+        (tmp_path / "rects.csv").write_text(rects)
+        rc = main(["spatial", "--points", str(tmp_path / "pts.csv"),
+                   "--rects", str(tmp_path / "rects.csv"), "--g", "1", "--epsilon", "1.0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"dawa: error: {tmp_path / bad}:{line}: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestTopLevel:

@@ -1,5 +1,7 @@
 """Core types, RNG plumbing, query evaluation, and file formats."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -417,6 +419,22 @@ class TestFileFormats:
         p.write_text("lo,hi\n1,5\n2,2\n")
         W = read_workload_file(p)
         assert W.queries == (Interval(1, 5), Interval(2, 2))
+
+    @pytest.mark.parametrize("body, fragment", [
+        ("1,5\n2\n", ":3: expected 2 fields, got 1"),
+        ("1,5,7\n", ":2: expected 2 fields, got 3"),
+        ("1,5\n2,x\n", ":3: not int: 'x'"),
+    ], ids=["short-row", "extra-field", "not-int"])
+    def test_bad_workload_row_names_line(self, tmp_path, body, fragment):
+        p = tmp_path / "w.csv"
+        p.write_text("lo,hi\n" + body)
+        with pytest.raises(ParameterError, match=re.escape(str(p) + fragment)):
+            read_workload_file(p)
+
+    def test_workload_header_with_spaces(self, tmp_path):
+        p = tmp_path / "w.csv"
+        p.write_text("lo, hi\n1, 5\n\n2 ,2\n")
+        assert read_workload_file(p).queries == (Interval(1, 5), Interval(2, 2))
 
     def test_bad_data_file(self, tmp_path):
         p = tmp_path / "x.txt"

@@ -14,6 +14,7 @@ from dawa.experiments import (
     load_report,
     report_emit,
     run_experiment,
+    _thread_count,
 )
 
 
@@ -101,6 +102,16 @@ class TestDeterminism:
         finally:
             del os.environ["DAWA_THREADS"]
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_thread_count(self, monkeypatch):
+        monkeypatch.delenv("DAWA_THREADS", raising=False)
+        assert _thread_count() == 1
+        monkeypatch.setenv("DAWA_THREADS", "3")
+        assert _thread_count() == 3
+        for bad in ("abc", "0", "-1", "2.0"):
+            monkeypatch.setenv("DAWA_THREADS", bad)
+            with pytest.raises(ParameterError, match=f"DAWA_THREADS must be a positive integer, got '{bad}'"):
+                _thread_count()
 
     def test_timing_flag(self):
         rep = run_experiment(small_config(record_timing=False, trials=1, num_workloads=1))

@@ -1,6 +1,7 @@
 """Bucket costs, the flat cost table, and the least-cost dynamic program."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from dawa.core import (
 )
 from dawa.oracles import BRUTE_FORCE_MAX_N, oracle_brute_partition
 from dawa.partition import (
+    _CHUNK,
     BUCKET_COST_SENSITIVITY,
     EXACT_COST_LIMIT,
     PartitionParams,
@@ -34,6 +36,7 @@ from dawa.partition import (
     utility_bound,
 )
 
+from .reference import reference_least_cost_partition
 from .strategies import data_vectors, data_with_partition
 
 
@@ -292,6 +295,60 @@ class TestLeastCost:
         base = least_cost_partition(table, 10)
         scaled = replace(table, costs=3.7 * table.costs)
         assert least_cost_partition(scaled, 10).buckets == base.buckets
+
+
+def random_table(rng, n, mode, kind):
+    """Exact, Laplace-perturbed or tie-heavy (small integer) cost table."""
+    x = DataVector(rng.integers(0, 20, size=n))
+    table = all_costs(x, float(rng.uniform(0.1, 3.0)), mode)
+    if kind == "noisy":
+        return perturb_costs(table, float(rng.uniform(0.1, 2.0)), RngStream(int(rng.integers(1 << 30))))
+    if kind == "ties":
+        return replace(table, costs=rng.integers(0, 4, size=len(table)).astype(float))
+    return table
+
+
+def first_n_with_two_blocks(mode):
+    """Smallest n whose endpoints span more than one gathered block."""
+    n = 1
+    while n <= max(1, _CHUNK // len(candidate_lengths(n, mode))):
+        n += 1
+    return n
+
+
+class TestLeastCostMatchesReference:
+    def test_random_tables(self):
+        rng = np.random.default_rng(55)
+        for trial in range(1200):
+            mode = ("all", "pow2")[trial % 2]
+            kind = ("exact", "noisy", "ties")[trial // 2 % 3]
+            n = int(rng.integers(1, 201))
+            table = random_table(rng, n, mode, kind)
+            got = least_cost_partition(table, n)
+            assert got.buckets == reference_least_cost_partition(table, n).buckets, (n, mode, kind)
+
+    @pytest.mark.parametrize("mode", ["all", "pow2"])
+    def test_block_boundaries(self, mode):
+        rng = np.random.default_rng(56)
+        edge = first_n_with_two_blocks(mode)
+        for n in (edge - 1, edge, edge + 1):
+            for kind in ("exact", "noisy", "ties"):
+                table = random_table(rng, n, mode, kind)
+                got = least_cost_partition(table, n)
+                assert got.buckets == reference_least_cost_partition(table, n).buckets, (n, kind)
+
+    def test_memory_below_table_size(self):
+        # the DP gathers a block of rows at a time; it must not hold a
+        # second copy of the costs (a Python float list is ~4x their size)
+        x = DataVector(np.random.default_rng(57).integers(0, 50, size=1024))
+        table = perturb_costs(all_costs(x, 0.75, "all"), 0.25, RngStream(3))
+        tracemalloc.start()
+        try:
+            least_cost_partition(table, x.n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.costs.nbytes
 
 
 class TestExactPartition:

@@ -1,5 +1,7 @@
 """Grid discretization, space-filling-curve layout, and rectangle answering."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -339,3 +341,25 @@ class TestSpatialFiles:
         p.write_text("xlo,xhi,ylo,yhi\n0.0,2.0,0.0,2.0\n")
         boxes = read_rectangles_file(p)
         assert boxes == [(0.0, 2.0, 0.0, 2.0)]
+
+    def test_header_with_spaces(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("x, y\n0.5, 1.5\n")
+        assert np.array_equal(read_points_file(p), [[0.5, 1.5]])
+        r = tmp_path / "r.csv"
+        r.write_text(" xlo , xhi, ylo,yhi\n0, 2, 0, 2\n")
+        assert read_rectangles_file(r) == [(0.0, 2.0, 0.0, 2.0)]
+
+    @pytest.mark.parametrize("reader, header, body, fragment", [
+        (read_points_file, "x,y", "0.5,1.5\n2.0\n", ":3: expected 2 fields, got 1"),
+        (read_points_file, "x,y", "0.5,1.5,9\n", ":2: expected 2 fields, got 3"),
+        (read_points_file, "x,y", "0.5,abc\n", ":2: not float: 'abc'"),
+        (read_rectangles_file, "xlo,xhi,ylo,yhi", "0,1,0\n", ":2: expected 4 fields, got 3"),
+        (read_rectangles_file, "xlo,xhi,ylo,yhi", "0,1,0,1\n0,1,,1\n", ":3: not float: ''"),
+    ], ids=["points-short-row", "points-extra-field", "points-not-float",
+            "rects-short-row", "rects-empty-field"])
+    def test_bad_row_names_line(self, tmp_path, reader, header, body, fragment):
+        p = tmp_path / "f.csv"
+        p.write_text(header + "\n" + body)
+        with pytest.raises(ParameterError, match=re.escape(str(p) + fragment)):
+            reader(p)
