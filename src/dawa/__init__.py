@@ -26,7 +26,7 @@ from .core import (
     write_data_file,
     write_workload_file,
 )
-from .estimation import build_query_tree, estimate_buckets, greedy_scale, strategy_error
+from .estimation import build_query_tree, estimate_buckets, greedy_scale
 from .experiments import ExperimentConfig, Report, TrialResult, report_emit, run_experiment
 from .generators import gen_synthetic_data, gen_workload
 from .mechanisms import (
@@ -52,7 +52,7 @@ from .partition import (
     private_partition,
     utility_bound,
 )
-from .transform import TransformedWorkload, transform_query, transform_workload
+from .transform import TransformedWorkload, transform_workload
 
 __version__ = "0.1.0"
 

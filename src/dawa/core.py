@@ -343,12 +343,14 @@ def laplace_sample(scale: float, rng: RngStream, size: int | None = None):
         raise ParameterError(f"scale must be positive and finite, got {scale}")
     if rng.ledger is not None:
         rng.ledger.append((float(scale), 1 if size is None else int(size)))
-    u = rng.uniform_open(size)
-    if size is None:
-        if u < 0.5:
-            return scale * float(np.log(2.0 * u))
-        return -scale * float(np.log(2.0 * (1.0 - u)))
-    return np.where(u < 0.5, scale * np.log(2.0 * u), -scale * np.log(2.0 * (1.0 - u)))
+    u = np.atleast_1d(rng.uniform_open(size))
+    # -scale * sign(u - 1/2) * log(1 - 2|u - 1/2|), in place: one log per
+    # draw, and every step before the log is exact for u on the 2^-53 grid
+    sign = np.sign(np.subtract(u, 0.5, out=u))
+    np.log(np.add(np.multiply(np.abs(u, out=u), -2.0, out=u), 1.0, out=u), out=u)
+    sign *= -scale
+    u *= sign
+    return float(u[0]) if size is None else u
 
 
 def evaluate_query(q: Interval, x: "DataVector | EstimateVector | np.ndarray") -> float:

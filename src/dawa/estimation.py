@@ -9,10 +9,12 @@ answer costs Laplace(1/eps2) regardless of how many are taken.
 The tree is implicit in (k, t): a node is its index in level order, its
 interval follows from its level and position, and the only per-node state
 is one float64 array of scalings.  Raising a parent's weight is a rank-one
-change to its subtree Gram, so the weight search needs only three scalars
-and one workload image (an m-vector) per child, kept as arrays for one
-level at a time while the greedy pass searches the tree bottom-up; no Gram
-matrix or inverse is formed.  Least squares runs in the
+change to its subtree Gram, so the weight search needs only four scalars
+per child and the squared norm of each node's workload image, kept as
+arrays for one level at a time while the greedy pass searches the tree
+bottom-up.  The image norms come from one length-k array of leaf weights
+and the workload's end buckets in O(m + k) per level; no Gram matrix, its
+inverse or any m-by-k workload matrix is formed.  Least squares runs in the
 eliminated form of Hay et al. (VLDB 2010) with unequal per-node variances
 (Qardaji, Yang & Li, VLDB 2013), linear in the tree size, for every scaled
 tree including the fixed hierarchies of the hier_* baselines.
@@ -115,12 +117,6 @@ def leaf_cover_sums(tree: QueryTree) -> np.ndarray:
     return cover
 
 
-def _squares(g: np.ndarray) -> np.ndarray:
-    """Elementwise g ** 2 through float pow, which rounds differently from
-    g * g on about 0.1 % of inputs, so weights match the scalar objective."""
-    return np.array([v ** 2 for v in g.tolist()])
-
-
 def _objective(sums: np.ndarray, mu: float, lam, g2) -> np.ndarray:
     """Weight-search objective at weights lam for columns of child sums.
 
@@ -133,26 +129,56 @@ def _objective(sums: np.ndarray, mu: float, lam, g2) -> np.ndarray:
     return trace_sum / g2 - beta * (mu * image2 + (1.0 - mu) * norm2_sum)
 
 
-def _row_norms2(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of each row, each one a BLAS dot like a 1-D `v @ v`."""
-    return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1)
+def _image_norms2(What: TransformedWorkload, v: np.ndarray, totals: np.ndarray, span: int) -> np.ndarray:
+    """Per node of the level whose nodes cover `span` buckets, the squared
+    workload image norm sum over queries q of (What_q . v_node)^2, where
+    v_node is v on the node's buckets and 0 elsewhere.
+
+    A node whose every bucket has coefficient 1 in a query adds its v-sum
+    (totals, added up child by child) squared once per such query, counted
+    by a +1/-1 difference array over node indices.  A query's (at most two)
+    partly covered end nodes add its dot with them, from node-local prefix
+    sums of v.
+    """
+    k, nodes = len(v), len(totals)
+    local = np.zeros((nodes, span))
+    local.reshape(-1)[:k] = v
+    np.cumsum(local, axis=1, out=local)
+    prefix = local.reshape(-1)
+    first, last = What.first, What.last
+    f_node, l_node = first // span, last // span
+    # [lo, hi): the nodes covered with coefficient 1 throughout
+    lo = -(-np.where(What.first_frac == 1.0, first, first + 1) // span)
+    ones_end = np.where(What.last_frac == 1.0, last, last - 1)
+    hi = np.maximum(lo, np.where(ones_end == k - 1, nodes, (ones_end + 1) // span))
+    cover = np.cumsum(np.bincount(lo, minlength=nodes + 1) - np.bincount(hi, minlength=nodes + 1))[:nodes]
+    apart = f_node < l_node
+    before_last = np.where(last % span > 0, prefix[last - 1], 0.0)
+    last_term = What.last_frac * v[last]
+    # the dot with first's node: the first bucket, then the v-sum after it
+    # up to the node's end, or up to last and last's own term
+    after_first = np.where(apart, local[f_node, -1], before_last) - prefix[first]
+    rest = after_first + np.where(apart, 0.0, last_term)
+    near = What.first_frac * v[first] + np.where(first < last, rest, 0.0)
+    near[(lo == f_node) & (f_node < hi)] = 0.0
+    # the dot with last's node, when that is another partly covered node
+    far = np.where(apart & (hi <= l_node), before_last + last_term, 0.0)
+    return (cover * (totals * totals) + np.bincount(f_node, near * near, nodes)
+            + np.bincount(l_node, far * far, nodes))
 
 
-def _sum_children(t: int, summaries: np.ndarray, images: np.ndarray):
-    """Add up runs of t consecutive children in child order: the columns of
-    (err_trace, ones_quad, wl_image_norm2) and the image rows (made contiguous)."""
+def _sum_children(t: int, summaries: np.ndarray) -> np.ndarray:
+    """Add up runs of t consecutive children's summaries in child order."""
     total = summaries[:, ::t].copy()
-    image = images[::t].copy(order="K")  # the leaves' images are matrix columns
     for j in range(1, t):
         n_j = summaries[:, j::t].shape[1]
         total[:, :n_j] += summaries[:, j::t]
-        image[:n_j] += images[j::t]
-    return total, np.ascontiguousarray(image)
+    return total
 
 
 GRID_POINTS = 33
 _GRID = np.linspace(0.0, LAMBDA_CAP, GRID_POINTS)
-_GRID_G2 = _squares(1.0 - _GRID)
+_GRID_G2 = np.square(1.0 - _GRID)
 
 
 def _search_lambda(sums: np.ndarray, mu: float, tol: float = 1e-6) -> np.ndarray:
@@ -164,7 +190,7 @@ def _search_lambda(sums: np.ndarray, mu: float, tol: float = 1e-6) -> np.ndarray
     by the children leave the subtree untouched.
     """
     def f(lam: np.ndarray, cols) -> np.ndarray:
-        return _objective(sums[:, cols], mu, lam, _squares(1.0 - lam))
+        return _objective(sums[:, cols], mu, lam, np.square(1.0 - lam))
 
     values = _objective(sums[:, :, None], mu, _GRID, _GRID_G2)
     i = np.argmin(values, axis=1)
@@ -190,26 +216,30 @@ def _search_lambda(sums: np.ndarray, mu: float, tol: float = 1e-6) -> np.ndarray
     return lam
 
 
-def greedy_scale(What: "TransformedWorkload | np.ndarray", tree: QueryTree) -> QueryTree:
+def greedy_scale(What: TransformedWorkload, tree: QueryTree) -> QueryTree:
     """Choose node scalings for the workload, bottom-up, one level at a time.
 
     Each internal node with two or more children picks the weight lam
     minimizing its objective, all nodes of a level searched together.  A
     node's scaling is its weight (1 at a leaf) times 1 - lam of every
     ancestor, applied nearest ancestor first, which keeps the cover sum of
-    every position at 1.  Writes tree.scalings in place and returns the tree.
+    every position at 1.  A node's workload image is What applied to its
+    leaf weights: the products of the 1/denom factors of the nodes below it,
+    kept for all leaves in one length-k array v, while each node's v-sum
+    goes up the tree as a fourth summary row.  Writes tree.scalings in place
+    and returns the tree.
     """
-    matrix = What.matrix if isinstance(What, TransformedWorkload) else np.asarray(What, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != tree.k:
-        raise DimensionError(f"workload matrix shape {matrix.shape} does not match k={tree.k}")
+    if What.partition.k != tree.k:
+        raise DimensionError(f"workload over {What.partition.k} buckets does not match k={tree.k}")
     t = tree.t
-    images = matrix.T  # row i is leaf i's workload column
-    norms = _row_norms2(images)
-    summaries = np.stack([norms, np.ones(tree.k), norms])
+    v = np.ones(tree.k)
+    norms = _image_norms2(What, v, v, 1)
+    summaries = np.stack([norms, v, norms, v])
     lams = [np.zeros(size) for size in tree.level_sizes[:-1]]
     for depth in range(len(lams) - 1, -1, -1):
-        (trace_sum, quad_sum, norm2_sum), image = _sum_children(t, summaries, images)
-        image2 = _row_norms2(image)
+        span = t ** (len(lams) - depth)
+        trace_sum, quad_sum, norm2_sum, totals = _sum_children(t, summaries)
+        image2 = _image_norms2(What, v, totals, span)
         # A lone (last) child passes its summaries up unchanged at weight 0.
         lone = t * np.arange(len(image2)) + 1 == summaries.shape[1]
         image2[lone] = norm2_sum[lone]
@@ -217,12 +247,13 @@ def greedy_scale(What: "TransformedWorkload | np.ndarray", tree: QueryTree) -> Q
         sums = np.stack([trace_sum, quad_sum, image2, norm2_sum])
         lam[~lone] = _search_lambda(sums[:, ~lone], decay_factor(t, depth))
         # Rank-one update of the subtree summaries; exact identity at lam = 0.
-        g2 = _squares(1.0 - lam)
+        g2 = np.square(1.0 - lam)
         lam2 = lam * lam
         denom = g2 + lam2 * quad_sum
         beta = lam2 / (g2 * denom)
-        summaries = np.stack([trace_sum / g2 - beta * image2, quad_sum / denom, image2 / (denom * denom)])
-        images = np.divide(image, denom[:, None], out=image)
+        summaries = np.stack([trace_sum / g2 - beta * image2, quad_sum / denom, image2 / (denom * denom),
+                              totals / denom])
+        v /= np.repeat(denom, span)[: tree.k]
     for depth, level in enumerate(_level_slices(tree)):
         scaling = tree.scalings[level]
         scaling[:] = lams[depth] if depth < len(lams) else 1.0
@@ -304,26 +335,6 @@ def strategy_matrix(tree: QueryTree) -> np.ndarray:
     los, his = tree.bounds()
     positions = np.arange(1, tree.k + 1)
     return ((los[:, None] <= positions) & (positions <= his[:, None])).astype(np.float64)
-
-
-def strategy_error(What: "TransformedWorkload | np.ndarray", tree: QueryTree, eps2: float) -> float:
-    """Expected total squared workload error of the scaled strategy.
-
-    Dense evaluation from first principles: 2/eps2^2 times the trace of the
-    workload Gram against the inverse strategy Gram.  Used as the reference
-    the greedy objective is checked against.
-    """
-    matrix = What.matrix if isinstance(What, TransformedWorkload) else np.asarray(What, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != tree.k:
-        raise DimensionError(f"workload matrix shape {matrix.shape} does not match k={tree.k}")
-    if eps2 <= 0:
-        raise ParameterError(f"eps2 must be positive, got {eps2}")
-    scaled = tree.scalings[:, None] * strategy_matrix(tree)
-    try:
-        inv = np.linalg.inv(scaled.T @ scaled)
-    except np.linalg.LinAlgError as err:
-        raise SingularStrategyError(f"strategy Gram is singular: {err}") from None
-    return (2.0 / eps2**2) * float(np.sum((matrix.T @ matrix) * inv))
 
 
 def estimate_buckets(

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DataVector, Interval, ParameterError, Partition, SingularStrategyError
+from .core import DataVector, Interval, ParameterError, Partition, SingularStrategyError, Workload
 from .estimation import QueryTree, strategy_matrix
 from .partition import bucket_cost
-from .transform import TransformedWorkload
 
 BRUTE_FORCE_MAX_N = 12
 
@@ -51,33 +50,36 @@ def oracle_brute_partition(x: DataVector, eps2: float) -> tuple[Partition, float
     return Partition(best), float(best_cost)
 
 
-def oracle_dense_stage2(
-    What: "TransformedWorkload | np.ndarray",
-    Y: np.ndarray,
-    scalings: np.ndarray,
-    eps2: float,
-) -> float:
-    """Expected total squared workload error, from explicit dense matrices."""
-    matrix = What.matrix if isinstance(What, TransformedWorkload) else np.asarray(What, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    scalings = np.asarray(scalings, dtype=np.float64)
+def dense_transform(W: Workload, partition: Partition) -> np.ndarray:
+    """The m-by-k rewritten workload: per query and bucket, the covered
+    length over the bucket length."""
+    q_lo = np.array([q.lo for q in W.queries])[:, None]
+    q_hi = np.array([q.hi for q in W.queries])[:, None]
+    b_lo = np.array([b.lo for b in partition.buckets])
+    b_hi = np.array([b.hi for b in partition.buckets])
+    covered = np.maximum(np.minimum(q_hi, b_hi) - np.maximum(q_lo, b_lo) + 1, 0)
+    return covered / (b_hi - b_lo + 1)
+
+
+def oracle_dense_stage2(matrix: np.ndarray, Y: np.ndarray, scalings: np.ndarray, eps2: float) -> float:
+    """Expected total squared workload error from explicit dense matrices: 2/eps2^2
+    times the trace of the workload Gram against the inverse strategy Gram."""
     if eps2 <= 0:
         raise ParameterError(f"eps2 must be positive, got {eps2}")
-    scaled = scalings[:, None] * Y
-    gram = scaled.T @ scaled
+    scaled = np.asarray(scalings, dtype=np.float64)[:, None] * np.asarray(Y, dtype=np.float64)
     try:
-        inv = np.linalg.inv(gram)
+        inv = np.linalg.inv(scaled.T @ scaled)
     except np.linalg.LinAlgError as err:
         raise SingularStrategyError(f"strategy Gram is singular: {err}") from None
     return (2.0 / eps2**2) * float(np.sum((matrix.T @ matrix) * inv))
 
 
-def dense_scaling_objective(
-    What: "TransformedWorkload | np.ndarray",
-    tree: QueryTree,
-    lam: float,
-    mu: float,
-) -> float:
+def strategy_error(matrix: np.ndarray, tree: QueryTree, eps2: float) -> float:
+    """Expected total squared workload error of the scaled tree strategy."""
+    return oracle_dense_stage2(matrix, strategy_matrix(tree), tree.scalings, eps2)
+
+
+def dense_scaling_objective(matrix: np.ndarray, tree: QueryTree, lam: float, mu: float) -> float:
     """Direct evaluation of the greedy weight-search objective at the root.
 
     Builds the whole strategy explicitly: the root takes weight lam, every
@@ -85,7 +87,6 @@ def dense_scaling_objective(
     matrix blends the workload Gram with the block-diagonal of the root's
     children's workload Grams.
     """
-    matrix = What.matrix if isinstance(What, TransformedWorkload) else np.asarray(What, dtype=np.float64)
     if tree.k < 2:
         raise ParameterError("objective is defined for internal nodes only")
     scalings = tree.scalings * (1.0 - lam)

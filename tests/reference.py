@@ -1,5 +1,6 @@
 """Scalar references for the array-native passes: the least-cost dynamic
-program and the level-batched greedy scaling."""
+program and the level-batched greedy scaling; and the two-branch Laplace
+sampler that the one-log form replaced."""
 
 import math
 
@@ -44,7 +45,19 @@ def reference_least_cost_partition(table, n):
     return Partition(tuple(reversed(buckets)))
 
 
-def node_by_node_greedy(What, tree):
+def rows_of(What):
+    """Dense rows of a transformed workload, written one query at a time
+    from its end buckets and their fractions."""
+    rows = np.zeros((len(What.first), What.partition.k))
+    for row, f, l, f_frac, l_frac in zip(rows, What.first.tolist(), What.last.tolist(),
+                                         What.first_frac.tolist(), What.last_frac.tolist()):
+        row[f + 1 : l] = 1.0
+        row[l] = l_frac
+        row[f] = f_frac
+    return rows
+
+
+def node_by_node_greedy(matrix, tree):
     """Reference greedy pass over the implicit tree: one node at a time,
     scalar summary updates and an explicit discount of every descendant.
 
@@ -62,7 +75,7 @@ def node_by_node_greedy(What, tree):
     scalings[starts[height]:] = 1.0
     below = []
     for j in range(tree.k):
-        column = What[:, j]
+        column = matrix[:, j]
         norm2 = float(column @ column)
         below.append((norm2, 1.0, column.copy(), norm2))
     root_sums = None
@@ -82,7 +95,8 @@ def node_by_node_greedy(What, tree):
             norm2 = sum(child[3] for child in children)
             sums = np.array([[trace], [quad], [image2], [norm2]])
             lam = float(_search_lambda(sums, decay_factor(t, depth))[0])
-            g2 = (1.0 - lam) ** 2
+            g = 1.0 - lam
+            g2 = g * g
             denom = g2 + lam * lam * quad
             beta = lam * lam / (g2 * denom)
             level.append((trace / g2 - beta * image2, quad / denom, image / denom,
@@ -106,3 +120,10 @@ def undo_root_discount(tree):
     if lam > 0.0:
         tree.scalings[1:] /= 1.0 - lam
         tree.scalings[0] = 0.0
+
+
+def reference_laplace_sample(scale, rng, size):
+    """Laplace draws by the inverse CDF with both branches evaluated: a log
+    of 2u below one half and of 2(1 - u) above it."""
+    u = rng.uniform_open(size)
+    return np.where(u < 0.5, scale * np.log(2.0 * u), -scale * np.log(2.0 * (1.0 - u)))

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from dawa.core import DataVector, Interval, Partition, Workload
+from dawa.transform import transform_workload
 
 
 @st.composite
@@ -56,3 +57,18 @@ def data_with_workload(draw, min_n=1, max_n=32, max_count=20, max_m=12):
 
 
 epsilons = st.sampled_from([0.1, 0.5, 1.0, 2.0, 10.0])
+
+
+def random_transformed_workload(rng, k, m):
+    """m random intervals rewritten over a random k-bucket partition of a
+    domain of k to 4k positions; about half the queries are short runs."""
+    n = int(rng.integers(k, 4 * k + 1))
+    cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)).tolist() if k > 1 else []
+    edges = [0] + cuts + [n]
+    part = Partition(tuple(Interval(a + 1, b) for a, b in zip(edges, edges[1:])))
+    qs = []
+    for _ in range(m):
+        lo = int(rng.integers(1, n + 1))
+        hi = int(rng.integers(lo, n + 1)) if rng.uniform() < 0.5 else min(n, lo + int(rng.geometric(0.3)) - 1)
+        qs.append(Interval(lo, hi))
+    return transform_workload(Workload(tuple(qs)), part)

@@ -38,7 +38,7 @@ from dawa.estimation import (
 from dawa.experiments import ExperimentConfig, report_emit, run_experiment
 from dawa.generators import gen_synthetic_data, gen_workload
 from dawa.mechanisms import run_dawa, run_greedy_no_partition, run_identity
-from dawa.oracles import dense_scaling_objective, oracle_brute_partition
+from dawa.oracles import dense_scaling_objective, dense_transform, oracle_brute_partition
 from dawa.partition import (
     PartitionParams,
     all_costs,
@@ -59,9 +59,10 @@ from dawa.spatial import (
     hilbert_index,
     rectangle_to_ranges,
 )
-from dawa.transform import transform_query, transform_workload
+from dawa.transform import transform_workload
 
-from .reference import node_by_node_greedy, undo_root_discount
+from .reference import node_by_node_greedy, rows_of, undo_root_discount
+from .strategies import random_transformed_workload
 
 EXAMPLE_COUNTS = [2, 3, 8, 1, 0, 2, 0, 4, 2, 4]
 EXAMPLE_BUCKETS = (Interval(1, 2), Interval(3, 3), Interval(4, 7), Interval(8, 10))
@@ -185,12 +186,16 @@ def test_a04_bucket_transform_is_exact():
         stats = rng.uniform(-10.0, 10.0, size=part.k)
         xhat = uniform_expand(Histogram(part, stats), n)
         direct = np.array([evaluate_query(q, xhat) for q in W])
-        through = transform_workload(W, part).matrix @ stats
-        worst = max(worst, float(np.abs(direct - through).max()))
+        matrix = dense_transform(W, part)
+        assert rows_of(transform_workload(W, part)).tobytes() == matrix.tobytes()
+        worst = max(worst, float(np.abs(direct - matrix @ stats).max()))
     assert worst <= 1e-9
 
     _, part = _example()
-    assert np.array_equal(transform_query(Interval(2, 6), part), [0.5, 1.0, 0.75, 0.0])
+    What = transform_workload(Workload((Interval(2, 6),)), part)
+    assert (What.first.tolist(), What.last.tolist()) == ([0], [2])
+    assert (What.first_frac.tolist(), What.last_frac.tolist()) == ([0.5], [0.75])
+    assert np.array_equal(dense_transform(What.source, part), [[0.5, 1.0, 0.75, 0.0]])
     _ok(f"bucket-space workload answers match position space on 1000 triples (max gap {worst:.1e})")
 
 
@@ -219,7 +224,8 @@ def test_a05_fast_objective_and_implicit_inverse():
     for _ in range(200):
         k = int(rng.integers(2, 65))
         t = int(rng.choice([2, 3]))
-        What = rng.uniform(0.0, 1.0, size=(int(rng.integers(3, 13)), k))
+        What = random_transformed_workload(rng, k, int(rng.integers(3, 13)))
+        matrix = dense_transform(What.source, What.partition)
         tree = greedy_scale(What, build_query_tree(k, t))
 
         # tree least-squares inverse against direct inversion of the final gram
@@ -232,12 +238,12 @@ def test_a05_fast_objective_and_implicit_inverse():
 
         # the root's objective from the reference's child summaries against
         # dense algebra on the scalings its weight was searched against
-        sums = node_by_node_greedy(What, build_query_tree(k, t))
+        sums = node_by_node_greedy(matrix, build_query_tree(k, t))
         undo_root_discount(tree)
         mu = decay_factor(t, 0)
         for lam in grid:
             fast_val = float(_objective(sums, mu, lam, (1.0 - lam) ** 2)[0])
-            dense_val = dense_scaling_objective(What, tree, float(lam), mu)
+            dense_val = dense_scaling_objective(matrix, tree, float(lam), mu)
             worst_obj = max(worst_obj, abs(fast_val - dense_val) / abs(dense_val))
     assert worst_obj <= 1e-6
     assert worst_inv <= 1e-6
@@ -246,7 +252,8 @@ def test_a05_fast_objective_and_implicit_inverse():
 
 def test_a06_identity_workload_keeps_leaf_allocation():
     for k in range(1, 65):
-        tree = greedy_scale(np.eye(k), build_query_tree(k, 2))
+        part = Partition.unit(k)
+        tree = greedy_scale(transform_workload(Workload(part.buckets), part), build_query_tree(k, 2))
         internal = tree.num_nodes() - k
         assert tree.scalings.tolist() == [0.0] * internal + [1.0] * k
     _ok("greedy scaling leaves identity workloads on the leaf-only allocation, k = 1..64")
@@ -258,9 +265,11 @@ def test_a07_leaf_cover_sums_bounded():
     for trial in range(100):
         k = int(rng.integers(1, 65))
         t = int(rng.choice([2, 3]))
-        What = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 13)), k))
+        What = random_transformed_workload(rng, k, int(rng.integers(1, 13)))
         if trial % 3 == 0:
-            What = What * (rng.uniform(size=What.shape) < 0.4)
+            # single buckets only: sparse rows
+            qs = [b for b in What.partition if rng.uniform() < 0.4] or [What.partition.buckets[0]]
+            What = transform_workload(Workload(tuple(qs)), What.partition)
         tree = greedy_scale(What, build_query_tree(k, t))
         worst = max(worst, float(leaf_cover_sums(tree).max()))
     assert worst <= 1.0 + 1e-9

@@ -1,6 +1,7 @@
 """Core types, RNG plumbing, query evaluation, and file formats."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from dawa.core import (
     write_workload_file,
 )
 
+from .reference import reference_laplace_sample
 from .strategies import data_vectors, data_with_workload, intervals_for
 
 
@@ -298,6 +300,39 @@ class TestLaplace:
         b = 2.5
         draws = laplace_sample(b, RngStream(17), size=1_000_000)
         assert abs(float(np.var(draws)) - 2 * b * b) / (2 * b * b) < 0.05
+
+    def test_one_log_matches_two_branch_reference(self):
+        # every step before the log is exact for u on the 2^-53 grid, so the
+        # one-log form returns the two-branch draws bit for bit
+        for seed, scale in ((0, 1.0), (1, 0.37), (2, 8.0)):
+            got = laplace_sample(scale, RngStream(seed), size=300_000)
+            want = reference_laplace_sample(scale, RngStream(seed), 300_000)
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_log_matches_reference_at_grid_edges(self):
+        ulp = 2.0 ** -53
+        edges = np.array([ulp, 2 * ulp, 0.25, 0.5 - ulp, 0.5, 0.5 + ulp, 0.75, 1.0 - ulp])
+
+        class FixedUniforms:
+            ledger = None
+
+            def uniform_open(self, size):
+                return edges.copy()
+
+        for scale in (1.0, 0.37, 8.0):
+            got = laplace_sample(scale, FixedUniforms(), size=len(edges))
+            want = reference_laplace_sample(scale, FixedUniforms(), len(edges))
+            assert got.tobytes() == want.tobytes()
+
+    def test_million_draws_hold_two_draw_sized_arrays(self):
+        # the uniforms, reused for the result, and the signs: 16 MB at most
+        tracemalloc.start()
+        try:
+            laplace_sample(1.0, RngStream(0), size=1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 8_000_000
 
     def test_invalid_scale(self):
         with pytest.raises(ParameterError):

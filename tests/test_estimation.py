@@ -1,6 +1,7 @@
 """Measurement-tree scaling: greedy budget split, fast objective, OLS recovery."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dawa.core import (
     laplace_sample,
 )
 from dawa.estimation import (
+    _image_norms2,
     _objective,
     _search_lambda,
     build_query_tree,
@@ -28,25 +30,40 @@ from dawa.estimation import (
     leaf_cover_sums,
     measure,
     ols_infer,
-    strategy_error,
     strategy_matrix,
 )
-from dawa.oracles import dense_ols, dense_scaling_objective, oracle_dense_stage2
+from dawa.oracles import (
+    dense_ols,
+    dense_scaling_objective,
+    dense_transform,
+    oracle_dense_stage2,
+    strategy_error,
+)
 from dawa.transform import transform_workload
 
 from .reference import node_by_node_greedy, undo_root_discount
+from .strategies import partitions_of, random_transformed_workload, workloads_over
 
 
-def random_workload_matrix(rng, m, k, nonneg=True):
-    mat = rng.uniform(0.0, 1.0, size=(m, k))
-    if not nonneg:
-        mat = mat - 0.5
-    return mat
+def dense(What):
+    """The m-by-k matrix of a transformed workload, built independently."""
+    return dense_transform(What.source, What.partition)
+
+
+def identity_workload(k):
+    """Every bucket of the unit partition of [1, k] as its own query."""
+    part = Partition.unit(k)
+    return transform_workload(Workload(part.buckets), part)
+
+
+def whole_domain_workload(k):
+    """The one query [1, k] over the unit partition."""
+    return transform_workload(Workload((Interval(1, k),)), Partition.unit(k))
 
 
 def scaled_identity_tree(k, t=2):
-    """Tree scaled by the greedy pass on the k-by-k identity workload."""
-    return greedy_scale(np.eye(k), build_query_tree(k, t))
+    """Tree scaled by the greedy pass on the identity workload over k buckets."""
+    return greedy_scale(identity_workload(k), build_query_tree(k, t))
 
 
 def explicit_grouping_bounds(k, t):
@@ -192,27 +209,27 @@ class TestObjectiveAgainstDense:
         for trial in range(20):
             k = int(rng.integers(2, 24))
             t = int(rng.choice([2, 3]))
-            What = random_workload_matrix(rng, int(rng.integers(1, 12)), k)
-            sums = node_by_node_greedy(What, build_query_tree(k, t))
+            What = random_transformed_workload(rng, k, int(rng.integers(1, 12)))
+            sums = node_by_node_greedy(dense(What), build_query_tree(k, t))
             tree = greedy_scale(What, build_query_tree(k, t))
             undo_root_discount(tree)
             mu = decay_factor(t, 0)
             for lam in (0.0, 0.1, 0.5, 0.9):
                 fast = objective_at(sums, lam, mu)
-                dense = dense_scaling_objective(What, tree, lam, mu)
-                assert fast == pytest.approx(dense, rel=1e-6, abs=1e-9)
+                slow = dense_scaling_objective(dense(What), tree, lam, mu)
+                assert fast == pytest.approx(slow, rel=1e-6, abs=1e-9)
 
     def test_lambda_zero_is_plain_sum(self):
         rng = np.random.default_rng(3)
-        What = random_workload_matrix(rng, 6, 8)
-        sums = node_by_node_greedy(What, build_query_tree(8, 2))
+        What = random_transformed_workload(rng, 8, 6)
+        sums = node_by_node_greedy(dense(What), build_query_tree(8, 2))
         tree = greedy_scale(What, build_query_tree(8, 2))
         undo_root_discount(tree)
         mu = decay_factor(2, 0)
         f0 = objective_at(sums, 0.0, mu)
         assert f0 == sums[0, 0]
-        dense = dense_scaling_objective(What, tree, 0.0, mu)
-        assert f0 == pytest.approx(dense, rel=1e-9)
+        slow = dense_scaling_objective(dense(What), tree, 0.0, mu)
+        assert f0 == pytest.approx(slow, rel=1e-9)
 
     def test_domain_checks(self):
         # the weight search is defined at internal nodes; a one-node tree has none
@@ -225,20 +242,19 @@ class TestOptimizeLambda:
         for k in (2, 3, 4, 7, 16):
             # every internal lambda stays at zero on the identity workload,
             # so the search at the root must return exact 0.0
-            sums = node_by_node_greedy(np.eye(k), build_query_tree(k, 2))
+            sums = node_by_node_greedy(dense(identity_workload(k)), build_query_tree(k, 2))
             assert _search_lambda(sums, decay_factor(2, 0))[0] == 0.0
 
     def test_total_sum_pushes_to_cap(self):
         k = 16
-        What = np.ones((1, k))
-        tree = greedy_scale(What, build_query_tree(k, 2))
+        tree = greedy_scale(whole_domain_workload(k), build_query_tree(k, 2))
         assert tree.scalings[0] > 0.9
 
     def test_result_in_domain(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             k = int(rng.integers(2, 20))
-            What = random_workload_matrix(rng, 5, k)
+            What = random_transformed_workload(rng, k, 5)
             tree = greedy_scale(What, build_query_tree(k, 2))
             assert np.all((0.0 <= tree.scalings) & (tree.scalings <= 1.0))
 
@@ -254,7 +270,7 @@ class TestGreedyScale:
         rng = np.random.default_rng(4)
         for _ in range(20):
             k = int(rng.integers(1, 40))
-            What = random_workload_matrix(rng, int(rng.integers(1, 10)), k)
+            What = random_transformed_workload(rng, k, int(rng.integers(1, 10)))
             tree = greedy_scale(What, build_query_tree(k, int(rng.choice([2, 3]))))
             assert np.max(leaf_cover_sums(tree)) <= 1.0 + 1e-9
 
@@ -263,24 +279,24 @@ class TestGreedyScale:
         for _ in range(15):
             k = int(rng.integers(2, 32))
             t = int(rng.choice([2, 3]))
-            What = random_workload_matrix(rng, int(rng.integers(1, 8)), k)
+            What = random_transformed_workload(rng, k, int(rng.integers(1, 8)))
             greedy = greedy_scale(What, build_query_tree(k, t))
             leaves_only = build_query_tree(k, t)  # initialization is leaves-only
-            e_greedy = strategy_error(What, greedy, 1.0)
-            e_leaves = strategy_error(What, leaves_only, 1.0)
+            e_greedy = strategy_error(dense(What), greedy, 1.0)
+            e_leaves = strategy_error(dense(What), leaves_only, 1.0)
             assert e_greedy <= e_leaves * (1.0 + 1e-9)
 
     def test_scaling_matches_matrix_error(self):
         # strategy_error agrees with the dense stage-2 oracle
         rng = np.random.default_rng(12)
         k = 12
-        What = random_workload_matrix(rng, 6, k)
+        What = random_transformed_workload(rng, k, 6)
         tree = greedy_scale(What, build_query_tree(k, 2))
         Y = strategy_matrix(tree)
         c = tree.scalings
         keep = c > 0
-        got = strategy_error(What, tree, 0.7)
-        want = oracle_dense_stage2(What, Y[keep], c[keep], 0.7)
+        got = strategy_error(dense(What), tree, 0.7)
+        want = oracle_dense_stage2(dense(What), Y[keep], c[keep], 0.7)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_levels_match_node_by_node_reference(self):
@@ -290,23 +306,28 @@ class TestGreedyScale:
         for trial in range(60):
             k = int(rng.integers(1, 48))
             t = int(rng.choice([2, 3, 4]))
-            What = random_workload_matrix(rng, int(rng.integers(1, 12)), k)
+            What = random_transformed_workload(rng, k, int(rng.integers(1, 12)))
             if trial % 4 == 1:
-                What = What * (rng.uniform(size=What.shape) < 0.3)
+                # single buckets only, over random partitions
+                qs = [Interval(b.lo, b.hi) for b in What.partition if rng.uniform() < 0.3]
+                What = transform_workload(Workload(tuple(qs) or What.partition.buckets[:1]), What.partition)
             elif trial % 4 == 2:
-                What = np.ones((1, k))
+                What = whole_domain_workload(k)
             elif k > 1:
                 # the intervals of the top three levels give weight below the root
-                What = strategy_matrix(build_query_tree(k, t))[:1 + t + t * t]
+                los, his = build_query_tree(k, t).bounds()
+                qs = [Interval(lo, hi) for lo, hi in zip(los[:1 + t + t * t].tolist(), his.tolist())]
+                What = transform_workload(Workload(tuple(qs)), Partition.unit(k))
             got = greedy_scale(What, build_query_tree(k, t))
             want = build_query_tree(k, t)
-            node_by_node_greedy(What, want)
+            node_by_node_greedy(dense(What), want)
             assert got.scalings.tobytes() == want.scalings.tobytes()
 
     def test_rejects_bad_matrix(self):
+        # a workload over five buckets cannot scale a four-leaf tree
         tree = build_query_tree(4, 2)
         with pytest.raises(DimensionError):
-            greedy_scale(np.ones((2, 5)), tree)
+            greedy_scale(random_transformed_workload(np.random.default_rng(0), 5, 2), tree)
 
 
 class TestMeasure:
@@ -359,7 +380,7 @@ class TestOls:
         rng = np.random.default_rng(2)
         for k, t in ((4, 2), (9, 3), (13, 2)):
             counts = rng.integers(0, 20, size=k).astype(float)
-            What = random_workload_matrix(rng, 5, k)
+            What = random_transformed_workload(rng, k, 5)
             tree = greedy_scale(What, build_query_tree(k, t))
             ms = measure(counts, tree, 1e12, RngStream(int(rng.integers(1 << 30))))
             got = ols_infer(tree, ms)
@@ -460,36 +481,104 @@ class TestStrategyErrorEdges:
     def test_requires_positive_eps(self):
         tree = scaled_identity_tree(4)
         with pytest.raises(ParameterError):
-            strategy_error(np.eye(4), tree, 0.0)
+            strategy_error(dense(identity_workload(4)), tree, 0.0)
 
     def test_identity_leaves_only_value(self):
         # k independent Laplace measurements at scale 1/eps2: error sums to
         # k * 2/eps2^2 for the identity workload
         k, eps2 = 6, 0.5
         tree = scaled_identity_tree(k)
-        got = strategy_error(np.eye(k), tree, eps2)
+        got = strategy_error(dense(identity_workload(k)), tree, eps2)
         assert got == pytest.approx(k * 2.0 / eps2**2, rel=1e-12)
 
     def test_scaling_homogeneity(self):
         # multiplying every scaling by alpha divides the error by alpha^2
         rng = np.random.default_rng(44)
-        What = random_workload_matrix(rng, 5, 12)
+        What = random_transformed_workload(rng, 12, 5)
         tree = greedy_scale(What, build_query_tree(12, 2))
-        base = strategy_error(What, tree, 1.0)
+        base = strategy_error(dense(What), tree, 1.0)
         for alpha in (0.5, 2.0, 7.0):
             tree.scalings[:] *= alpha
-            assert strategy_error(What, tree, 1.0) == pytest.approx(base / alpha**2, rel=1e-9)
+            assert strategy_error(dense(What), tree, 1.0) == pytest.approx(base / alpha**2, rel=1e-9)
             tree.scalings[:] /= alpha
 
 
+class TestImageNorms:
+    """Each level's image norms against the dense matrix times each node's
+    slice of the leaf weights."""
+
+    @staticmethod
+    def check_levels(What, t, v):
+        matrix = dense(What)
+        k = What.partition.k
+        span = 1
+        while True:
+            nodes = -(-k // span)
+            totals = np.array([v[node * span : (node + 1) * span].sum() for node in range(nodes)])
+            got = _image_norms2(What, v, totals, span)
+            assert got.shape == (nodes,)
+            for node in range(nodes):
+                v_node = np.zeros(k)
+                v_node[node * span : (node + 1) * span] = v[node * span : (node + 1) * span]
+                image = matrix @ v_node
+                assert got[node] == pytest.approx(image @ image, rel=1e-12, abs=0.0)
+            if nodes == 1:
+                return
+            span *= t
+
+    @given(st.integers(1, 40), st.sampled_from([2, 3, 4]), st.data())
+    def test_levels_match_dense_images(self, n, t, data):
+        part = data.draw(partitions_of(n))
+        W = data.draw(workloads_over(n))
+        v = np.array(data.draw(st.lists(st.floats(0.25, 4.0), min_size=part.k, max_size=part.k)))
+        self.check_levels(transform_workload(W, part), t, v)
+
+    def test_edge_shapes(self):
+        # k = 7 leaves a lone last node on every level above the leaves;
+        # the queries start and end in one bucket, cover whole nodes of
+        # each level, and end part-way into buckets of the random partition
+        rng = np.random.default_rng(47)
+        qs = (Interval(3, 3), Interval(4, 4), Interval(1, 7), Interval(1, 4), Interval(5, 7),
+              Interval(2, 6), Interval(7, 7), Interval(3, 4))
+        for t in (2, 3, 4):
+            unit = Partition.unit(7)
+            self.check_levels(transform_workload(Workload(qs), unit), t, rng.uniform(0.25, 4.0, 7))
+            part = Partition((Interval(1, 3), Interval(4, 4), Interval(5, 9), Interval(10, 12),
+                              Interval(13, 20), Interval(21, 21), Interval(22, 30)))
+            Wp = Workload((Interval(2, 2), Interval(5, 8), Interval(1, 30), Interval(2, 29),
+                           Interval(6, 21), Interval(21, 21), Interval(3, 14)))
+            self.check_levels(transform_workload(Wp, part), t, rng.uniform(0.25, 4.0, 7))
+
+
 class TestComplexitySmoke:
+    def test_greedy_memory_is_linear(self):
+        # k about 36k buckets and 2000 queries: the m-by-k matrix alone
+        # would be 580 MB; the per-level arrays are O(m + k)
+        rng = np.random.default_rng(48)
+        n, k, m = 65536, 36000, 2000
+        edges = [0] + np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)).tolist() + [n]
+        part = Partition(tuple(Interval(a + 1, b) for a, b in zip(edges, edges[1:])))
+        los = rng.integers(1, n + 1, size=m)
+        his = rng.integers(los, n + 1)
+        What = transform_workload(Workload(tuple(map(Interval, los.tolist(), his.tolist()))), part)
+        tree = build_query_tree(k, 2)
+        tracemalloc.start()
+        try:
+            greedy_scale(What, tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
+        assert np.max(leaf_cover_sums(tree)) <= 1.0 + 1e-9
+
     def test_doubling_k_stays_subquartic(self):
-        # greedy is O(mk) plus a per-level search, so doubling k about
-        # doubles the time; best-of-reps and retry shed scheduler interference
+        # greedy is O(m + k) per level plus a per-level search, so doubling
+        # k about doubles the time; best-of-reps and retry shed scheduler
+        # interference
         rng = np.random.default_rng(45)
         m = 8
-        small = rng.uniform(0.0, 1.0, size=(m, 512))
-        big = rng.uniform(0.0, 1.0, size=(m, 1024))
+        small = random_transformed_workload(rng, 512, m)
+        big = random_transformed_workload(rng, 1024, m)
         greedy_scale(small, build_query_tree(512, 2))
         greedy_scale(big, build_query_tree(1024, 2))
         ratio = np.inf

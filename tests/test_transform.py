@@ -15,15 +15,24 @@ from dawa.core import (
     evaluate_workload,
     uniform_expand,
 )
-from dawa.transform import transform_query, transform_workload
+from dawa.oracles import dense_transform
+from dawa.transform import transform_workload
 
+from .reference import rows_of
 from .strategies import data_with_partition, intervals_for, partitions_of
+
+
+def transform_query(q, partition):
+    """Coefficients of one query over the buckets, from the one-row workload."""
+    return rows_of(transform_workload(Workload((q,)), partition))[0]
 
 
 class TestTransformQuery:
     def test_worked_anchor(self, example_partition, single_query):
-        got = transform_query(single_query, example_partition)
-        assert np.array_equal(got, [0.5, 1.0, 0.75, 0.0])
+        tw = transform_workload(Workload((single_query,)), example_partition)
+        assert (tw.first.tolist(), tw.last.tolist()) == ([0], [2])
+        assert (tw.first_frac.tolist(), tw.last_frac.tolist()) == ([0.5], [0.75])
+        assert np.array_equal(transform_query(single_query, example_partition), [0.5, 1.0, 0.75, 0.0])
 
     def test_full_cover_is_ones(self, example_partition):
         got = transform_query(Interval(1, 10), example_partition)
@@ -34,12 +43,15 @@ class TestTransformQuery:
         assert np.array_equal(got, [1.0, 0.0, 0.0, 0.0])
 
     def test_point_query(self, example_partition):
-        got = transform_query(Interval(5, 5), example_partition)
-        assert np.array_equal(got, [0.0, 0.0, 0.25, 0.0])
+        # one end bucket: both fractions are its covered fraction
+        tw = transform_workload(Workload((Interval(5, 5),)), example_partition)
+        assert (tw.first.tolist(), tw.last.tolist()) == ([2], [2])
+        assert tw.first_frac.tolist() == tw.last_frac.tolist() == [0.25]
+        assert np.array_equal(transform_query(Interval(5, 5), example_partition), [0.0, 0.0, 0.25, 0.0])
 
     def test_out_of_range(self, example_partition):
         with pytest.raises(DimensionError):
-            transform_query(Interval(1, 11), example_partition)
+            transform_workload(Workload((Interval(1, 11),)), example_partition)
 
     @given(partitions_of(16), intervals_for(16))
     def test_coefficients_are_overlap_fractions(self, part, q):
@@ -60,7 +72,7 @@ class TestTransformQuery:
         for i, q in enumerate(tiny_workload.queries):
             want = np.zeros(10)
             want[q.lo - 1:q.hi] = 1.0
-            assert np.array_equal(tw.matrix[i], want)
+            assert np.array_equal(rows_of(tw)[i], want)
 
 
 class TestTransformWorkload:
@@ -68,7 +80,8 @@ class TestTransformWorkload:
     def test_rows_are_exact_overlap_fractions(self, part, qs):
         tw = transform_workload(Workload(tuple(qs)), part)
         want = np.array([[q.overlap(b) / b.length for b in part.buckets] for q in qs])
-        assert tw.matrix.tobytes() == want.tobytes()
+        assert rows_of(tw).tobytes() == want.tobytes()
+        assert dense_transform(Workload(tuple(qs)), part).tobytes() == want.tobytes()
 
     def test_query_past_domain_rejected(self, example_partition):
         with pytest.raises(DimensionError):
@@ -76,9 +89,10 @@ class TestTransformWorkload:
 
     def test_matrix_shape_and_rows(self, example_partition, tiny_workload):
         tw = transform_workload(tiny_workload, example_partition)
-        assert tw.matrix.shape == (3, 4)
+        for end in (tw.first, tw.last, tw.first_frac, tw.last_frac):
+            assert end.shape == (3,)
         for i, q in enumerate(tiny_workload.queries):
-            assert np.array_equal(tw.matrix[i], transform_query(q, example_partition))
+            assert np.array_equal(rows_of(tw)[i], transform_query(q, example_partition))
         assert tw.source is tiny_workload
         assert tw.partition is example_partition
 
@@ -88,7 +102,7 @@ class TestTransformWorkload:
         tw = transform_workload(tiny_workload, example_partition)
         xhat = uniform_expand(Histogram(example_partition, s), 10)
         direct = evaluate_workload(tiny_workload, xhat)
-        assert np.allclose(direct, tw.matrix @ s, atol=1e-12)
+        assert np.allclose(direct, rows_of(tw) @ s, atol=1e-12)
 
     @given(
         data_with_partition(max_n=32),
@@ -107,4 +121,4 @@ class TestTransformWorkload:
         tw = transform_workload(W, part)
         xhat = uniform_expand(Histogram(part, s), x.n)
         direct = evaluate_workload(W, xhat)
-        assert np.max(np.abs(direct - tw.matrix @ s)) <= 1e-9
+        assert np.max(np.abs(direct - rows_of(tw) @ s)) <= 1e-9
