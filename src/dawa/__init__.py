@@ -22,7 +22,6 @@ from .core import (
     read_data_file,
     read_workload_file,
     uniform_expand,
-    validate_partition,
     write_data_file,
     write_workload_file,
 )

@@ -10,7 +10,7 @@ import hashlib
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class SingularStrategyError(ValueError):
     """The measurement strategy does not determine every position."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Interval:
     """Inclusive 1-based range [lo, hi]."""
 
@@ -62,10 +62,6 @@ class Interval:
 
     def valid_for(self, n: int) -> bool:
         return self.hi <= n
-
-    def overlap(self, other: "Interval") -> int:
-        """Number of positions shared with another interval."""
-        return max(0, min(self.hi, other.hi) - max(self.lo, other.lo) + 1)
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -141,103 +137,101 @@ def _values_of(x: "DataVector | EstimateVector | np.ndarray") -> np.ndarray:
     return np.asarray(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Workload:
-    """Batch of interval queries, all over the same domain."""
+    """Batch of interval queries over one domain: query i is [los[i], his[i]].
 
-    queries: tuple[Interval, ...]
+    Both endpoint arrays are stored as read-only int64 copies.
+    """
+
+    los: np.ndarray
+    his: np.ndarray
 
     def __post_init__(self) -> None:
-        qs = tuple(self.queries)
-        if not qs:
-            raise ParameterError("workload must contain at least one query")
-        object.__setattr__(self, "queries", qs)
+        los, his = np.asarray(self.los), np.asarray(self.his)
+        if los.ndim != 1 or los.shape != his.shape or los.size == 0:
+            raise ParameterError(
+                f"los and his must be non-empty, 1-d and of one length, got shapes {los.shape}, {his.shape}"
+            )
+        if los.dtype.kind not in "iu" or his.dtype.kind not in "iu":
+            raise InvalidIntervalError(f"query endpoints must be int64 integers, got dtypes {los.dtype}, {his.dtype}")
+        # uint64 endpoints past int64 wrap to negative values, which fail the check
+        lo64, hi64 = los.astype(np.int64), his.astype(np.int64)
+        bad = np.flatnonzero((lo64 < 1) | (lo64 > hi64))
+        if bad.size:
+            i = int(bad[0])
+            raise InvalidIntervalError(f"query {i}: need 1 <= lo <= hi <= 2**63 - 1, got [{los[i]}, {his[i]}]")
+        for name, arr in (("los", lo64), ("his", hi64)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def m(self) -> int:
-        return len(self.queries)
+        return int(self.los.size)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self.queries)
+        return map(Interval, self.los.tolist(), self.his.tolist())
 
     def __len__(self) -> int:
         return self.m
 
-    def max_hi(self) -> int:
-        return max(q.hi for q in self.queries)
 
-    def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        los = np.fromiter((q.lo for q in self.queries), dtype=np.int64, count=self.m)
-        his = np.fromiter((q.hi for q in self.queries), dtype=np.int64, count=self.m)
-        return los, his
-
-
-def _sorted_cover(buckets: Sequence[Interval]) -> "tuple[Interval, ...] | None":
-    """The buckets sorted, when they start at 1 and tile with no gap or
-    overlap; None otherwise."""
-    ordered = tuple(sorted(buckets))
-    if not ordered or ordered[0].lo != 1:
-        return None
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur.lo != prev.hi + 1:
-            return None
-    return ordered
-
-
-def is_contiguous_cover(buckets: Sequence[Interval]) -> bool:
-    """True when sorted buckets start at 1 and tile with no gap or overlap."""
-    return _sorted_cover(buckets) is not None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Ordered buckets tiling positions 1..n exactly."""
+    """Buckets tiling positions 1..n in order: bucket i ends at his[i] and
+    starts one past the end of bucket i - 1.  `his` is stored as a read-only
+    int64 copy."""
 
-    buckets: tuple[Interval, ...]
+    his: np.ndarray
 
     def __post_init__(self) -> None:
-        ordered = _sorted_cover(self.buckets)
-        if ordered is None:
-            raise InvalidPartitionError(f"buckets do not tile the domain: {tuple(self.buckets)}")
-        object.__setattr__(self, "buckets", ordered)
+        ends = np.asarray(self.his)
+        if ends.ndim != 1 or ends.size == 0 or ends.dtype.kind not in "iu":
+            raise InvalidPartitionError(f"bucket ends must be non-empty, 1-d int64 integers, got {ends!r}")
+        # uint64 ends past int64 wrap to negative values, which fail the check
+        his = ends.astype(np.int64)
+        prev = np.concatenate(([0], his[:-1]))
+        bad = np.flatnonzero(his <= prev)
+        if bad.size:
+            i = int(bad[0])
+            raise InvalidPartitionError(f"bucket {i} ends at {ends[i]}, not after the previous end {prev[i]}")
+        his.setflags(write=False)
+        object.__setattr__(self, "his", his)
 
     @property
     def k(self) -> int:
-        return len(self.buckets)
+        return int(self.his.size)
 
     @property
     def n(self) -> int:
-        return self.buckets[-1].hi
+        return int(self.his[-1])
+
+    @property
+    def los(self) -> np.ndarray:
+        return self.his - self.lengths() + 1
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self.buckets)
+        return map(Interval, self.los.tolist(), self.his.tolist())
 
     def __len__(self) -> int:
         return self.k
 
     def lengths(self) -> np.ndarray:
-        return np.fromiter((b.length for b in self.buckets), dtype=np.int64, count=self.k)
+        return np.diff(self.his, prepend=0)
 
-    def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        los = np.fromiter((b.lo for b in self.buckets), dtype=np.int64, count=self.k)
-        his = np.fromiter((b.hi for b in self.buckets), dtype=np.int64, count=self.k)
-        return los, his
+    def bucket_totals(self, counts: np.ndarray) -> np.ndarray:
+        """Per-bucket sums of a length-n count vector, as float64."""
+        if counts.size != self.n:
+            raise DimensionError(f"partition covers [1, {self.n}] but counts have {counts.size}")
+        return np.diff(np.cumsum(counts)[self.his - 1], prepend=0).astype(np.float64)
 
     @classmethod
     def unit(cls, n: int) -> "Partition":
-        return cls(tuple(Interval(j, j) for j in range(1, n + 1)))
+        return cls(np.arange(1, n + 1))
 
     @classmethod
     def single(cls, n: int) -> "Partition":
-        return cls((Interval(1, n),))
-
-
-def validate_partition(buckets: "Partition | Sequence[Interval]", n: int) -> bool:
-    """Check that the buckets tile [1, n] exactly."""
-    if isinstance(buckets, Partition):
-        return buckets.n == n
-    ordered = _sorted_cover(buckets)
-    return ordered is not None and ordered[-1].hi == n
+        return cls(np.array([n]))
 
 
 @dataclass(frozen=True)
@@ -338,6 +332,16 @@ def laplace_sample(scale: float, rng: RngStream, size: int | None = None):
 
     The inverse-CDF form keeps the consumed uniform stream in lockstep with
     the number of requested draws, which is what makes runs reproducible.
+
+    Floating-point caveat (Mironov, CCS 2012): u lies on the 2^-53 grid and
+    the log rounds, so the draws take finitely many unevenly spaced values
+    and which values x + noise can take depends on x; an exact float can
+    tell neighbouring inputs apart.  The epsilon-DP claims hold for
+    real-valued Laplace noise; this sampler does not snap its outputs.
+    Stage 2's sensitivity is the largest sum of node weights covering one
+    bucket (`leaf_cover_sums`).  Greedy scaling keeps it at 1 up to
+    rounding; at the 1 + 1e-9 the acceptance check allows, stage 2 spends
+    up to eps2 * (1 + 1e-9), not eps2.
     """
     if not (np.isfinite(scale) and scale > 0):
         raise ParameterError(f"scale must be positive and finite, got {scale}")
@@ -364,11 +368,10 @@ def evaluate_query(q: Interval, x: "DataVector | EstimateVector | np.ndarray") -
 def evaluate_workload(W: Workload, x: "DataVector | EstimateVector | np.ndarray") -> np.ndarray:
     """Answers to every query, computed from one prefix-sum pass."""
     vals = _values_of(x)
-    if W.max_hi() > vals.size:
-        raise DimensionError(f"workload reaches {W.max_hi()} but domain has {vals.size}")
+    if W.his.max() > vals.size:
+        raise DimensionError(f"workload reaches {W.his.max()} but domain has {vals.size}")
     prefix = np.concatenate(([0.0], np.cumsum(vals.astype(np.float64))))
-    los, his = W.bounds_arrays()
-    return prefix[his] - prefix[los - 1]
+    return prefix[W.his] - prefix[W.los - 1]
 
 
 def uniform_expand(h: Histogram, n: int) -> EstimateVector:
@@ -444,10 +447,11 @@ def read_csv_rows(path: "str | Path", header: tuple[str, ...], parse) -> list[tu
 
 def read_workload_file(path: "str | Path") -> Workload:
     """Read interval queries from a CSV file with header lo,hi."""
-    queries = [Interval(lo, hi) for lo, hi in read_csv_rows(path, ("lo", "hi"), int)]
-    if not queries:
+    rows = read_csv_rows(path, ("lo", "hi"), int)
+    if not rows:
         raise ParameterError(f"{path}: no queries found")
-    return Workload(tuple(queries))
+    ends = np.asarray(rows)
+    return Workload(ends[:, 0], ends[:, 1])
 
 
 def write_workload_file(path: "str | Path", W: Workload) -> None:

@@ -348,14 +348,9 @@ def estimate_buckets(
     """Full stage 2: transform, scale greedily, measure, reconcile."""
     if partition.n != x.n:
         raise DimensionError(f"partition covers [1, {partition.n}] but data has n={x.n}")
-    if W.max_hi() > x.n:
-        raise DimensionError(f"workload reaches {W.max_hi()} but data has n={x.n}")
     What = transform_workload(W, partition)
     tree = build_query_tree(partition.k, t)
     greedy_scale(What, tree)
-    prefix = np.concatenate(([0], np.cumsum(x.counts)))
-    los, his = partition.bounds_arrays()
-    counts = (prefix[his] - prefix[los - 1]).astype(np.float64)
-    measurements = measure(counts, tree, eps2, rng)
+    measurements = measure(partition.bucket_totals(x.counts), tree, eps2, rng)
     stats = ols_infer(tree, measurements)
     return Histogram(partition=partition, stats=stats)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DataVector, Interval, ParameterError, RngStream, Workload
+from .core import DataVector, ParameterError, RngStream, Workload
 
 WORKLOAD_KINDS = ("identity", "uniform", "clustered", "large_clustered")
 DATA_KINDS = ("constant", "piecewise_constant", "heavy_tail")
@@ -20,15 +20,9 @@ def _clustered(n: int, rng: RngStream, num_clusters: int, queries_per_cluster: i
     gen = rng.generator
     centers = gen.uniform(1.0, float(n), size=num_clusters)
     half = np.abs(gen.normal(0.0, sigma, size=(num_clusters, queries_per_cluster, 2)))
-    queries = []
-    for c, widths in zip(centers, half):
-        lo = np.clip(np.rint(c - widths[:, 0]), 1, n).astype(np.int64)
-        hi = np.clip(np.rint(c + widths[:, 1]), 1, n).astype(np.int64)
-        for a, b in zip(lo, hi):
-            if a > b:
-                a, b = b, a
-            queries.append(Interval(int(a), int(b)))
-    return Workload(tuple(queries))
+    lo = np.clip(np.rint(centers[:, None] - half[:, :, 0]), 1, n).astype(np.int64).ravel()
+    hi = np.clip(np.rint(centers[:, None] + half[:, :, 1]), 1, n).astype(np.int64).ravel()
+    return Workload(np.minimum(lo, hi), np.maximum(lo, hi))
 
 
 def gen_workload(kind: str, n: int, seed: int, **params) -> Workload:
@@ -42,15 +36,13 @@ def gen_workload(kind: str, n: int, seed: int, **params) -> Workload:
         raise ParameterError(f"need n >= 1, got {n}")
     rng = RngStream(seed)
     if kind == "identity":
-        return Workload(tuple(Interval(j, j) for j in range(1, n + 1)))
+        return Workload(np.arange(1, n + 1), np.arange(1, n + 1))
     if kind == "uniform":
         num_queries = int(params.pop("num_queries", 2000))
         if params:
             raise ParameterError(f"unknown params for uniform workload: {sorted(params)}")
         ends = rng.generator.integers(1, n + 1, size=(num_queries, 2))
-        return Workload(tuple(
-            Interval(int(min(a, b)), int(max(a, b))) for a, b in ends
-        ))
+        return Workload(ends.min(axis=1), ends.max(axis=1))
     if kind in ("clustered", "large_clustered"):
         sigma = float(params.pop("sigma", 256.0 if kind == "clustered" else 1024.0))
         num_clusters = int(params.pop("num_clusters", 5))

@@ -86,10 +86,7 @@ def run_partition_laplace(
     """Private partition, then plain Laplace on each bucket count."""
     params = PartitionParams(eps1=budget.eps1, eps2=budget.eps2, mode=mode)
     buckets = private_partition(x, params, rng)
-    prefix = np.concatenate(([0], np.cumsum(x.counts)))
-    los, his = buckets.bounds_arrays()
-    counts = (prefix[his] - prefix[los - 1]).astype(np.float64)
-    stats = counts + laplace_sample(1.0 / budget.eps2, rng, size=buckets.k)
+    stats = buckets.bucket_totals(x.counts) + laplace_sample(1.0 / budget.eps2, rng, size=buckets.k)
     return uniform_expand(Histogram(partition=buckets, stats=stats), x.n)
 
 

@@ -7,6 +7,8 @@ shapes).
 """
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .core import DataVector, Interval, ParameterError, Partition, SingularStrategyError, Workload
@@ -25,38 +27,33 @@ def oracle_brute_partition(x: DataVector, eps2: float) -> tuple[Partition, float
     n = x.n
     if n > BRUTE_FORCE_MAX_N:
         raise ParameterError(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {n}")
-    cost_of: dict[tuple[int, int], float] = {}
 
+    @cache
     def cached_cost(lo: int, hi: int) -> float:
-        key = (lo, hi)
-        if key not in cost_of:
-            cost_of[key] = bucket_cost(x, Interval(lo, hi), eps2)
-        return cost_of[key]
+        return bucket_cost(x, Interval(lo, hi), eps2)
 
     best_cost = np.inf
-    best: "tuple[Interval, ...] | None" = None
+    best: "list[int] | None" = None
     for mask in range(1 << (n - 1)):
         total = 0.0
-        buckets = []
+        his = []
         lo = 1
         for j in range(1, n + 1):
             if j == n or (mask >> (j - 1)) & 1:
                 total += cached_cost(lo, j)
-                buckets.append(Interval(lo, j))
+                his.append(j)
                 lo = j + 1
         if total < best_cost:
             best_cost = total
-            best = tuple(buckets)
-    return Partition(best), float(best_cost)
+            best = his
+    return Partition(np.array(best)), float(best_cost)
 
 
 def dense_transform(W: Workload, partition: Partition) -> np.ndarray:
     """The m-by-k rewritten workload: per query and bucket, the covered
     length over the bucket length."""
-    q_lo = np.array([q.lo for q in W.queries])[:, None]
-    q_hi = np.array([q.hi for q in W.queries])[:, None]
-    b_lo = np.array([b.lo for b in partition.buckets])
-    b_hi = np.array([b.hi for b in partition.buckets])
+    q_lo, q_hi = W.los[:, None], W.his[:, None]
+    b_lo, b_hi = partition.los, partition.his
     covered = np.maximum(np.minimum(q_hi, b_hi) - np.maximum(q_lo, b_lo) + 1, 0)
     return covered / (b_hi - b_lo + 1)
 

@@ -13,6 +13,7 @@ candidates ending at each endpoint as one row of it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,6 +137,14 @@ def partition_cost(x: DataVector, buckets: "Partition | list[Interval]", eps2: f
     return total
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform cannot say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        return math.inf
+
+
 class _MergeSortTree:
     """Count and sum of the values in a window that reach a threshold.
 
@@ -196,10 +205,18 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2") -> CostTable:
         )
     lengths = np.asarray(candidate_lengths(n, mode), dtype=np.int64)
     sizes = n - lengths + 1
+    candidates = int(sizes.sum())
+    # at its peak stage 1 holds the costs, their noise and the noisy costs
+    need, have = 3 * 8 * candidates, _physical_memory()
+    if need > have:
+        raise ParameterError(
+            f"stage 1 needs about {need / 2**30:.1f} GiB for {candidates} candidate buckets "
+            f"(mode {mode!r}, n = {n}) but this machine has {have / 2**30:.1f} GiB"
+        )
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     prefix = np.concatenate(([0], np.cumsum(x.counts)))
     tree = _MergeSortTree(x.counts)
-    costs = np.empty(int(sizes.sum()))
+    costs = np.empty(candidates)
     for at in range(0, costs.size, _CHUNK):
         index = np.arange(at, min(at + _CHUNK, costs.size))
         group = np.searchsorted(offsets, index, side="right") - 1
@@ -263,13 +280,12 @@ def least_cost_partition(table: CostTable, n: int) -> Partition:
             best[j] = c[at]
             pick[j] = at
     pick = lengths[pick].tolist()
-    buckets = []
+    his = []
     j = n
     while j > 0:
-        length = pick[j]
-        buckets.append(Interval(j - length + 1, j))
-        j -= length
-    return Partition(tuple(reversed(buckets)))
+        his.append(j)
+        j -= pick[j]
+    return Partition(np.array(his[::-1]))
 
 
 def exact_partition(x: DataVector, eps2: float, mode: str = "pow2") -> Partition:

@@ -15,7 +15,6 @@ from .core import (
     DataVector,
     DimensionError,
     EstimateVector,
-    Interval,
     ParameterError,
     PrivacyBudget,
     RngStream,
@@ -202,11 +201,8 @@ class RectangleQuery:
         return cls(xlo=xlo, xhi=xhi, ylo=ylo, yhi=yhi, box=(x0, x1, y0, y1))
 
 
-def rectangle_to_ranges(rect: RectangleQuery, map_: HilbertMap) -> list[Interval]:
-    """Maximal runs of consecutive curve indices covering the rectangle's cells.
-
-    Intervals are 1-based over the linearized domain.
-    """
+def _cell_indices(rect: RectangleQuery, map_: HilbertMap) -> np.ndarray:
+    """0-based curve positions of the rectangle's cells, indexed [x, y]."""
     if rect.xhi >= map_.side or rect.yhi >= map_.side:
         raise ParameterError(f"rectangle {rect} outside {map_.side}x{map_.side} grid")
     cx, cy = np.meshgrid(
@@ -214,24 +210,34 @@ def rectangle_to_ranges(rect: RectangleQuery, map_: HilbertMap) -> list[Interval
         np.arange(rect.ylo, rect.yhi + 1, dtype=np.int64),
         indexing="ij",
     )
-    d = np.sort(_xy_to_d(map_.g, cx.ravel(), cy.ravel()))
+    return _xy_to_d(map_.g, cx.ravel(), cy.ravel()).reshape(cx.shape)
+
+
+def rectangle_to_ranges(rect: RectangleQuery, map_: HilbertMap) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of consecutive curve indices covering the rectangle's cells.
+
+    Returns the runs' int64 (los, his), 1-based over the linearized domain
+    and in curve order.
+    """
+    d = np.sort(_cell_indices(rect, map_).ravel())
     breaks = np.nonzero(np.diff(d) > 1)[0]
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks, [d.size - 1]))
-    return [Interval(int(d[s]) + 1, int(d[e]) + 1) for s, e in zip(starts, ends)]
+    return d[starts] + 1, d[ends] + 1
 
 
 def rectangles_to_workload(rects: "list[RectangleQuery]", map_: HilbertMap) -> Workload:
     """1D workload serving every rectangle: all runs of all rectangles."""
-    queries = []
-    for rect in rects:
-        queries.extend(rectangle_to_ranges(rect, map_))
-    return Workload(tuple(queries))
+    if not rects:
+        raise ParameterError("need at least one rectangle")
+    los, his = zip(*(rectangle_to_ranges(rect, map_) for rect in rects))
+    return Workload(np.concatenate(los), np.concatenate(his))
 
 
 def _axis_weights(lo_cell: int, hi_cell: int, u0: float, u1: float) -> np.ndarray:
+    # a box clamped from outside the grid has u1 < u0; it covers nothing
     cells = np.arange(lo_cell, hi_cell + 1, dtype=np.float64)
-    return np.minimum(u1, cells + 1.0) - np.maximum(u0, cells)
+    return np.maximum(np.minimum(u1, cells + 1.0) - np.maximum(u0, cells), 0.0)
 
 
 def answer_rectangle(
@@ -247,14 +253,7 @@ def answer_rectangle(
     """
     if xhat.n != map_.domain_size:
         raise DimensionError(f"estimate has {xhat.n} entries, curve domain is {map_.domain_size}")
-    if rect.xhi >= map_.side or rect.yhi >= map_.side:
-        raise ParameterError(f"rectangle {rect} outside {map_.side}x{map_.side} grid")
-    cx, cy = np.meshgrid(
-        np.arange(rect.xlo, rect.xhi + 1, dtype=np.int64),
-        np.arange(rect.ylo, rect.yhi + 1, dtype=np.int64),
-        indexing="ij",
-    )
-    values = xhat.values[_xy_to_d(map_.g, cx.ravel(), cy.ravel())].reshape(cx.shape)
+    values = xhat.values[_cell_indices(rect, map_)]
     if rect.box is None:
         return float(values.sum())
     x0, x1, y0, y1 = rect.box

@@ -33,10 +33,10 @@ class TransformedWorkload:
 def transform_workload(W: Workload, partition: Partition) -> TransformedWorkload:
     """End buckets of every query from two `searchsorted` calls over the
     bucket bounds, and the covered fraction of each end bucket."""
-    if W.max_hi() > partition.n:
-        raise DimensionError(f"workload reaches {W.max_hi()} but partition covers [1, {partition.n}]")
-    q_lo, q_hi = W.bounds_arrays()
-    b_lo, b_hi = partition.bounds_arrays()
+    q_lo, q_hi = W.los, W.his
+    b_lo, b_hi = partition.los, partition.his
+    if q_hi.max() > partition.n:
+        raise DimensionError(f"workload reaches {q_hi.max()} but partition covers [1, {partition.n}]")
     first, last = np.searchsorted(b_hi, q_lo), np.searchsorted(b_lo, q_hi, side="right") - 1
     first_frac, last_frac = (
         (np.minimum(q_hi, b_hi[end]) - np.maximum(q_lo, b_lo[end]) + 1) / (b_hi[end] - b_lo[end] + 1)

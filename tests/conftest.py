@@ -19,7 +19,7 @@ def example_x():
 @pytest.fixture
 def example_partition():
     """Four-bucket grouping of example_x with known costs and counts."""
-    return Partition((Interval(1, 2), Interval(3, 3), Interval(4, 7), Interval(8, 10)))
+    return Partition(np.array([2, 3, 7, 10]))
 
 
 @pytest.fixture
@@ -41,4 +41,4 @@ def single_query():
 
 @pytest.fixture
 def tiny_workload(single_query):
-    return Workload((single_query, Interval(1, 10), Interval(4, 4)))
+    return Workload(np.array([single_query.lo, 1, 4]), np.array([single_query.hi, 10, 4]))

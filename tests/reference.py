@@ -1,12 +1,12 @@
 """Scalar references for the array-native passes: the least-cost dynamic
-program and the level-batched greedy scaling; and the two-branch Laplace
-sampler that the one-log form replaced."""
+program, the level-batched greedy scaling and the workload generators; and
+the two-branch Laplace sampler that the one-log form replaced."""
 
 import math
 
 import numpy as np
 
-from dawa.core import Interval, ParameterError, Partition
+from dawa.core import ParameterError, Partition, RngStream
 from dawa.estimation import _search_lambda, decay_factor
 
 
@@ -36,13 +36,12 @@ def reference_least_cost_partition(table, n):
                 pj = length
         best[j] = bj
         pick[j] = pj
-    buckets = []
+    his = []
     j = n
     while j > 0:
-        length = pick[j]
-        buckets.append(Interval(j - length + 1, j))
-        j -= length
-    return Partition(tuple(reversed(buckets)))
+        his.append(j)
+        j -= pick[j]
+    return Partition(np.array(his[::-1]))
 
 
 def rows_of(What):
@@ -127,3 +126,27 @@ def reference_laplace_sample(scale, rng, size):
     of 2u below one half and of 2(1 - u) above it."""
     u = rng.uniform_open(size)
     return np.where(u < 0.5, scale * np.log(2.0 * u), -scale * np.log(2.0 * (1.0 - u)))
+
+
+def reference_gen_workload(kind, n, seed, num_queries=2000, num_clusters=5,
+                           queries_per_cluster=400, sigma=None):
+    """(lo, hi) pairs of a uniform or clustered workload, one query at a
+    time: clustered ends are rounded, clamped to the domain and swapped if
+    they cross."""
+    gen = RngStream(seed).generator
+    if kind == "uniform":
+        ends = gen.integers(1, n + 1, size=(num_queries, 2))
+        return [(int(min(a, b)), int(max(a, b))) for a, b in ends]
+    if sigma is None:
+        sigma = 256.0 if kind == "clustered" else 1024.0
+    centers = gen.uniform(1.0, float(n), size=num_clusters)
+    half = np.abs(gen.normal(0.0, sigma, size=(num_clusters, queries_per_cluster, 2)))
+    queries = []
+    for c, widths in zip(centers, half):
+        lo = np.clip(np.rint(c - widths[:, 0]), 1, n).astype(np.int64)
+        hi = np.clip(np.rint(c + widths[:, 1]), 1, n).astype(np.int64)
+        for a, b in zip(lo, hi):
+            if a > b:
+                a, b = b, a
+            queries.append((int(a), int(b)))
+    return queries

@@ -7,6 +7,12 @@ from dawa.core import DataVector, Interval, Partition, Workload
 from dawa.transform import transform_workload
 
 
+def workload_of(queries):
+    """Workload of the given intervals, in order."""
+    qs = list(queries)
+    return Workload(np.array([q.lo for q in qs]), np.array([q.hi for q in qs]))
+
+
 @st.composite
 def data_vectors(draw, min_n=1, max_n=32, max_count=20):
     n = draw(st.integers(min_n, max_n))
@@ -27,19 +33,13 @@ def intervals_for(draw, n):
 def partitions_of(draw, n):
     # choose cut positions after each index; always a contiguous cover
     cuts = draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set()
-    edges = sorted(cuts) + [n]
-    buckets, lo = [], 1
-    for hi in edges:
-        buckets.append(Interval(lo, hi))
-        lo = hi + 1
-    return Partition(tuple(buckets))
+    return Partition(np.array(sorted(cuts) + [n]))
 
 
 @st.composite
 def workloads_over(draw, n, max_m=12):
     m = draw(st.integers(1, max_m))
-    qs = tuple(draw(intervals_for(n)) for _ in range(m))
-    return Workload(qs)
+    return workload_of(draw(intervals_for(n)) for _ in range(m))
 
 
 @st.composite
@@ -64,11 +64,11 @@ def random_transformed_workload(rng, k, m):
     domain of k to 4k positions; about half the queries are short runs."""
     n = int(rng.integers(k, 4 * k + 1))
     cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)).tolist() if k > 1 else []
-    edges = [0] + cuts + [n]
-    part = Partition(tuple(Interval(a + 1, b) for a, b in zip(edges, edges[1:])))
-    qs = []
+    part = Partition(np.array(cuts + [n]))
+    los, his = [], []
     for _ in range(m):
         lo = int(rng.integers(1, n + 1))
         hi = int(rng.integers(lo, n + 1)) if rng.uniform() < 0.5 else min(n, lo + int(rng.geometric(0.3)) - 1)
-        qs.append(Interval(lo, hi))
-    return transform_workload(Workload(tuple(qs)), part)
+        los.append(lo)
+        his.append(hi)
+    return transform_workload(Workload(np.array(los), np.array(his)), part)

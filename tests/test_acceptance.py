@@ -65,7 +65,7 @@ from .reference import node_by_node_greedy, rows_of, undo_root_discount
 from .strategies import random_transformed_workload
 
 EXAMPLE_COUNTS = [2, 3, 8, 1, 0, 2, 0, 4, 2, 4]
-EXAMPLE_BUCKETS = (Interval(1, 2), Interval(3, 3), Interval(4, 7), Interval(8, 10))
+EXAMPLE_BUCKET_ENDS = [2, 3, 7, 10]
 
 
 def _ok(line: str) -> None:
@@ -73,23 +73,22 @@ def _ok(line: str) -> None:
 
 
 def _example() -> tuple[DataVector, Partition]:
-    return DataVector(EXAMPLE_COUNTS), Partition(EXAMPLE_BUCKETS)
+    return DataVector(EXAMPLE_COUNTS), Partition(EXAMPLE_BUCKET_ENDS)
 
 
 def _random_partition(rng, n: int) -> Partition:
     k = int(rng.integers(1, n + 1))
     cuts = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False)) if k > 1 else []
-    edges = [0] + [int(c) for c in cuts] + [n]
-    return Partition(tuple(Interval(a + 1, b) for a, b in zip(edges, edges[1:])))
+    return Partition(np.array([int(c) for c in cuts] + [n]))
 
 
 def _random_workload(rng, n: int, m: int) -> Workload:
-    qs = []
+    los, his = [], []
     for _ in range(m):
         lo = int(rng.integers(1, n + 1))
-        hi = int(rng.integers(lo, n + 1))
-        qs.append(Interval(lo, hi))
-    return Workload(tuple(qs))
+        los.append(lo)
+        his.append(int(rng.integers(lo, n + 1)))
+    return Workload(np.array(los), np.array(his))
 
 
 def test_a01_dynamic_program_matches_brute_force():
@@ -192,7 +191,7 @@ def test_a04_bucket_transform_is_exact():
     assert worst <= 1e-9
 
     _, part = _example()
-    What = transform_workload(Workload((Interval(2, 6),)), part)
+    What = transform_workload(Workload([2], [6]), part)
     assert (What.first.tolist(), What.last.tolist()) == ([0], [2])
     assert (What.first_frac.tolist(), What.last_frac.tolist()) == ([0.5], [0.75])
     assert np.array_equal(dense_transform(What.source, part), [[0.5, 1.0, 0.75, 0.0]])
@@ -253,7 +252,7 @@ def test_a05_fast_objective_and_implicit_inverse():
 def test_a06_identity_workload_keeps_leaf_allocation():
     for k in range(1, 65):
         part = Partition.unit(k)
-        tree = greedy_scale(transform_workload(Workload(part.buckets), part), build_query_tree(k, 2))
+        tree = greedy_scale(transform_workload(Workload(part.los, part.his), part), build_query_tree(k, 2))
         internal = tree.num_nodes() - k
         assert tree.scalings.tolist() == [0.0] * internal + [1.0] * k
     _ok("greedy scaling leaves identity workloads on the leaf-only allocation, k = 1..64")
@@ -268,8 +267,10 @@ def test_a07_leaf_cover_sums_bounded():
         What = random_transformed_workload(rng, k, int(rng.integers(1, 13)))
         if trial % 3 == 0:
             # single buckets only: sparse rows
-            qs = [b for b in What.partition if rng.uniform() < 0.4] or [What.partition.buckets[0]]
-            What = transform_workload(Workload(tuple(qs)), What.partition)
+            keep = rng.uniform(size=k) < 0.4
+            keep[0] |= not keep.any()
+            What = transform_workload(Workload(What.partition.los[keep], What.partition.his[keep]),
+                                      What.partition)
         tree = greedy_scale(What, build_query_tree(k, t))
         worst = max(worst, float(leaf_cover_sums(tree).max()))
     assert worst <= 1.0 + 1e-9
@@ -278,7 +279,7 @@ def test_a07_leaf_cover_sums_bounded():
 
 def test_a08_ols_recovery_and_unbiasedness():
     ex, part = _example()
-    W = Workload((Interval(1, 10), Interval(2, 6), Interval(4, 4), Interval(5, 9)))
+    W = Workload([1, 2, 4, 5], [10, 6, 4, 9])
     true_counts = np.array([5.0, 8.0, 3.0, 10.0])
 
     # effectively noise-free budget recovers the bucket counts
@@ -464,8 +465,8 @@ def test_a14_curve_layout_and_rectangles():
         ylo = int(rng.integers(0, m.side))
         yhi = int(rng.integers(ylo, m.side))
         rect = RectangleQuery(xlo, xhi, ylo, yhi)
-        got = [(iv.lo, iv.hi) for iv in rectangle_to_ranges(rect, m)]
-        assert got == brute_runs(rect, m)
+        los, his = rectangle_to_ranges(rect, m)
+        assert list(zip(los.tolist(), his.tolist())) == brute_runs(rect, m)
 
     # cell-aligned rectangles are answered with no approximation at all
     g = 4

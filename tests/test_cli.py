@@ -1,6 +1,7 @@
 """Command-line entry points, exercised in-process through main(argv)."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,38 @@ class TestPartitionCmd:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_stage1_too_large_is_refused_before_allocating(self, tmp_path, monkeypatch, capsys):
+        # n = 16384 in mode all has 134,225,920 candidates: 3.0 GiB for the
+        # costs, their noise and the noisy costs, against 1 GiB of memory
+        p = tmp_path / "x.txt"
+        p.write_text("1\n" * 16384)
+        monkeypatch.setattr("dawa.partition._physical_memory", lambda: 2.0**30)
+        tracemalloc.start()
+        try:
+            rc = main(["partition", "--data", str(p), "--eps1", "0.25", "--eps2", "0.75",
+                       "--mode", "all"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "dawa: error: stage 1 needs about 3.0 GiB for 134225920 candidate buckets "
+            "(mode 'all', n = 16384) but this machine has 1.0 GiB\n"
+        )
+        assert captured.out == ""
+        assert peak < 16 * 2**20
+
+    def test_stage1_that_fits_runs(self, monkeypatch, capsys, tmp_path):
+        # n = 1024 in mode all needs 12.6 MB
+        p = tmp_path / "x.txt"
+        p.write_text("1\n" * 1024)
+        monkeypatch.setattr("dawa.partition._physical_memory", lambda: 2.0**30)
+        rc = main(["partition", "--data", str(p), "--eps1", "0.25", "--eps2", "0.75",
+                   "--mode", "all"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("lo,hi\n1,")
+
 
 class TestRunCmd:
     def test_end_to_end(self, tmp_path, capsys):
@@ -188,6 +221,17 @@ class TestSpatialCmd:
         # which floors the recovery error near 1e-4 regardless of budget
         assert float(lines[1].rsplit(",", 1)[1]) == pytest.approx(2.0, abs=1e-2)
 
+
+    def test_box_outside_grid_reads_zero(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n0.5,0.5\n1.5,2.5\n3.2,3.9\n")
+        rects = tmp_path / "rects.csv"
+        rects.write_text("xlo,xhi,ylo,yhi\n5.0,6.0,1.0,2.0\n-3.0,-1.0,1.0,2.0\n0.0,4.0,0.0,4.0\n")
+        rc = main(["spatial", "--points", str(pts), "--rects", str(rects),
+                   "--g", "2", "--epsilon", "1.0", "--seed", "1", "--box", "0", "4", "0", "4"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [ln.rsplit(",", 1)[1] for ln in lines[1:3]] == ["0.0", "0.0"]
 
     def test_header_with_spaces(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"

@@ -25,18 +25,16 @@ from dawa.core import (
     derive_seed,
     evaluate_query,
     evaluate_workload,
-    is_contiguous_cover,
     laplace_sample,
     read_data_file,
     read_workload_file,
     uniform_expand,
-    validate_partition,
     write_data_file,
     write_workload_file,
 )
 
 from .reference import reference_laplace_sample
-from .strategies import data_vectors, data_with_workload, intervals_for
+from .strategies import data_vectors, data_with_workload
 
 
 class TestInterval:
@@ -55,13 +53,6 @@ class TestInterval:
         with pytest.raises(InvalidIntervalError):
             Interval(lo, hi)
 
-    def test_overlap(self):
-        a = Interval(2, 6)
-        assert a.overlap(Interval(1, 2)) == 1
-        assert a.overlap(Interval(4, 7)) == 3
-        assert a.overlap(Interval(8, 10)) == 0
-        assert a.overlap(Interval(2, 6)) == 5
-
     def test_numpy_integer_endpoints_stored_as_int(self):
         q = Interval(np.int64(1), np.int32(3))
         assert type(q.lo) is int and type(q.hi) is int
@@ -73,11 +64,6 @@ class TestInterval:
     def test_non_integer_endpoints_rejected(self, lo):
         with pytest.raises(InvalidIntervalError):
             Interval(lo, 3)
-
-    @given(intervals_for(20), intervals_for(20))
-    def test_overlap_symmetric(self, a, b):
-        assert a.overlap(b) == b.overlap(a)
-        assert 0 <= a.overlap(b) <= min(a.length, b.length)
 
 
 class TestDataVector:
@@ -126,82 +112,158 @@ class TestPartition:
         p = Partition.unit(4)
         assert p.k == 4
         assert p.lengths().tolist() == [1, 1, 1, 1]
+        assert p.his.tolist() == p.los.tolist() == [1, 2, 3, 4]
 
     def test_single(self):
         p = Partition.single(7)
         assert p.k == 1
-        assert p.buckets[0] == Interval(1, 7)
+        assert list(p) == [Interval(1, 7)]
 
     def test_example_is_valid(self, example_partition):
         assert example_partition.n == 10
-        assert example_partition.k == 4
-        assert validate_partition(example_partition, 10)
+        assert example_partition.k == len(example_partition) == 4
 
-    def test_cover_predicate(self, example_partition):
-        assert is_contiguous_cover(example_partition.buckets)
-        assert validate_partition(example_partition, 10)
-        assert not validate_partition(example_partition, 11)
+    def test_bounds_arrays(self, example_partition):
+        assert example_partition.his.dtype == example_partition.los.dtype == np.int64
+        assert example_partition.los.tolist() == [1, 3, 4, 8]
+        assert example_partition.his.tolist() == [2, 3, 7, 10]
+        assert example_partition.lengths().tolist() == [2, 1, 4, 3]
+
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=12))
+    def test_cover_predicate(self, lengths):
+        # any run of positive lengths is a cover; a step that is not
+        # positive anywhere is refused, naming that bucket
+        his = np.cumsum(lengths)
+        p = Partition(his)
+        assert p.lengths().tolist() == lengths and p.n == sum(lengths)
+        for i in range(len(lengths)):
+            bad = his.copy()
+            bad[i] = bad[i - 1] if i else 0
+            with pytest.raises(InvalidPartitionError, match=f"bucket {i} "):
+                Partition(bad)
 
     @pytest.mark.parametrize(
         "buckets",
         [
-            (Interval(2, 5), Interval(6, 10)),           # misses position 1
-            (Interval(1, 4), Interval(6, 10)),           # gap at 5
-            (Interval(1, 5), Interval(5, 10)),           # overlap at 5
+            [0, 10],        # misses position 1
+            [5, 5, 10],     # empty bucket
+            [6, 4, 10],     # overlaps the bucket before
         ],
     )
     def test_invalid_covers(self, buckets):
         with pytest.raises(InvalidPartitionError):
-            Partition(buckets)
-        assert not is_contiguous_cover(buckets)
+            Partition(np.array(buckets))
 
-    def test_out_of_order_buckets_sorted(self):
-        p = Partition((Interval(6, 10), Interval(1, 5)))
-        assert p.buckets == (Interval(1, 5), Interval(6, 10))
+    def test_iterates_intervals(self, example_partition):
+        assert list(example_partition) == [Interval(1, 2), Interval(3, 3), Interval(4, 7), Interval(8, 10)]
+        assert all(type(b.lo) is int and type(b.hi) is int for b in example_partition)
 
-    def test_unsorted_sequence_validates(self):
-        buckets = (Interval(6, 10), Interval(1, 5))
-        assert is_contiguous_cover(buckets)
-        assert validate_partition(buckets, 10)
-        assert not validate_partition(buckets, 5)
-        assert not validate_partition((), 0)
+    @pytest.mark.parametrize(
+        "his, fragment",
+        [
+            ([5, 10, 10], "bucket 2 ends at 10, not after the previous end 10"),
+            ([6, 4, 10], "bucket 1 ends at 4, not after the previous end 6"),
+            ([-3, 10], "bucket 0 ends at -3, not after the previous end 0"),
+            ([2, np.iinfo(np.int64).min], "bucket 1 ends at"),                  # a wrapping step
+            (np.array([2, 2**63], dtype=np.uint64), "bucket 1 ends at 9223372036854775808, not after"),
+            (np.array([2**63, 2**63 + 1], dtype=np.uint64), "bucket 0 ends at 9223372036854775808"),
+            ([], "bucket ends must be non-empty, 1-d int64 integers"),
+            ([[1, 2]], "bucket ends must be non-empty, 1-d int64 integers"),
+            (np.array([1.0, 2.0]), "bucket ends must be non-empty, 1-d int64 integers"),
+            ([1, 2**70], "bucket ends must be non-empty, 1-d int64 integers"),
+            (np.array([True]), "bucket ends must be non-empty, 1-d int64 integers"),
+        ],
+    )
+    def test_invalid_ends_name_first_bad_bucket(self, his, fragment):
+        with pytest.raises(InvalidPartitionError, match=re.escape(fragment)):
+            Partition(his)
 
-    def test_buckets_sorted_once(self, monkeypatch):
-        # already sorted input costs one comparison per adjacent pair
-        calls = []
-        less = Interval.__lt__
-        monkeypatch.setattr(Interval, "__lt__", lambda a, b: calls.append(1) or less(a, b))
-        Partition(tuple(Interval(j, j) for j in range(1, 101)))
-        assert len(calls) == 99
+    def test_stores_read_only_copy(self):
+        his = np.array([3, 5, 9])
+        p = Partition(his)
+        assert his.flags.writeable
+        his[0] = 1
+        assert p.his.tolist() == [3, 5, 9]
+        with pytest.raises(ValueError):
+            p.his[0] = 2
+        frozen = np.array([4, 8])
+        frozen.setflags(write=False)
+        assert Partition(frozen).n == 8 and not frozen.flags.writeable
+
+    def test_bucket_totals(self, example_x, example_partition, example_counts):
+        got = example_partition.bucket_totals(example_x.counts)
+        assert got.dtype == np.float64
+        assert got.tolist() == example_counts.tolist()
+        with pytest.raises(DimensionError):
+            example_partition.bucket_totals(example_x.counts[:9])
+
+    @given(st.integers(1, 40), st.data())
+    def test_bucket_totals_match_slices(self, n, data):
+        counts = np.array(data.draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)))
+        cuts = data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set()
+        p = Partition(np.array(sorted(cuts) + [n]))
+        want = [float(counts[b.lo - 1 : b.hi].sum()) for b in p]
+        assert p.bucket_totals(counts).tolist() == want
 
     def test_short_cover_fails_for_larger_n(self):
-        p = Partition((Interval(1, 5), Interval(6, 9)))
-        assert validate_partition(p, 9)
-        assert not validate_partition(p, 10)
+        p = Partition([5, 9])
+        assert p.n == 9
+        with pytest.raises(DimensionError):
+            uniform_expand(Histogram(p, np.zeros(2)), 10)
 
-    def test_bounds_arrays(self, example_partition):
-        los, his = example_partition.bounds_arrays()
-        assert los.dtype == his.dtype == np.int64
-        assert los.tolist() == [1, 3, 4, 8]
-        assert his.tolist() == [2, 3, 7, 10]
-
-    def test_validate_partition_wrong_n(self, example_partition):
-        assert not validate_partition(example_partition, 12)
+    def test_validate_partition_wrong_n(self, example_partition, example_x):
+        # a partition of [1, 10] is refused wherever [1, 12] is needed
+        with pytest.raises(DimensionError):
+            uniform_expand(Histogram(example_partition, np.zeros(4)), 12)
+        with pytest.raises(DimensionError):
+            example_partition.bucket_totals(np.zeros(12, dtype=np.int64))
 
 
 class TestWorkload:
     def test_basic(self, tiny_workload):
-        assert tiny_workload.m == 3
-        assert tiny_workload.max_hi() == 10
+        assert tiny_workload.m == len(tiny_workload) == 3
+        assert int(tiny_workload.his.max()) == 10
 
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):
-            Workload(())
+            Workload([], [])
+
+    @pytest.mark.parametrize("los, his", [([1, 2], [3]), ([[1]], [[2]]), (1, 2)])
+    def test_rejects_bad_shapes(self, los, his):
+        with pytest.raises(ParameterError):
+            Workload(los, his)
+
+    @pytest.mark.parametrize(
+        "los, his, fragment",
+        [
+            ([1, 0], [3, 3], "query 1: need 1 <= lo <= hi <= 2**63 - 1, got [0, 3]"),
+            ([2, 5, 4], [6, 7, 3], "query 2: need 1 <= lo <= hi <= 2**63 - 1, got [4, 3]"),
+            ([-1], [2], "query 0: need 1 <= lo <= hi <= 2**63 - 1, got [-1, 2]"),
+            (np.array([1.0]), np.array([3.0]), "endpoints must be int64 integers, got dtypes float64, float64"),
+            ([1, 2], np.array([4, 2**63], dtype=np.uint64),
+             "query 1: need 1 <= lo <= hi <= 2**63 - 1, got [2, 9223372036854775808]"),
+            (np.array([2**63], dtype=np.uint64), [1], "query 0: need 1 <= lo <= hi <= 2**63 - 1"),
+            ([1, 2**70], [3, 2**70], "endpoints must be int64 integers, got dtypes object, object"),
+        ],
+    )
+    def test_invalid_queries(self, los, his, fragment):
+        with pytest.raises(InvalidIntervalError, match=re.escape(fragment)):
+            Workload(los, his)
 
     def test_bounds_arrays(self, tiny_workload):
-        los, his = tiny_workload.bounds_arrays()
-        assert los.tolist() == [2, 1, 4]
-        assert his.tolist() == [6, 10, 4]
+        assert tiny_workload.los.dtype == tiny_workload.his.dtype == np.int64
+        assert tiny_workload.los.tolist() == [2, 1, 4]
+        assert tiny_workload.his.tolist() == [6, 10, 4]
+        assert list(tiny_workload) == [Interval(2, 6), Interval(1, 10), Interval(4, 4)]
+
+    def test_stores_read_only_copies(self):
+        los, his = np.array([1, 2]), np.array([3, 4])
+        W = Workload(los, his)
+        los[0] = 2
+        assert W.los.tolist() == [1, 2]
+        assert los.flags.writeable and his.flags.writeable
+        with pytest.raises(ValueError):
+            W.his[0] = 9
 
 
 class TestPrivacyBudget:
@@ -358,14 +420,14 @@ class TestEvaluation:
 
     def test_workload_matches_rowwise(self, example_x, tiny_workload):
         got = evaluate_workload(tiny_workload, example_x)
-        want = [evaluate_query(q, example_x) for q in tiny_workload.queries]
+        want = [evaluate_query(q, example_x) for q in tiny_workload]
         assert got.tolist() == want
 
     @given(data_with_workload(max_n=24))
     def test_workload_rowwise_property(self, xw):
         x, W = xw
         got = evaluate_workload(W, x)
-        want = np.array([evaluate_query(q, x) for q in W.queries])
+        want = np.array([evaluate_query(q, x) for q in W])
         assert np.array_equal(got, want)
 
     def test_estimate_vector_input(self, single_query):
@@ -417,7 +479,7 @@ class TestUniformExpand:
 
 class TestAverageError:
     def test_manual(self, example_x):
-        W = Workload((Interval(1, 2), Interval(3, 10)))
+        W = Workload([1, 3], [2, 10])
         xhat = EstimateVector(example_x.counts.astype(float) + 1.0)
         # absolute errors are 2 and 8; mean 5
         assert average_workload_error(W, example_x, xhat) == pytest.approx(5.0)
@@ -442,7 +504,7 @@ class TestFileFormats:
         p = tmp_path / "w.csv"
         write_workload_file(p, tiny_workload)
         back = read_workload_file(p)
-        assert back.queries == tiny_workload.queries
+        assert np.array_equal(back.los, tiny_workload.los) and np.array_equal(back.his, tiny_workload.his)
 
     def test_data_file_format(self, tmp_path):
         p = tmp_path / "x.txt"
@@ -453,7 +515,7 @@ class TestFileFormats:
         p = tmp_path / "w.csv"
         p.write_text("lo,hi\n1,5\n2,2\n")
         W = read_workload_file(p)
-        assert W.queries == (Interval(1, 5), Interval(2, 2))
+        assert (W.los.tolist(), W.his.tolist()) == ([1, 2], [5, 2])
 
     @pytest.mark.parametrize("body, fragment", [
         ("1,5\n2\n", ":3: expected 2 fields, got 1"),
@@ -466,10 +528,16 @@ class TestFileFormats:
         with pytest.raises(ParameterError, match=re.escape(str(p) + fragment)):
             read_workload_file(p)
 
+    def test_bad_query_in_file_is_refused(self, tmp_path):
+        p = tmp_path / "w.csv"
+        p.write_text("lo,hi\n1,5\n4,2\n")
+        with pytest.raises(InvalidIntervalError, match=re.escape("query 1: need 1 <= lo <= hi <= 2**63 - 1, got [4, 2]")):
+            read_workload_file(p)
+
     def test_workload_header_with_spaces(self, tmp_path):
         p = tmp_path / "w.csv"
         p.write_text("lo, hi\n1, 5\n\n2 ,2\n")
-        assert read_workload_file(p).queries == (Interval(1, 5), Interval(2, 2))
+        assert list(read_workload_file(p)) == [Interval(1, 5), Interval(2, 2)]
 
     def test_bad_data_file(self, tmp_path):
         p = tmp_path / "x.txt"

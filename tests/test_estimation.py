@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dawa.core import (
     DataVector,
     DimensionError,
-    Interval,
     ParameterError,
     Partition,
     RngStream,
@@ -42,7 +41,7 @@ from dawa.oracles import (
 from dawa.transform import transform_workload
 
 from .reference import node_by_node_greedy, undo_root_discount
-from .strategies import partitions_of, random_transformed_workload, workloads_over
+from .strategies import partitions_of, random_transformed_workload, workload_of, workloads_over
 
 
 def dense(What):
@@ -53,12 +52,12 @@ def dense(What):
 def identity_workload(k):
     """Every bucket of the unit partition of [1, k] as its own query."""
     part = Partition.unit(k)
-    return transform_workload(Workload(part.buckets), part)
+    return transform_workload(workload_of(part), part)
 
 
 def whole_domain_workload(k):
     """The one query [1, k] over the unit partition."""
-    return transform_workload(Workload((Interval(1, k),)), Partition.unit(k))
+    return transform_workload(Workload([1], [k]), Partition.unit(k))
 
 
 def scaled_identity_tree(k, t=2):
@@ -309,15 +308,15 @@ class TestGreedyScale:
             What = random_transformed_workload(rng, k, int(rng.integers(1, 12)))
             if trial % 4 == 1:
                 # single buckets only, over random partitions
-                qs = [Interval(b.lo, b.hi) for b in What.partition if rng.uniform() < 0.3]
-                What = transform_workload(Workload(tuple(qs) or What.partition.buckets[:1]), What.partition)
+                qs = [b for b in What.partition if rng.uniform() < 0.3]
+                What = transform_workload(workload_of(qs or list(What.partition)[:1]), What.partition)
             elif trial % 4 == 2:
                 What = whole_domain_workload(k)
             elif k > 1:
                 # the intervals of the top three levels give weight below the root
                 los, his = build_query_tree(k, t).bounds()
-                qs = [Interval(lo, hi) for lo, hi in zip(los[:1 + t + t * t].tolist(), his.tolist())]
-                What = transform_workload(Workload(tuple(qs)), Partition.unit(k))
+                top = slice(0, 1 + t + t * t)
+                What = transform_workload(Workload(los[top], his[top]), Partition.unit(k))
             got = greedy_scale(What, build_query_tree(k, t))
             want = build_query_tree(k, t)
             node_by_node_greedy(dense(What), want)
@@ -425,7 +424,7 @@ class TestOls:
         # the leaves are measured at scalings near 4e-6; the tree solve must
         # still recover the data at a noise-free budget
         x = DataVector([3, 1, 4, 1, 5, 9, 2, 6])
-        W = Workload((Interval(1, 8),))
+        W = Workload([1], [8])
         tree = greedy_scale(transform_workload(W, Partition.unit(8)), build_query_tree(8, 2))
         assert tree.scalings[0] > 1.0 - 1e-5
         assert tree.scalings[-8:].max() < 1e-5
@@ -538,15 +537,12 @@ class TestImageNorms:
         # the queries start and end in one bucket, cover whole nodes of
         # each level, and end part-way into buckets of the random partition
         rng = np.random.default_rng(47)
-        qs = (Interval(3, 3), Interval(4, 4), Interval(1, 7), Interval(1, 4), Interval(5, 7),
-              Interval(2, 6), Interval(7, 7), Interval(3, 4))
+        W = Workload([3, 4, 1, 1, 5, 2, 7, 3], [3, 4, 7, 4, 7, 6, 7, 4])
         for t in (2, 3, 4):
             unit = Partition.unit(7)
-            self.check_levels(transform_workload(Workload(qs), unit), t, rng.uniform(0.25, 4.0, 7))
-            part = Partition((Interval(1, 3), Interval(4, 4), Interval(5, 9), Interval(10, 12),
-                              Interval(13, 20), Interval(21, 21), Interval(22, 30)))
-            Wp = Workload((Interval(2, 2), Interval(5, 8), Interval(1, 30), Interval(2, 29),
-                           Interval(6, 21), Interval(21, 21), Interval(3, 14)))
+            self.check_levels(transform_workload(W, unit), t, rng.uniform(0.25, 4.0, 7))
+            part = Partition([3, 4, 9, 12, 20, 21, 30])
+            Wp = Workload([2, 5, 1, 2, 6, 21, 3], [2, 8, 30, 29, 21, 21, 14])
             self.check_levels(transform_workload(Wp, part), t, rng.uniform(0.25, 4.0, 7))
 
 
@@ -556,11 +552,10 @@ class TestComplexitySmoke:
         # would be 580 MB; the per-level arrays are O(m + k)
         rng = np.random.default_rng(48)
         n, k, m = 65536, 36000, 2000
-        edges = [0] + np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)).tolist() + [n]
-        part = Partition(tuple(Interval(a + 1, b) for a, b in zip(edges, edges[1:])))
+        part = Partition(np.append(np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)), n))
         los = rng.integers(1, n + 1, size=m)
         his = rng.integers(los, n + 1)
-        What = transform_workload(Workload(tuple(map(Interval, los.tolist(), his.tolist()))), part)
+        What = transform_workload(Workload(los, his), part)
         tree = build_query_tree(k, 2)
         tracemalloc.start()
         try:

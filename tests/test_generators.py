@@ -6,17 +6,18 @@ import pytest
 from dawa.core import ParameterError
 from dawa.generators import DATA_KINDS, WORKLOAD_KINDS, gen_synthetic_data, gen_workload
 
+from .reference import reference_gen_workload
+
 
 class TestWorkloads:
     def test_identity(self):
         W = gen_workload("identity", 8, seed=0)
-        assert [(q.lo, q.hi) for q in W.queries] == [(j, j) for j in range(1, 9)]
+        assert W.los.tolist() == W.his.tolist() == list(range(1, 9))
 
     def test_uniform_bounds_and_count(self):
         W = gen_workload("uniform", 100, seed=1, num_queries=250)
         assert W.m == 250
-        for q in W.queries:
-            assert 1 <= q.lo <= q.hi <= 100
+        assert W.los.min() >= 1 and np.all(W.los <= W.his) and W.his.max() <= 100
 
     def test_uniform_default_count(self):
         assert gen_workload("uniform", 64, seed=1).m == 2000
@@ -25,21 +26,31 @@ class TestWorkloads:
     def test_clustered_shape(self, kind):
         W = gen_workload(kind, 2048, seed=4, num_clusters=3, queries_per_cluster=50)
         assert W.m == 150
-        for q in W.queries:
-            assert 1 <= q.lo <= q.hi <= 2048
+        assert W.los.min() >= 1 and np.all(W.los <= W.his) and W.his.max() <= 2048
 
     def test_large_variant_asks_wider_queries(self):
         tight = gen_workload("clustered", 4096, seed=7)
         wide = gen_workload("large_clustered", 4096, seed=7)
-        mean_len = lambda W: float(np.mean([q.length for q in W.queries]))
+        mean_len = lambda W: float(np.mean(W.his - W.los + 1))
         assert mean_len(tight) * 2 < mean_len(wide)
 
     def test_deterministic(self):
         a = gen_workload("uniform", 50, seed=9, num_queries=20)
         b = gen_workload("uniform", 50, seed=9, num_queries=20)
-        assert a.queries == b.queries
+        assert np.array_equal(a.los, b.los) and np.array_equal(a.his, b.his)
         c = gen_workload("uniform", 50, seed=10, num_queries=20)
-        assert a.queries != c.queries
+        assert not (np.array_equal(a.los, c.los) and np.array_equal(a.his, c.his))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("uniform", {"num_queries": 300}),
+        ("clustered", {"num_clusters": 4, "queries_per_cluster": 60, "sigma": 40.0}),
+        ("large_clustered", {"num_clusters": 2, "queries_per_cluster": 90}),
+    ])
+    def test_matches_per_query_reference(self, kind, params):
+        for n, seed in ((1, 0), (97, 3), (4096, 8)):
+            W = gen_workload(kind, n, seed, **params)
+            want = reference_gen_workload(kind, n, seed, **params)
+            assert [(q.lo, q.hi) for q in W] == want
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):

@@ -7,7 +7,6 @@ import pytest
 
 from dawa.core import (
     DataVector,
-    Interval,
     ParameterError,
     PrivacyBudget,
     RngStream,

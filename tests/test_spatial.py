@@ -208,15 +208,14 @@ class TestRectangleQuery:
 class TestRectangleToRanges:
     def test_full_grid_is_one_run(self):
         m = HilbertMap(3)
-        runs = rectangle_to_ranges(RectangleQuery(0, 7, 0, 7), m)
-        assert len(runs) == 1
-        assert (runs[0].lo, runs[0].hi) == (1, 64)
+        los, his = rectangle_to_ranges(RectangleQuery(0, 7, 0, 7), m)
+        assert (los.tolist(), his.tolist()) == ([1], [64])
 
     def test_single_cell(self):
         m = HilbertMap(2)
         d = hilbert_index(m, 2, 3)
-        runs = rectangle_to_ranges(RectangleQuery(2, 2, 3, 3), m)
-        assert [(r.lo, r.hi) for r in runs] == [(d + 1, d + 1)]
+        los, his = rectangle_to_ranges(RectangleQuery(2, 2, 3, 3), m)
+        assert (los.tolist(), his.tolist()) == ([d + 1], [d + 1])
 
     @given(st.integers(1, 4), st.data())
     def test_matches_brute_force(self, g, data):
@@ -227,18 +226,17 @@ class TestRectangleToRanges:
         ylo = data.draw(st.integers(0, side - 1))
         yhi = data.draw(st.integers(ylo, side - 1))
         rect = RectangleQuery(xlo, xhi, ylo, yhi)
-        got = [(r.lo, r.hi) for r in rectangle_to_ranges(rect, m)]
-        assert got == brute_ranges(rect, m)
+        los, his = rectangle_to_ranges(rect, m)
+        assert los.dtype == his.dtype == np.int64
+        assert list(zip(los.tolist(), his.tolist())) == brute_ranges(rect, m)
 
     def test_runs_cover_area(self):
         m = HilbertMap(4)
         rect = RectangleQuery(3, 9, 2, 13)
-        runs = rectangle_to_ranges(rect, m)
-        covered = sum(r.length for r in runs)
-        assert covered == 7 * 12
+        los, his = rectangle_to_ranges(rect, m)
+        assert int((his - los + 1).sum()) == 7 * 12
         # disjoint and ascending
-        for a, b in zip(runs, runs[1:]):
-            assert b.lo > a.hi + 1
+        assert np.all(los[1:] > his[:-1] + 1)
 
     def test_translation_soundness_exact(self):
         # summing the linearized counts over a rectangle's runs equals
@@ -254,8 +252,8 @@ class TestRectangleToRanges:
                 ylo = int(rng.integers(0, m.side))
                 yhi = int(rng.integers(ylo, m.side))
                 rect = RectangleQuery(xlo, xhi, ylo, yhi)
-                runs = rectangle_to_ranges(rect, m)
-                got = sum(int(x.counts[r.lo - 1:r.hi].sum()) for r in runs)
+                los, his = rectangle_to_ranges(rect, m)
+                got = sum(int(x.counts[lo - 1:hi].sum()) for lo, hi in zip(los, his))
                 assert got == int(grid[xlo:xhi + 1, ylo:yhi + 1].sum())
 
 
@@ -264,10 +262,13 @@ class TestWorkloadAssembly:
         m = HilbertMap(3)
         rects = [RectangleQuery(0, 3, 0, 3), RectangleQuery(4, 7, 4, 7)]
         W = rectangles_to_workload(rects, m)
-        want = []
-        for rect in rects:
-            want.extend(rectangle_to_ranges(rect, m))
-        assert list(W.queries) == want
+        runs = [rectangle_to_ranges(rect, m) for rect in rects]
+        assert W.los.tolist() == runs[0][0].tolist() + runs[1][0].tolist()
+        assert W.his.tolist() == runs[0][1].tolist() + runs[1][1].tolist()
+
+    def test_needs_a_rectangle(self):
+        with pytest.raises(ParameterError):
+            rectangles_to_workload([], HilbertMap(3))
 
 
 class TestAnswerRectangle:
@@ -290,6 +291,16 @@ class TestAnswerRectangle:
         rect = RectangleQuery.from_box(spec, 0.0, 0.5, 0.0, 1.0)
         # half of the only occupied cell in x, all of it in y
         assert answer_rectangle(xhat, rect, m, spec) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("box", [
+        (2.0, 3.0, 0.2, 0.4), (-3.0, -2.0, 0.2, 0.4), (0.2, 0.4, 2.0, 3.0), (0.2, 0.4, -3.0, -2.0),
+        (1.0, 2.0, 0.2, 0.4),
+    ], ids=["right", "left", "above", "below", "touching"])
+    def test_box_outside_grid_answers_zero(self, box):
+        m = HilbertMap(3)
+        spec = GridSpec(g=3)
+        rect = RectangleQuery.from_box(spec, *box)
+        assert answer_rectangle(EstimateVector(np.ones(64)), rect, m, spec) == 0.0
 
     def test_quarter_cell(self):
         m = HilbertMap(1)
