@@ -2,10 +2,17 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
-from .core import PrivacyBudget, RngStream, read_data_file, write_data_file, write_workload_file
+from .core import (
+    PrivacyBudget,
+    RngStream,
+    read_data_file,
+    write_data_file,
+    write_intervals,
+    write_rows,
+    write_workload_file,
+)
 from .experiments import ExperimentConfig, report_emit, run_experiment
 from .generators import gen_synthetic_data, gen_workload
 from .partition import PartitionParams, exact_partition, private_partition
@@ -44,12 +51,7 @@ def _cmd_workload(args) -> int:
     if args.per_cluster is not None:
         params["queries_per_cluster"] = args.per_cluster
     W = gen_workload(kind, args.n, args.seed, **params)
-    if args.out:
-        write_workload_file(args.out, W)
-    else:
-        print("lo,hi")
-        for q in W:
-            print(f"{q.lo},{q.hi}")
+    write_workload_file(args.out, W)
     return 0
 
 
@@ -63,11 +65,7 @@ def _cmd_datagen(args) -> int:
     if args.total is not None:
         params["total"] = args.total
     x = gen_synthetic_data(kind, args.n, args.seed, **params)
-    if args.out:
-        write_data_file(args.out, x)
-    else:
-        for c in x.counts:
-            print(int(c))
+    write_data_file(args.out, x)
     return 0
 
 
@@ -79,9 +77,7 @@ def _cmd_partition(args) -> int:
     else:
         params = PartitionParams(eps1=args.eps1, eps2=args.eps2, mode=args.mode)
         buckets = private_partition(x, params, RngStream(args.seed))
-    print("lo,hi")
-    for b in buckets:
-        print(f"{b.lo},{b.hi}")
+    write_intervals(None, buckets.los, buckets.his)
     return 0
 
 
@@ -99,16 +95,9 @@ def _cmd_spatial(args) -> int:
     answers, _ = run_spatial(points, rects, spec, budget, RngStream(args.seed),
                              mode=args.mode, t=args.branching)
     rows = [(box + (ans,)) for box, ans in zip(boxes, answers)]
+    write_rows(args.out, rows, ("xlo", "xhi", "ylo", "yhi", "answer"))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["xlo", "xhi", "ylo", "yhi", "answer"])
-            writer.writerows(rows)
         print(f"answers written to {args.out}")
-    else:
-        print("xlo,xhi,ylo,yhi,answer")
-        for row in rows:
-            print(",".join(repr(v) for v in row))
     return 0
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import operator
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -64,7 +66,7 @@ class Interval:
         return self.hi <= n
 
 
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 
 def _as_count_array(counts: Iterable) -> np.ndarray:
@@ -410,18 +412,32 @@ def read_data_file(path: "str | Path") -> DataVector:
     return DataVector(counts)
 
 
-def write_data_file(path: "str | Path", x: DataVector) -> None:
-    with open(path, "w") as fh:
-        for c in x.counts:
-            fh.write(f"{int(c)}\n")
+def write_rows(path: "str | Path | None", rows: Iterable[tuple], header: "tuple[str, ...]" = ()) -> None:
+    """Write the header (if any) and rows as comma-joined lines ended by '\\n',
+    to path or, when path is None, to stdout."""
+    out = open(path, "w", newline="") if path is not None else nullcontext(sys.stdout)
+    with out as fh:
+        if header:
+            fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def write_data_file(path: "str | Path | None", x: DataVector) -> None:
+    """Write counts one per line, the format read_data_file reads."""
+    write_rows(path, zip(x.counts.tolist()))
+
+
+def write_intervals(path: "str | Path | None", los: np.ndarray, his: np.ndarray) -> None:
+    """Write intervals as CSV with header lo,hi, the format read_workload_file reads."""
+    write_rows(path, zip(los.tolist(), his.tolist()), ("lo", "hi"))
 
 
 def read_csv_rows(path: "str | Path", header: tuple[str, ...], parse) -> list[tuple]:
     """Rows of a CSV file whose header reads `header`, fields converted by `parse`.
 
     Whitespace around header names and values is allowed and blank lines
-    are skipped.  A row with missing or extra fields, or a field `parse`
-    rejects, raises ParameterError naming path:line.
+    are skipped.  A row with missing or extra fields, a field `parse`
+    rejects, or an int outside int64, raises ParameterError naming path:line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -438,9 +454,12 @@ def read_csv_rows(path: "str | Path", header: tuple[str, ...], parse) -> list[tu
             values = []
             for field in row:
                 try:
-                    values.append(parse(field))
+                    value = parse(field)
                 except ValueError:
                     raise ParameterError(f"{where}: not {parse.__name__}: {field!r}") from None
+                if type(value) is int and not _INT64_MIN <= value <= _INT64_MAX:
+                    raise ParameterError(f"{where}: outside int64: {field!r}")
+                values.append(value)
             rows.append(tuple(values))
     return rows
 
@@ -454,9 +473,5 @@ def read_workload_file(path: "str | Path") -> Workload:
     return Workload(ends[:, 0], ends[:, 1])
 
 
-def write_workload_file(path: "str | Path", W: Workload) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lo", "hi"])
-        for q in W:
-            writer.writerow([q.lo, q.hi])
+def write_workload_file(path: "str | Path | None", W: Workload) -> None:
+    write_intervals(path, W.los, W.his)

@@ -167,12 +167,13 @@ def _image_norms2(What: TransformedWorkload, v: np.ndarray, totals: np.ndarray, 
             + np.bincount(l_node, far * far, nodes))
 
 
-def _sum_children(t: int, summaries: np.ndarray) -> np.ndarray:
-    """Add up runs of t consecutive children's summaries in child order."""
-    total = summaries[:, ::t].copy()
+def _sum_children(values: np.ndarray, t: int) -> np.ndarray:
+    """Sums over runs of t consecutive entries of the last axis, in child
+    order: per parent, over its children."""
+    total = values[..., ::t].copy()
     for j in range(1, t):
-        n_j = summaries[:, j::t].shape[1]
-        total[:, :n_j] += summaries[:, j::t]
+        n_j = values[..., j::t].shape[-1]
+        total[..., :n_j] += values[..., j::t]
     return total
 
 
@@ -238,7 +239,7 @@ def greedy_scale(What: TransformedWorkload, tree: QueryTree) -> QueryTree:
     lams = [np.zeros(size) for size in tree.level_sizes[:-1]]
     for depth in range(len(lams) - 1, -1, -1):
         span = t ** (len(lams) - depth)
-        trace_sum, quad_sum, norm2_sum, totals = _sum_children(t, summaries)
+        trace_sum, quad_sum, norm2_sum, totals = _sum_children(summaries, t)
         image2 = _image_norms2(What, v, totals, span)
         # A lone (last) child passes its summaries up unchanged at weight 0.
         lone = t * np.arange(len(image2)) + 1 == summaries.shape[1]
@@ -307,8 +308,8 @@ def ols_infer(tree: QueryTree, measurements: np.ndarray) -> np.ndarray:
         for at, below in zip(levels[::-1], [None] + levels[:0:-1]):
             w, z, fallback = weight[at], num[at], 0.0
             if below is not None:
-                fallback = _sum_groups(est[below], t)
-                child_weight = 1.0 / _sum_groups(var[below], t)
+                fallback = _sum_children(est[below], t)
+                child_weight = 1.0 / _sum_children(var[below], t)
                 w, z = w + child_weight, z + fallback * child_weight
             est[at] = np.where(w > 0.0, z / w, fallback)
             var[at] = 1.0 / w
@@ -317,17 +318,12 @@ def ols_infer(tree: QueryTree, measurements: np.ndarray) -> np.ndarray:
         final = est[:1]
         for at in levels[1:]:
             free = np.isinf(var[at])
-            if _sum_groups(free.astype(np.int64), t).max() > 1:
+            if _sum_children(free.astype(np.int64), t).max() > 1:
                 raise SingularStrategyError("two sibling subtrees are both undetermined")
             parent = np.arange(at.stop - at.start) // t
-            share = np.where(free, 1.0, var[at] / _sum_groups(var[at], t)[parent])
-            final = est[at] + (final - _sum_groups(est[at], t))[parent] * share
+            share = np.where(free, 1.0, var[at] / _sum_children(var[at], t)[parent])
+            final = est[at] + (final - _sum_children(est[at], t))[parent] * share
     return final
-
-
-def _sum_groups(values: np.ndarray, t: int) -> np.ndarray:
-    """Sums over consecutive runs of t entries: per parent, over its children."""
-    return np.add.reduceat(values, np.arange(0, len(values), t))
 
 
 def strategy_matrix(tree: QueryTree) -> np.ndarray:

@@ -7,6 +7,7 @@ sets of 1D runs, and answers assume uniformity within each cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -75,11 +76,19 @@ class HilbertMap:
     def domain_size(self) -> int:
         return 1 << (2 * self.g)
 
+    @cached_property
+    def position(self) -> np.ndarray:
+        """Read-only int64 table: position[cx, cy] is the cell's 0-based curve
+        position.  One walk of the curve fills it, on first use."""
+        cx, cy = np.indices((self.side, self.side), dtype=np.int64)
+        table = _xy_to_d(self.g, cx, cy)
+        table.setflags(write=False)
+        return table
 
-def _xy_to_d(g: int, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """Vectorized cell-to-index walk down the quadrant recursion."""
-    x = cx.astype(np.int64)
-    y = cy.astype(np.int64)
+
+def _xy_to_d(g: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Vectorized cell-to-index walk down the quadrant recursion, over int64
+    cell coordinate arrays."""
     d = np.zeros_like(x)
     n = 1 << g
     s = n >> 1
@@ -96,41 +105,18 @@ def _xy_to_d(g: int, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     return d
 
 
-def _d_to_xy(g: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized index-to-cell inverse of _xy_to_d."""
-    t = d.astype(np.int64)
-    x = np.zeros_like(t)
-    y = np.zeros_like(t)
-    n = 1 << g
-    s = 1
-    while s < n:
-        rx = 1 & (t >> 1)
-        ry = 1 & (t ^ rx)
-        swap = ry == 0
-        flip = swap & (rx == 1)
-        xf = np.where(flip, s - 1 - x, x)
-        yf = np.where(flip, s - 1 - y, y)
-        x, y = np.where(swap, yf, xf), np.where(swap, xf, yf)
-        x = x + s * rx
-        y = y + s * ry
-        t >>= 2
-        s <<= 1
-    return x, y
-
-
 def hilbert_index(map_: HilbertMap, cx: int, cy: int) -> int:
     """0-based curve position of cell (cx, cy)."""
     if not (0 <= cx < map_.side and 0 <= cy < map_.side):
         raise ParameterError(f"cell ({cx}, {cy}) outside {map_.side}x{map_.side} grid")
-    return int(_xy_to_d(map_.g, np.asarray([cx]), np.asarray([cy]))[0])
+    return int(map_.position[cx, cy])
 
 
 def hilbert_cell(map_: HilbertMap, d: int) -> tuple[int, int]:
     """Cell at 0-based curve position d."""
     if not 0 <= d < map_.domain_size:
         raise ParameterError(f"index {d} outside [0, {map_.domain_size})")
-    x, y = _d_to_xy(map_.g, np.asarray([d]))
-    return int(x[0]), int(y[0])
+    return divmod(int(np.flatnonzero(map_.position.ravel() == d)[0]), map_.side)
 
 
 def _cells_of(coords: np.ndarray, lo: float, width: float, side: int) -> np.ndarray:
@@ -160,9 +146,9 @@ def linearize(grid: np.ndarray, map_: HilbertMap) -> DataVector:
     arr = np.asarray(grid)
     if arr.shape != (map_.side, map_.side):
         raise DimensionError(f"grid shape {arr.shape} does not match {map_.side}x{map_.side}")
-    d = np.arange(map_.domain_size, dtype=np.int64)
-    cx, cy = _d_to_xy(map_.g, d)
-    return DataVector(arr[cx, cy])
+    flat = np.empty(map_.domain_size, dtype=arr.dtype)
+    flat[map_.position] = arr
+    return DataVector(flat)
 
 
 @dataclass(frozen=True)
@@ -205,12 +191,7 @@ def _cell_indices(rect: RectangleQuery, map_: HilbertMap) -> np.ndarray:
     """0-based curve positions of the rectangle's cells, indexed [x, y]."""
     if rect.xhi >= map_.side or rect.yhi >= map_.side:
         raise ParameterError(f"rectangle {rect} outside {map_.side}x{map_.side} grid")
-    cx, cy = np.meshgrid(
-        np.arange(rect.xlo, rect.xhi + 1, dtype=np.int64),
-        np.arange(rect.ylo, rect.yhi + 1, dtype=np.int64),
-        indexing="ij",
-    )
-    return _xy_to_d(map_.g, cx.ravel(), cy.ravel()).reshape(cx.shape)
+    return map_.position[rect.xlo:rect.xhi + 1, rect.ylo:rect.yhi + 1]
 
 
 def rectangle_to_ranges(rect: RectangleQuery, map_: HilbertMap) -> tuple[np.ndarray, np.ndarray]:

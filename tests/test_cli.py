@@ -260,6 +260,23 @@ class TestSpatialCmd:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["workload", "--kind", "uniform", "--n", "64", "--num-queries", "9", "--seed", "2"],
+    ["datagen", "--kind", "heavy-tail", "--n", "32", "--seed", "1"],
+    ["spatial", "--points", "{pts}", "--rects", "{rects}", "--g", "2", "--epsilon", "1.0"],
+], ids=["workload", "datagen", "spatial"])
+def test_out_file_has_the_stdout_bytes(tmp_path, capsys, argv):
+    (tmp_path / "pts.csv").write_text("x,y\n0.5,0.5\n1.5,2.5\n3.2,3.9\n")
+    (tmp_path / "rects.csv").write_text("xlo,xhi,ylo,yhi\n0.0,2.0,0.0,2.0\n1.0,4.0,0.5,3.0\n")
+    argv = [a.format(pts=tmp_path / "pts.csv", rects=tmp_path / "rects.csv") for a in argv]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == stdout.encode()
+    assert b"\r" not in out.read_bytes()
+
+
 class TestTopLevel:
     def test_no_args_shows_usage(self, capsys):
         with pytest.raises(SystemExit):

@@ -521,7 +521,9 @@ class TestFileFormats:
         ("1,5\n2\n", ":3: expected 2 fields, got 1"),
         ("1,5,7\n", ":2: expected 2 fields, got 3"),
         ("1,5\n2,x\n", ":3: not int: 'x'"),
-    ], ids=["short-row", "extra-field", "not-int"])
+        ("1,5\n2,1180591620717411303424\n", ":3: outside int64: '1180591620717411303424'"),
+        ("2,9223372036854775808\n", ":2: outside int64: '9223372036854775808'"),
+    ], ids=["short-row", "extra-field", "not-int", "past-int64", "int64-max-plus-one"])
     def test_bad_workload_row_names_line(self, tmp_path, body, fragment):
         p = tmp_path / "w.csv"
         p.write_text("lo,hi\n" + body)

@@ -14,6 +14,7 @@ from dawa.core import (
     PrivacyBudget,
     RngStream,
 )
+from dawa import spatial
 from dawa.spatial import (
     GridSpec,
     HilbertMap,
@@ -116,6 +117,50 @@ class TestHilbertCurve:
     def test_invalid_g(self):
         with pytest.raises(ParameterError):
             HilbertMap(0)
+
+    @pytest.mark.parametrize("g, table", [
+        (2, [[0, 3, 4, 5], [1, 2, 7, 6], [14, 13, 8, 9], [15, 12, 11, 10]]),
+        (3, [[0, 1, 14, 15, 16, 19, 20, 21], [3, 2, 13, 12, 17, 18, 23, 22],
+             [4, 7, 8, 11, 30, 29, 24, 25], [5, 6, 9, 10, 31, 28, 27, 26],
+             [58, 57, 54, 53, 32, 35, 36, 37], [59, 56, 55, 52, 33, 34, 39, 38],
+             [60, 61, 50, 51, 46, 45, 40, 41], [63, 62, 49, 48, 47, 44, 43, 42]]),
+    ])
+    def test_position_table_literal(self, g, table):
+        # pins the orientation of each level; a snake order has the same
+        # g = 1 order and also moves one cell per step
+        assert HilbertMap(g).position.tolist() == table
+
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_aligned_blocks_hold_consecutive_positions(self, g):
+        position = HilbertMap(g).position
+        for j in range(g + 1):
+            b = 1 << j
+            blocks = position.reshape(position.shape[0] // b, b, -1, b).swapaxes(1, 2)
+            blocks = blocks.reshape(-1, b * b)
+            lo = blocks.min(axis=1)
+            assert np.all(blocks.max(axis=1) - lo == b * b - 1)
+            assert np.all(lo % (b * b) == 0)
+
+    def test_position_is_read_only(self):
+        position = HilbertMap(2).position
+        assert position.dtype == np.int64 and not position.flags.writeable
+        with pytest.raises(ValueError):
+            position[0, 0] = 1
+
+    def test_one_walk_per_run(self, monkeypatch):
+        calls = []
+        walk = spatial._xy_to_d
+
+        def spy(*args):
+            calls.append(args[0])
+            return walk(*args)
+
+        monkeypatch.setattr(spatial, "_xy_to_d", spy)
+        spec = GridSpec(g=3, xmin=0, xmax=8, ymin=0, ymax=8)
+        pts = np.random.default_rng(6).uniform(0, 8, size=(100, 2))
+        rects = [RectangleQuery.from_box(spec, 0.5, 5.0, 1.0, 7.5), RectangleQuery(2, 6, 0, 3)]
+        run_spatial(pts, rects, spec, PrivacyBudget.split(1.0), RngStream(0))
+        assert calls == [3]
 
 
 class TestDiscretize:
