@@ -404,9 +404,12 @@ def read_data_file(path: "str | Path") -> DataVector:
             if not s:
                 continue
             try:
-                counts.append(int(s))
+                count = int(s)
             except ValueError:
                 raise ParameterError(f"{path}:{lineno}: not an integer: {s!r}") from None
+            if not 0 <= count <= _INT64_MAX:
+                raise ParameterError(f"{path}:{lineno}: not a nonnegative int64 count: {s!r}")
+            counts.append(count)
     if not counts:
         raise ParameterError(f"{path}: no counts found")
     return DataVector(counts)

@@ -4,11 +4,12 @@ A bucket's cost is its internal deviation from uniformity plus the 1/eps2
 noise price a bucket will pay in stage 2.  The deviation is 2*N/L for the
 exact integer numerator N = L*S - T*C, where T is the bucket total and C and
 S count and sum the values at or above the mean T/L.  `all_costs` computes
-N for every candidate bucket at once from prefix sums and a merge-sort tree,
-so each cost is one float division away from the exact value and matches
-the direct per-bucket computation bit for bit.  The costs live in one flat
-array, perturbation is one vector add, and the dynamic program gathers the
-candidates ending at each endpoint as one row of it.
+N for every candidate bucket at once from prefix sums and a wavelet matrix
+over the ranks of the distinct counts, so each cost is one float division
+away from the exact value and matches the direct per-bucket computation bit
+for bit.  The costs live in one flat array, perturbation is one vector add,
+and the dynamic program gathers the candidates ending at each endpoint as
+one row of it.
 """
 from __future__ import annotations
 
@@ -145,48 +146,48 @@ def _physical_memory() -> float:
         return math.inf
 
 
-class _MergeSortTree:
+class _WaveletMatrix:
     """Count and sum of the values in a window that reach a threshold.
 
-    Level l holds every aligned block of 2**l values sorted, with prefix
-    sums.  Keying a value by block * (max + 1) + value keeps a whole level
-    one sorted array, so one searchsorted per level and side places every
-    query's threshold inside its block.  A bottom-up segment-tree walk
-    splits each window into at most one block per level and side.
+    Levels run over the bits of each value's rank among the D distinct
+    values, top bit first: max(1, bits(D - 1)) of them, each with the prefix
+    count of its bit, the prefix sums of the values whose bit is set and its
+    zero count; the next level puts the 0-bit values first, stably.  A query
+    walks its threshold rank's bits, adding the window's 1-branch at each 0
+    bit, and ends on the values equal to the rank.  Every query walks every
+    level, so the work grows with log D and not with the window length.
     """
 
     def __init__(self, values: np.ndarray):
-        self.stride = int(values.max()) + 1
-        position = np.arange(values.size)
+        self.distinct, rank = np.unique(values, return_inverse=True)
         self.levels = []
-        for level in range(values.size.bit_length()):
-            base = (position >> level) * self.stride
-            keys = np.sort(base + values)
-            self.levels.append((keys, np.concatenate(([0], np.cumsum(keys - base)))))
+        for shift in range(max(1, (self.distinct.size - 1).bit_length()) - 1, -1, -1):
+            bit = (rank >> shift) & 1
+            ones = np.concatenate(([0], np.cumsum(bit)))
+            sums = np.concatenate(([0], np.cumsum(values * bit)))
+            self.levels.append((shift, ones, sums, values.size - ones[-1]))
+            order = np.argsort(bit, kind="stable")
+            rank, values = rank[order], values[order]
 
     def count_sum_at_least(
         self, starts: np.ndarray, stops: np.ndarray, thresholds: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per query, count and sum of values[a:b] that are >= t."""
+        """Per query, count and sum of values[a:b] that are >= t, for t at
+        most the largest value."""
+        rank = np.searchsorted(self.distinct, thresholds)
         count = np.zeros(starts.size, dtype=np.int64)
         total = np.zeros(starts.size, dtype=np.int64)
-        lo, hi = starts.copy(), stops.copy()
-        for level, (keys, sums) in enumerate(self.levels):
-            live = lo < hi
-            if not live.any():
-                break
-            take_lo = live & ((lo & 1) == 1)
-            take_hi = live & ((hi & 1) == 1)
-            lo_side, hi_side = np.flatnonzero(take_lo), np.flatnonzero(take_hi)
-            for idx, block in ((lo_side, lo[lo_side]), (hi_side, hi[hi_side] - 1)):
-                first = np.searchsorted(keys, block * self.stride + thresholds[idx])
-                end = (block + 1) << level
-                count[idx] += end - first
-                total[idx] += sums[end] - sums[first]
-            # halving an odd hi already steps past the block it just took
-            lo += take_lo
-            lo >>= 1
-            hi >>= 1
+        lo, hi = starts, stops
+        for shift, ones, sums, zeros in self.levels:
+            ones_lo, ones_hi = ones[lo], ones[hi]
+            up = (rank >> shift) & 1
+            down = 1 - up
+            count += down * (ones_hi - ones_lo)
+            total += down * (sums[hi] - sums[lo])
+            lo = np.where(up, zeros + ones_lo, lo - ones_lo)
+            hi = np.where(up, zeros + ones_hi, hi - ones_hi)
+        count += hi - lo
+        total += (hi - lo) * self.distinct[rank]
         return count, total
 
 
@@ -194,7 +195,7 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2") -> CostTable:
     """Exact cost table over all candidate buckets for the given mode.
 
     Candidates are processed in slices of _CHUNK so the per-query arrays
-    stay cache-resident and slices of short buckets stop after few levels.
+    stay cache-resident.
     """
     if eps2 <= 0:
         raise ParameterError(f"eps2 must be positive, got {eps2}")
@@ -213,20 +214,24 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2") -> CostTable:
             f"stage 1 needs about {need / 2**30:.1f} GiB for {candidates} candidate buckets "
             f"(mode {mode!r}, n = {n}) but this machine has {have / 2**30:.1f} GiB"
         )
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    offsets = bounds[:-1]
     prefix = np.concatenate(([0], np.cumsum(x.counts)))
-    tree = _MergeSortTree(x.counts)
+    matrix = _WaveletMatrix(x.counts)
     costs = np.empty(candidates)
-    for at in range(0, costs.size, _CHUNK):
-        index = np.arange(at, min(at + _CHUNK, costs.size))
-        group = np.searchsorted(offsets, index, side="right") - 1
+    for at in range(0, candidates, _CHUNK):
+        stop = min(at + _CHUNK, candidates)
+        first, last = np.searchsorted(bounds, (at, stop - 1), side="right") - 1
+        extents = np.diff(np.clip(bounds[first : last + 2], at, stop))
+        group = np.repeat(np.arange(first, last + 1), extents)
         length = lengths[group]
-        start = index - offsets[group]
+        start = np.arange(at, stop) - offsets[group]
         window_total = prefix[start + length] - prefix[start]
+        # the ceiling of the window mean never exceeds the window's largest value
         at_least = -(-window_total // length)
-        count, total = tree.count_sum_at_least(start, start + length, at_least)
+        count, total = matrix.count_sum_at_least(start, start + length, at_least)
         num = length * total - window_total * count
-        costs[at : at + index.size] = (2 * num) / length + 1.0 / eps2
+        costs[at:stop] = (2 * num) / length + 1.0 / eps2
     return CostTable(n=n, mode=mode, lengths=lengths, offsets=offsets, costs=costs)
 
 

@@ -134,11 +134,13 @@ def grid_discretize(points, spec: GridSpec) -> np.ndarray:
         raise ParameterError(f"points must be (N, 2), got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ParameterError("points must have finite coordinates")
-    cx = _cells_of(pts[:, 0], spec.xmin, spec.cell_width, spec.side)
-    cy = _cells_of(pts[:, 1], spec.ymin, spec.cell_height, spec.side)
-    grid = np.zeros((spec.side, spec.side), dtype=np.int64)
-    np.add.at(grid, (cx, cy), 1)
-    return grid
+    side = spec.side
+    # flat row-major index cx * side + cy, built in place so that no third
+    # point-sized array is live
+    cells = _cells_of(pts[:, 0], spec.xmin, spec.cell_width, side)
+    cells *= side
+    cells += _cells_of(pts[:, 1], spec.ymin, spec.cell_height, side)
+    return np.bincount(cells, minlength=side * side).reshape(side, side)
 
 
 def linearize(grid: np.ndarray, map_: HilbertMap) -> DataVector:

@@ -90,11 +90,21 @@ class TestPartitionCmd:
 
     def test_count_outside_int64_is_clean_error(self, tmp_path, capsys):
         p = tmp_path / "huge.txt"
-        p.write_text(f"3\n{2**70}\n")
+        p.write_text(f"3\n\n{2**63}\n")
         rc = main(["partition", "--data", str(p), "--eps1", "0.25", "--eps2", "0.75"])
         assert rc == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("dawa: error:")
+        assert captured.err.startswith(f"dawa: error: {p}:3:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_negative_count_is_clean_error(self, tmp_path, capsys):
+        p = tmp_path / "negative.txt"
+        p.write_text("3\n-1\n")
+        rc = main(["partition", "--data", str(p), "--eps1", "0.25", "--eps2", "0.75"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"dawa: error: {p}:2:")
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

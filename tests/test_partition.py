@@ -25,6 +25,7 @@ from dawa.partition import (
     BUCKET_COST_SENSITIVITY,
     EXACT_COST_LIMIT,
     PartitionParams,
+    _WaveletMatrix,
     all_costs,
     bucket_cost,
     bucket_dev,
@@ -162,7 +163,7 @@ class TestCostTable:
     @settings(max_examples=25, deadline=None)
     @given(data_vectors(min_n=20, max_n=70, max_count=3000))
     def test_large_counts_equal_direct(self, x):
-        # wider values and windows exercise more merge-sort-tree levels
+        # more distinct values give the wavelet matrix more levels
         table = all_costs(x, 0.37, "all")
         for lo, hi in candidates(x.n, "all"):
             assert table.cost(lo, hi) == bucket_cost(x, Interval(lo, hi), 0.37)
@@ -211,6 +212,58 @@ class TestCostTable:
             all_costs(x, 0.5, "pow2")
         with pytest.raises(ParameterError):
             private_partition(x, PartitionParams(0.25, 0.75), RngStream(0))
+
+
+@st.composite
+def kernel_values(draw):
+    """Counts of the kinds the stage-1 kernel must handle, in any order."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["random", "zeros", "single", "distinct", "spike"]))
+    if kind == "zeros":
+        return np.zeros(n, dtype=np.int64)
+    if kind == "single":
+        return np.full(n, draw(st.integers(1, 10**6)), dtype=np.int64)
+    if kind == "distinct":
+        return np.asarray(draw(st.permutations(range(n))), dtype=np.int64) * 3
+    values = np.asarray(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)), dtype=np.int64)
+    if kind == "spike":
+        values[draw(st.integers(0, n - 1))] = EXACT_COST_LIMIT // n - draw(st.integers(0, 9))
+    return values
+
+
+class TestWaveletMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_values(), st.data())
+    def test_count_sum_at_least_matches_brute_force(self, values, data):
+        n, top = values.size, int(values.max())
+        windows = data.draw(st.lists(
+            st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted), min_size=1, max_size=20
+        ))
+        # every window is asked at 0, at the largest value and at a random threshold
+        starts, stops, thresholds = [], [], []
+        for a, b in windows:
+            for t in (0, top, data.draw(st.integers(0, top))):
+                starts.append(a)
+                stops.append(b)
+                thresholds.append(t)
+        count, total = _WaveletMatrix(values).count_sum_at_least(
+            np.array(starts), np.array(stops), np.array(thresholds, dtype=np.int64)
+        )
+        for a, b, t, c, s in zip(starts, stops, thresholds, count.tolist(), total.tolist()):
+            window = values[a:b]
+            reached = window[window >= t]
+            assert (c, s) == (reached.size, int(reached.sum()))
+
+    def test_levels_follow_distinct_counts_not_the_largest(self):
+        # a spike near the exact-cost limit needs 43 value bits but adds one rank
+        rng = np.random.default_rng(3)
+        values = rng.integers(0, 6, size=1024)
+        values[17] = EXACT_COST_LIMIT // values.size
+        distinct = np.unique(values).size
+        levels = _WaveletMatrix(values).levels
+        assert len(levels) == (distinct - 1).bit_length() == 3
+        assert int(values.max()).bit_length() == 43
+        assert len(_WaveletMatrix(np.zeros(5, dtype=np.int64)).levels) == 1
 
 
 class TestPerturb:

@@ -211,6 +211,30 @@ class TestDiscretize:
         spec = GridSpec(g=3, xmin=0, xmax=4, ymin=0, ymax=4)
         assert grid_discretize(pts, spec).sum() == 137
 
+    def test_matches_scatter_add_reference(self):
+        # random points, plus points on and past every edge and corner, which clamp
+        rng = np.random.default_rng(5)
+        spec = GridSpec(g=3, xmin=-1.0, xmax=3.0, ymin=2.0, ymax=10.0)
+        inside = np.column_stack([rng.uniform(-1, 3, 500), rng.uniform(2, 10, 500)])
+        edge_x = [-9.0, -1.0, 3.0, 7.0]
+        edge_y = [-5.0, 2.0, 10.0, 40.0]
+        along = np.linspace(0.0, 1.0, 11)
+        edges = np.concatenate([
+            np.column_stack([np.full(along.size, ex), 2.0 + 8.0 * along]) for ex in edge_x
+        ] + [
+            np.column_stack([-1.0 + 4.0 * along, np.full(along.size, ey)]) for ey in edge_y
+        ])
+        pts = np.concatenate([inside, edges])
+        cx = spatial._cells_of(pts[:, 0], spec.xmin, spec.cell_width, spec.side)
+        cy = spatial._cells_of(pts[:, 1], spec.ymin, spec.cell_height, spec.side)
+        want = np.zeros((spec.side, spec.side), dtype=np.int64)
+        np.add.at(want, (cx, cy), 1)
+        got = grid_discretize(pts, spec)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        for line in (want[0], want[-1], want[:, 0], want[:, -1]):
+            assert line.sum() > 0
+
 
 class TestLinearize:
     def test_conservation_and_placement(self):
