@@ -9,7 +9,6 @@ from .core import (
     RngStream,
     read_data_file,
     write_data_file,
-    write_intervals,
     write_rows,
     write_workload_file,
 )
@@ -77,7 +76,7 @@ def _cmd_partition(args) -> int:
     else:
         params = PartitionParams(eps1=args.eps1, eps2=args.eps2, mode=args.mode)
         buckets = private_partition(x, params, RngStream(args.seed))
-    write_intervals(None, buckets.los, buckets.his)
+    write_workload_file(None, buckets)
     return 0
 
 

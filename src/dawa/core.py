@@ -307,13 +307,8 @@ class RngStream:
     def split(self, *tags) -> "RngStream":
         return RngStream(derive_seed(self.seed, *tags), ledger=self.ledger)
 
-    def uniform_open(self, size: int | None = None) -> "float | np.ndarray":
+    def uniform_open(self, size: int) -> np.ndarray:
         """Uniform draws from (0, 1); zeros are redrawn."""
-        if size is None:
-            u = self._gen.random()
-            while u <= 0.0:
-                u = self._gen.random()
-            return u
         u = self._gen.random(size)
         bad = u <= 0.0
         while np.any(bad):
@@ -347,9 +342,10 @@ def laplace_sample(scale: float, rng: RngStream, size: int | None = None):
     """
     if not (np.isfinite(scale) and scale > 0):
         raise ParameterError(f"scale must be positive and finite, got {scale}")
+    count = 1 if size is None else int(size)
     if rng.ledger is not None:
-        rng.ledger.append((float(scale), 1 if size is None else int(size)))
-    u = np.atleast_1d(rng.uniform_open(size))
+        rng.ledger.append((float(scale), count))
+    u = rng.uniform_open(count)
     # -scale * sign(u - 1/2) * log(1 - 2|u - 1/2|), in place: one log per
     # draw, and every step before the log is exact for u on the 2^-53 grid
     sign = np.sign(np.subtract(u, 0.5, out=u))
@@ -430,11 +426,6 @@ def write_data_file(path: "str | Path | None", x: DataVector) -> None:
     write_rows(path, zip(x.counts.tolist()))
 
 
-def write_intervals(path: "str | Path | None", los: np.ndarray, his: np.ndarray) -> None:
-    """Write intervals as CSV with header lo,hi, the format read_workload_file reads."""
-    write_rows(path, zip(los.tolist(), his.tolist()), ("lo", "hi"))
-
-
 def read_csv_rows(path: "str | Path", header: tuple[str, ...], parse) -> list[tuple]:
     """Rows of a CSV file whose header reads `header`, fields converted by `parse`.
 
@@ -476,5 +467,7 @@ def read_workload_file(path: "str | Path") -> Workload:
     return Workload(ends[:, 0], ends[:, 1])
 
 
-def write_workload_file(path: "str | Path | None", W: Workload) -> None:
-    write_intervals(path, W.los, W.his)
+def write_workload_file(path: "str | Path | None", W: "Workload | Partition") -> None:
+    """Write the intervals of W (anything with los and his arrays) as CSV with
+    header lo,hi, the format read_workload_file reads."""
+    write_rows(path, zip(W.los.tolist(), W.his.tolist()), ("lo", "hi"))

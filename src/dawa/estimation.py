@@ -12,16 +12,17 @@ is one float64 array of scalings.  Raising a parent's weight is a rank-one
 change to its subtree Gram, so the weight search needs only four scalars
 per child and the squared norm of each node's workload image, kept as
 arrays for one level at a time while the greedy pass searches the tree
-bottom-up.  The image norms come from one length-k array of leaf weights
-and the workload's end buckets in O(m + k) per level; no Gram matrix, its
-inverse or any m-by-k workload matrix is formed.  Least squares runs in the
+bottom-up; each weight is the least point of a 33-point grid scan that
+zooms in on the minimum, a few rounds for all nodes of a level at once.
+The image norms come from one length-k array of leaf weights and the
+workload's end buckets in O(m + k) per level; no Gram matrix, its inverse
+or any m-by-k workload matrix is formed.  Least squares runs in the
 eliminated form of Hay et al. (VLDB 2010) with unequal per-node variances
 (Qardaji, Yang & Li, VLDB 2013), linear in the tree size, for every scaled
 tree including the fixed hierarchies of the hier_* baselines.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,6 @@ from .transform import TransformedWorkload, transform_workload
 # Parent weights may approach but never reach 1; at 1 the children's
 # effective scalings vanish and the Gram loses rank.
 LAMBDA_CAP = 1.0 - 1e-6
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,16 +116,21 @@ def leaf_cover_sums(tree: QueryTree) -> np.ndarray:
     return cover
 
 
-def _objective(sums: np.ndarray, mu: float, lam, g2) -> np.ndarray:
+def _objective(sums: np.ndarray, mu: float, lam) -> np.ndarray:
     """Weight-search objective at weights lam for columns of child sums.
 
-    The rows of sums are (trace_sum, quad_sum, image2, norm2_sum); g2 is
-    (1 - lam) ** 2 and broadcasts like lam.  At lam = 0 it is trace_sum.
+    The rows of sums are (trace_sum, quad_sum, image2, norm2_sum).  lam is a
+    scalar or an array of the result's shape, such as the search's grid of
+    one row per point and one column per column of sums.  At lam = 0 it is
+    trace_sum.  beta is built in place: at a search grid's size every fresh
+    temporary costs page faults.
     """
     trace_sum, quad_sum, image2, norm2_sum = sums
-    lam2 = lam * lam
-    beta = lam2 / (g2 * (g2 + lam2 * quad_sum))
-    return trace_sum / g2 - beta * (mu * image2 + (1.0 - mu) * norm2_sum)
+    g2 = np.square(1.0 - lam)
+    beta = lam * lam
+    beta /= (beta * quad_sum + g2) * g2
+    beta *= mu * image2 + (1.0 - mu) * norm2_sum
+    return trace_sum / g2 - beta
 
 
 def _image_norms2(What: TransformedWorkload, v: np.ndarray, totals: np.ndarray, span: int) -> np.ndarray:
@@ -178,43 +182,32 @@ def _sum_children(values: np.ndarray, t: int) -> np.ndarray:
 
 
 GRID_POINTS = 33
-_GRID = np.linspace(0.0, LAMBDA_CAP, GRID_POINTS)
-_GRID_G2 = np.square(1.0 - _GRID)
+_STEPS = np.linspace(0.0, 1.0, GRID_POINTS)
 
 
-def _search_lambda(sums: np.ndarray, mu: float, tol: float = 1e-6) -> np.ndarray:
+def _search_lambda(sums: np.ndarray, mu: float) -> np.ndarray:
     """Minimize the objective over [0, LAMBDA_CAP] for every column of sums.
 
-    A coarse grid scan brackets each minimum, golden-section refines it
-    (nodes drop out as their brackets shrink below tol), and both endpoints
-    are checked explicitly.  Ties go to 0 so that workloads already served
-    by the children leave the subtree untouched.
+    Each round scans GRID_POINTS evenly spaced weights over a column's
+    bracket [a, b], starting from [0, LAMBDA_CAP], and narrows the bracket
+    to the grid cells on either side of the least point (one cell when that
+    point ends the bracket).  Once the cells are narrower than 1e-6 the
+    least grid point is the weight.  The round count does not depend on the
+    data, so a column gets the same bits searched alone or in any batch.
+    The points a * (1 - s) + b * s hit both ends exactly and argmin takes
+    the first least value, so ties go to the smaller weight, and workloads
+    already served by the children leave the subtree untouched at exactly 0.
     """
-    def f(lam: np.ndarray, cols) -> np.ndarray:
-        return _objective(sums[:, cols], mu, lam, np.square(1.0 - lam))
-
-    values = _objective(sums[:, :, None], mu, _GRID, _GRID_G2)
-    i = np.argmin(values, axis=1)
-    a = _GRID[np.maximum(i - 1, 0)]
-    b = _GRID[np.minimum(i + 1, GRID_POINTS - 1)]
-    c, d = b - (b - a) * _INVPHI, a + (b - a) * _INVPHI
-    fc, fd = f(c, slice(None)), f(d, slice(None))
-    live = np.flatnonzero((b - a) > tol)
-    while live.size:
-        left = fc[live] < fd[live]
-        lo, hi = live[left], live[~left]
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - (b[lo] - a[lo]) * _INVPHI
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + (b[hi] - a[hi]) * _INVPHI
-        fx = f(np.where(left, c[live], d[live]), live)
-        fc[lo], fd[hi] = fx[left], fx[~left]
-        live = live[(b[live] - a[live]) > tol]
-    lam_mid = (a + b) / 2.0
-    f0, fmid, fcap = values[:, 0], f(lam_mid, slice(None)), values[:, -1]
-    lam = np.where(fmid <= fcap, lam_mid, LAMBDA_CAP)
-    lam[(f0 <= fmid) & (f0 <= fcap)] = 0.0
-    return lam
+    cols = np.arange(sums.shape[1])
+    a, b = np.zeros(len(cols)), np.full(len(cols), LAMBDA_CAP)
+    cell = LAMBDA_CAP / (GRID_POINTS - 1)
+    while True:
+        grid = (1.0 - _STEPS)[:, None] * a + _STEPS[:, None] * b
+        i = np.argmin(_objective(sums, mu, grid), axis=0)
+        if cell < 1e-6:
+            return grid[i, cols]
+        a, b = grid[np.maximum(i - 1, 0), cols], grid[np.minimum(i + 1, GRID_POINTS - 1), cols]
+        cell *= 2.0 / (GRID_POINTS - 1)
 
 
 def greedy_scale(What: TransformedWorkload, tree: QueryTree) -> QueryTree:

@@ -55,6 +55,15 @@ class ExperimentConfig:
     record_timing: bool = True
 
     def __post_init__(self) -> None:
+        ints, lists = (int, np.integer), (list, tuple)
+        for name, kinds, what in (("n", ints, "an integer"), ("num_workloads", ints, "an integer"),
+                                  ("trials", ints, "an integer"), ("master_seed", ints, "an integer"),
+                                  ("branching", ints, "an integer"), ("mechanisms", lists, "a list"),
+                                  ("epsilons", lists, "a list"), ("workload", dict, "an object"),
+                                  ("data", dict, "an object")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ParameterError(f"config {name!r} must be {what}, got {value!r}")
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         if not self.mechanisms:

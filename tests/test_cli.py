@@ -195,6 +195,26 @@ class TestRunCmd:
         assert captured.err == f"dawa: error: DAWA_THREADS must be a positive integer, got {value!r}\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 2.5), ("num_workloads", "3"), ("n", 16.5), ("workload", "kind"),
+        ("epsilons", "12"), ("mechanisms", "dawa"),
+    ])
+    def test_malformed_config_is_clean_error(self, tmp_path, capsys, field, value):
+        cfg = {
+            "mechanisms": ["identity"], "epsilons": [0.5],
+            "workload": {"kind": "uniform", "num_queries": 5},
+            "data": {"kind": "constant"}, "n": 8, "num_workloads": 1, "trials": 1,
+        }
+        cfg[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dawa: error:") and repr(field) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_config(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "r.json")])

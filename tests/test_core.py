@@ -363,6 +363,14 @@ class TestLaplace:
         draws = laplace_sample(b, RngStream(17), size=1_000_000)
         assert abs(float(np.var(draws)) - 2 * b * b) / (2 * b * b) < 0.05
 
+    def test_scalar_draw_is_the_size_one_draw(self):
+        for seed, scale in ((0, 1.0), (3, 0.37)):
+            scalar, array = RngStream(seed), RngStream(seed)
+            for _ in range(200):
+                x = laplace_sample(scale, scalar)
+                assert type(x) is float and x == laplace_sample(scale, array, size=1)[0]
+            assert scalar.generator.random() == array.generator.random()
+
     def test_one_log_matches_two_branch_reference(self):
         # every step before the log is exact for u on the 2^-53 grid, so the
         # one-log form returns the two-branch draws bit for bit

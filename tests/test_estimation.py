@@ -2,12 +2,14 @@
 
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dawa import estimation
 from dawa.core import (
     DataVector,
     DimensionError,
@@ -19,6 +21,7 @@ from dawa.core import (
     laplace_sample,
 )
 from dawa.estimation import (
+    LAMBDA_CAP,
     _image_norms2,
     _objective,
     _search_lambda,
@@ -76,7 +79,20 @@ def explicit_grouping_bounds(k, t):
 
 
 def objective_at(sums, lam, mu):
-    return float(_objective(sums, mu, lam, (1.0 - lam) ** 2)[0])
+    return float(_objective(sums, mu, lam)[0])
+
+
+def searched_columns(What, t):
+    """Every (sums, mu) batch the greedy pass hands the weight search."""
+    seen = []
+
+    def record(sums, mu):
+        seen.append((sums.copy(), mu))
+        return _search_lambda(sums, mu)
+
+    with mock.patch.object(estimation, "_search_lambda", record):
+        greedy_scale(What, build_query_tree(What.partition.k, t))
+    return seen
 
 
 class TestTreeStructure:
@@ -243,6 +259,44 @@ class TestOptimizeLambda:
             # so the search at the root must return exact 0.0
             sums = node_by_node_greedy(dense(identity_workload(k)), build_query_tree(k, 2))
             assert _search_lambda(sums, decay_factor(2, 0))[0] == 0.0
+
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_column_searched_alone_matches_batch_bit_for_bit(self, t, seed):
+        # the columns of one depth from several workloads, searched together
+        rng = np.random.default_rng(seed)
+        by_mu = {}
+        for _ in range(4):
+            What = random_transformed_workload(rng, int(rng.integers(2, 40)), int(rng.integers(1, 30)))
+            for sums, mu in searched_columns(What, t):
+                by_mu.setdefault(mu, []).append(sums)
+        for mu, parts in by_mu.items():
+            sums = np.hstack(parts)
+            batch = _search_lambda(sums, mu)
+            alone = [_search_lambda(sums[:, j : j + 1], mu)[0] for j in range(sums.shape[1])]
+            assert batch.tobytes() == np.array(alone).tobytes()
+
+    def test_no_worse_than_dense_scan(self):
+        # the returned weight is within rounding of the least value over a
+        # 100,001-point scan of the whole domain, and lies in [0, LAMBDA_CAP]
+        rng = np.random.default_rng(21)
+        batches = [searched_columns(random_transformed_workload(rng, int(rng.integers(2, 40)),
+                                                                int(rng.integers(1, 10))), 2)
+                   for _ in range(15)]
+        saturating = [searched_columns(transform_workload(Workload([1] * c, [k] * c), Partition.unit(k)), 2)
+                      for k in (4, 16, 33) for c in (1, 2, 3)]
+        identity = [searched_columns(identity_workload(k), 2) for k in (2, 7, 16)]
+        dense_grid = np.linspace(0.0, LAMBDA_CAP, 100_001)
+        for group in (batches, saturating, identity):
+            for sums, mu in (batch for seen in group for batch in seen):
+                lam = _search_lambda(sums, mu)
+                assert np.all((0.0 <= lam) & (lam <= LAMBDA_CAP))
+                best = np.array([_objective(column, mu, dense_grid).min() for column in sums.T])
+                got = _objective(sums, mu, lam)
+                assert np.all(got <= best + 1e-12 * np.abs(best))
+                if group is identity:
+                    assert np.all(lam == 0.0)
+        assert all(_search_lambda(*seen[-1])[0] > 0.9 for seen in saturating)
 
     def test_total_sum_pushes_to_cap(self):
         k = 16
