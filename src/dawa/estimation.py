@@ -12,8 +12,8 @@ is one float64 array of scalings.  Raising a parent's weight is a rank-one
 change to its subtree Gram, so the weight search needs only four scalars
 per child and the squared norm of each node's workload image, kept as
 arrays for one level at a time while the greedy pass searches the tree
-bottom-up; each weight is the least point of a 33-point grid scan that
-zooms in on the minimum, a few rounds for all nodes of a level at once.
+bottom-up; each weight is the least of three candidates in closed form,
+for all nodes of a level at once.
 The image norms come from one length-k array of leaf weights and the
 workload's end buckets in O(m + k) per level; no Gram matrix, its inverse
 or any m-by-k workload matrix is formed.  Least squares runs in the
@@ -119,18 +119,16 @@ def leaf_cover_sums(tree: QueryTree) -> np.ndarray:
 def _objective(sums: np.ndarray, mu: float, lam) -> np.ndarray:
     """Weight-search objective at weights lam for columns of child sums.
 
-    The rows of sums are (trace_sum, quad_sum, image2, norm2_sum).  lam is a
-    scalar or an array of the result's shape, such as the search's grid of
-    one row per point and one column per column of sums.  At lam = 0 it is
-    trace_sum.  beta is built in place: at a search grid's size every fresh
-    temporary costs page faults.
+    The rows of sums are (T, Q, image2, norm2_sum), and lam broadcasts
+    against a row.  With u = lam / (1 - lam), B = mu * image2 +
+    (1 - mu) * norm2_sum and A = T Q - B it is
+    f(u) = (1 + u)^2 (A u^2 + T) / (Q u^2 + 1), exactly T at lam = 0.
     """
     trace_sum, quad_sum, image2, norm2_sum = sums
-    g2 = np.square(1.0 - lam)
-    beta = lam * lam
-    beta /= (beta * quad_sum + g2) * g2
-    beta *= mu * image2 + (1.0 - mu) * norm2_sum
-    return trace_sum / g2 - beta
+    a = trace_sum * quad_sum - (mu * image2 + (1.0 - mu) * norm2_sum)
+    u = lam / (1.0 - lam)
+    u2 = u * u
+    return np.square(1.0 + u) * (a * u2 + trace_sum) / (quad_sum * u2 + 1.0)
 
 
 def _image_norms2(What: TransformedWorkload, v: np.ndarray, totals: np.ndarray, span: int) -> np.ndarray:
@@ -181,33 +179,30 @@ def _sum_children(values: np.ndarray, t: int) -> np.ndarray:
     return total
 
 
-GRID_POINTS = 33
-_STEPS = np.linspace(0.0, 1.0, GRID_POINTS)
-
-
 def _search_lambda(sums: np.ndarray, mu: float) -> np.ndarray:
     """Minimize the objective over [0, LAMBDA_CAP] for every column of sums.
 
-    Each round scans GRID_POINTS evenly spaced weights over a column's
-    bracket [a, b], starting from [0, LAMBDA_CAP], and narrows the bracket
-    to the grid cells on either side of the least point (one cell when that
-    point ends the bracket).  Once the cells are narrower than 1e-6 the
-    least grid point is the weight.  The round count does not depend on the
-    data, so a column gets the same bits searched alone or in any batch.
-    The points a * (1 - s) + b * s hit both ends exactly and argmin takes
-    the first least value, so ties go to the smaller weight, and workloads
-    already served by the children leave the subtree untouched at exactly 0.
+    In _objective's terms f'(u) has the sign of p(u) = A Q u^4 + 2 A u^2 -
+    B u + T, with p(0) = T >= 0.  If A <= 0, p only falls and the least
+    point is an end (a node no query touches has T = B = 0 and f = 0).  If
+    A > 0, p is convex and f's one interior minimum is p's larger root,
+    which a fixed count of Newton steps reaches from a start where p >= 0
+    and p' > 0.  The weight is the first least of f at 0, that root and
+    LAMBDA_CAP: ties go to the smaller weight, leaving exactly 0 where the
+    children already serve the workload, and a column gets the same bits
+    alone or in any batch.
     """
-    cols = np.arange(sums.shape[1])
-    a, b = np.zeros(len(cols)), np.full(len(cols), LAMBDA_CAP)
-    cell = LAMBDA_CAP / (GRID_POINTS - 1)
-    while True:
-        grid = (1.0 - _STEPS)[:, None] * a + _STEPS[:, None] * b
-        i = np.argmin(_objective(sums, mu, grid), axis=0)
-        if cell < 1e-6:
-            return grid[i, cols]
-        a, b = grid[np.maximum(i - 1, 0), cols], grid[np.minimum(i + 1, GRID_POINTS - 1), cols]
-        cell *= 2.0 / (GRID_POINTS - 1)
+    trace_sum, quad_sum, image2, norm2_sum = sums
+    b = mu * image2 + (1.0 - mu) * norm2_sum
+    a = trace_sum * quad_sum - b
+    with np.errstate(all="ignore"):
+        u = np.minimum(np.cbrt(b / (a * quad_sum)), b / (2.0 * a))
+        for _ in range(20):
+            w = a * quad_sum * u * u + a
+            u -= (((w + a) * u - b) * u + trace_sum) / (4.0 * w * u - b)
+        root = np.where(a > 0.0, np.nan_to_num(np.clip(u / (1.0 + u), 0.0, LAMBDA_CAP)), 0.0)
+    lams = np.stack([np.zeros_like(root), root, np.full_like(root, LAMBDA_CAP)])
+    return lams[np.argmin(_objective(sums, mu, lams), axis=0), np.arange(root.size)]
 
 
 def greedy_scale(What: TransformedWorkload, tree: QueryTree) -> QueryTree:
@@ -241,11 +236,8 @@ def greedy_scale(What: TransformedWorkload, tree: QueryTree) -> QueryTree:
         sums = np.stack([trace_sum, quad_sum, image2, norm2_sum])
         lam[~lone] = _search_lambda(sums[:, ~lone], decay_factor(t, depth))
         # Rank-one update of the subtree summaries; exact identity at lam = 0.
-        g2 = np.square(1.0 - lam)
-        lam2 = lam * lam
-        denom = g2 + lam2 * quad_sum
-        beta = lam2 / (g2 * denom)
-        summaries = np.stack([trace_sum / g2 - beta * image2, quad_sum / denom, image2 / (denom * denom),
+        denom = np.square(1.0 - lam) + np.square(lam) * quad_sum
+        summaries = np.stack([_objective(sums, 1.0, lam), quad_sum / denom, image2 / (denom * denom),
                               totals / denom])
         v /= np.repeat(denom, span)[: tree.k]
     for depth, level in enumerate(_level_slices(tree)):

@@ -191,6 +191,22 @@ class _WaveletMatrix:
         return count, total
 
 
+def check_stage1_size(n: int, total: int, mode: str) -> int:
+    """Stage 1's candidate count over n positions holding total, in closed
+    form so that nothing is built; refuses costs that would not be exact and
+    tables that would not fit in memory."""
+    bits = n.bit_length()
+    candidates = n * (n + 1) // 2 if mode == "all" else bits * (n + 1) - (1 << bits) + 1
+    if n * total > EXACT_COST_LIMIT:
+        raise ParameterError(f"n * total = {n * total} exceeds 2**52; stage-1 costs would not be exact")
+    # at its peak stage 1 holds the costs, their noise and the noisy costs
+    need, have = 3 * 8 * candidates, _physical_memory()
+    if need > have:
+        raise ParameterError(f"stage 1 needs about {need / 2**30:.1f} GiB for {candidates} candidate buckets "
+                             f"(mode {mode!r}, n = {n}) but this machine has {have / 2**30:.1f} GiB")
+    return candidates
+
+
 def all_costs(x: DataVector, eps2: float, mode: str = "pow2") -> CostTable:
     """Exact cost table over all candidate buckets for the given mode.
 
@@ -200,20 +216,9 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2") -> CostTable:
     if eps2 <= 0:
         raise ParameterError(f"eps2 must be positive, got {eps2}")
     n = x.n
-    if n * x.total() > EXACT_COST_LIMIT:
-        raise ParameterError(
-            f"n * total = {n * x.total()} exceeds 2**52; stage-1 costs would not be exact"
-        )
+    candidates = check_stage1_size(n, x.total(), mode)
     lengths = np.asarray(candidate_lengths(n, mode), dtype=np.int64)
     sizes = n - lengths + 1
-    candidates = int(sizes.sum())
-    # at its peak stage 1 holds the costs, their noise and the noisy costs
-    need, have = 3 * 8 * candidates, _physical_memory()
-    if need > have:
-        raise ParameterError(
-            f"stage 1 needs about {need / 2**30:.1f} GiB for {candidates} candidate buckets "
-            f"(mode {mode!r}, n = {n}) but this machine has {have / 2**30:.1f} GiB"
-        )
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     offsets = bounds[:-1]
     prefix = np.concatenate(([0], np.cumsum(x.counts)))

@@ -23,6 +23,7 @@ from .core import (
     read_csv_rows,
 )
 from .mechanisms import run_dawa
+from .partition import check_stage1_size
 
 
 @dataclass(frozen=True)
@@ -260,6 +261,8 @@ def run_spatial(
 
     Returns the per-rectangle answers and the private linearized estimate.
     """
+    # refuse what stage 1 cannot run before the grid and curve table exist
+    check_stage1_size(spec.side * spec.side, len(points), mode)
     map_ = HilbertMap(spec.g)
     grid = grid_discretize(points, spec)
     x = linearize(grid, map_)

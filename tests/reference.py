@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from dawa.core import ParameterError, Partition, RngStream
-from dawa.estimation import _search_lambda, decay_factor
+from dawa.estimation import _objective, _search_lambda, decay_factor
 
 
 def reference_least_cost_partition(table, n):
@@ -95,10 +95,8 @@ def node_by_node_greedy(matrix, tree):
             sums = np.array([[trace], [quad], [image2], [norm2]])
             lam = float(_search_lambda(sums, decay_factor(t, depth))[0])
             g = 1.0 - lam
-            g2 = g * g
-            denom = g2 + lam * lam * quad
-            beta = lam * lam / (g2 * denom)
-            level.append((trace / g2 - beta * image2, quad / denom, image / denom,
+            denom = g * g + lam * lam * quad
+            level.append((float(_objective(sums, 1.0, lam)[0]), quad / denom, image / denom,
                           image2 / (denom * denom)))
             scalings[starts[depth] + i] = lam
             for below_depth in range(depth + 1, height + 1):

@@ -289,6 +289,19 @@ class TestSpatialCmd:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("g", [32, 40])
+    def test_oversized_grid_is_clean_error(self, tmp_path, capsys, g):
+        # 4^g cells: refused before the grid or the curve table is built
+        (tmp_path / "pts.csv").write_text("x,y\n0.5,0.5\n1.5,2.5\n3.2,3.9\n")
+        (tmp_path / "rects.csv").write_text("xlo,xhi,ylo,yhi\n0.0,2.0,0.0,2.0\n")
+        rc = main(["spatial", "--points", str(tmp_path / "pts.csv"),
+                   "--rects", str(tmp_path / "rects.csv"), "--g", str(g), "--epsilon", "1.0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("dawa: error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 @pytest.mark.parametrize("argv", [
     ["workload", "--kind", "uniform", "--n", "64", "--num-queries", "9", "--seed", "2"],
