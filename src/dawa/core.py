@@ -295,8 +295,8 @@ class RngStream:
 
     Children derived with the same tags are identical across runs and
     independent of draw order elsewhere.  When a ledger list is attached,
-    every Laplace draw records its scale there; mechanisms use this to make
-    budget accounting checkable.
+    every Laplace request records its (scale, count) there once, even when
+    drawn in slices; mechanisms use this to make budget accounting checkable.
     """
 
     def __init__(self, seed: int, ledger: list | None = None):
@@ -308,7 +308,7 @@ class RngStream:
         return RngStream(derive_seed(self.seed, *tags), ledger=self.ledger)
 
     def uniform_open(self, size: int) -> np.ndarray:
-        """Uniform draws from (0, 1); zeros are redrawn."""
+        """Uniform draws from (0, 1); a zero is redrawn in this call, so inside its slice."""
         u = self._gen.random(size)
         bad = u <= 0.0
         while np.any(bad):
@@ -340,19 +340,29 @@ def laplace_sample(scale: float, rng: RngStream, size: int | None = None):
     rounding; at the 1 + 1e-9 the acceptance check allows, stage 2 spends
     up to eps2 * (1 + 1e-9), not eps2.
     """
+    count = 1 if size is None else int(size)
+    u = laplace_draws(scale, rng, count)(count)
+    return float(u[0]) if size is None else u
+
+
+def laplace_draws(scale: float, rng: RngStream, count: int):
+    """Record `count` Laplace(scale) draws as one ledger entry; `draw(size)` takes the next `size`."""
     if not (np.isfinite(scale) and scale > 0):
         raise ParameterError(f"scale must be positive and finite, got {scale}")
-    count = 1 if size is None else int(size)
     if rng.ledger is not None:
         rng.ledger.append((float(scale), count))
-    u = rng.uniform_open(count)
-    # -scale * sign(u - 1/2) * log(1 - 2|u - 1/2|), in place: one log per
-    # draw, and every step before the log is exact for u on the 2^-53 grid
-    sign = np.sign(np.subtract(u, 0.5, out=u))
-    np.log(np.add(np.multiply(np.abs(u, out=u), -2.0, out=u), 1.0, out=u), out=u)
-    sign *= -scale
-    u *= sign
-    return float(u[0]) if size is None else u
+
+    def draw(size: int) -> np.ndarray:
+        u = rng.uniform_open(size)
+        # -scale * sign(u - 1/2) * log(1 - 2|u - 1/2|), in place: one log per
+        # draw, and every step before the log is exact for u on the 2^-53 grid
+        sign = np.sign(np.subtract(u, 0.5, out=u))
+        np.log(np.add(np.multiply(np.abs(u, out=u), -2.0, out=u), 1.0, out=u), out=u)
+        sign *= -scale
+        u *= sign
+        return u
+
+    return draw
 
 
 def evaluate_query(q: Interval, x: "DataVector | EstimateVector | np.ndarray") -> float:

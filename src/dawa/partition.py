@@ -7,9 +7,9 @@ S count and sum the values at or above the mean T/L.  `all_costs` computes
 N for every candidate bucket at once from prefix sums and a wavelet matrix
 over the ranks of the distinct counts, so each cost is one float division
 away from the exact value and matches the direct per-bucket computation bit
-for bit.  The costs live in one flat array, perturbation is one vector add,
-and the dynamic program gathers the candidates ending at each endpoint as
-one row of it.
+for bit.  The costs live in one flat array, noised slice by slice on the
+private path, and the dynamic program gathers the candidates ending at each
+endpoint as one row of it.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .core import (
     ParameterError,
     Partition,
     RngStream,
+    laplace_draws,
     laplace_sample,
 )
 
@@ -199,19 +200,19 @@ def check_stage1_size(n: int, total: int, mode: str) -> int:
     candidates = n * (n + 1) // 2 if mode == "all" else bits * (n + 1) - (1 << bits) + 1
     if n * total > EXACT_COST_LIMIT:
         raise ParameterError(f"n * total = {n * total} exceeds 2**52; stage-1 costs would not be exact")
-    # at its peak stage 1 holds the costs, their noise and the noisy costs
-    need, have = 3 * 8 * candidates, _physical_memory()
+    # stage 1 holds one float64 per candidate: the costs, noisy on the private path
+    need, have = 8 * candidates, _physical_memory()
     if need > have:
         raise ParameterError(f"stage 1 needs about {need / 2**30:.1f} GiB for {candidates} candidate buckets "
                              f"(mode {mode!r}, n = {n}) but this machine has {have / 2**30:.1f} GiB")
     return candidates
 
 
-def all_costs(x: DataVector, eps2: float, mode: str = "pow2") -> CostTable:
-    """Exact cost table over all candidate buckets for the given mode.
+def all_costs(x: DataVector, eps2: float, mode: str = "pow2", noise: tuple | None = None) -> CostTable:
+    """Costs of every candidate bucket, plus Laplace(scale) noise if `noise` is (scale, rng).
 
     Candidates are processed in slices of _CHUNK so the per-query arrays
-    stay cache-resident.
+    stay cache-resident; each slice is noised in place once computed.
     """
     if eps2 <= 0:
         raise ParameterError(f"eps2 must be positive, got {eps2}")
@@ -224,6 +225,7 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2") -> CostTable:
     prefix = np.concatenate(([0], np.cumsum(x.counts)))
     matrix = _WaveletMatrix(x.counts)
     costs = np.empty(candidates)
+    draw = laplace_draws(*noise, candidates) if noise else None
     for at in range(0, candidates, _CHUNK):
         stop = min(at + _CHUNK, candidates)
         first, last = np.searchsorted(bounds, (at, stop - 1), side="right") - 1
@@ -237,6 +239,8 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2") -> CostTable:
         count, total = matrix.count_sum_at_least(start, start + length, at_least)
         num = length * total - window_total * count
         costs[at:stop] = (2 * num) / length + 1.0 / eps2
+        if draw:
+            costs[at:stop] += draw(stop - at)
     return CostTable(n=n, mode=mode, lengths=lengths, offsets=offsets, costs=costs)
 
 
@@ -254,7 +258,7 @@ def perturb_costs(
     if eps1 <= 0:
         raise ParameterError(f"eps1 must be positive, got {eps1}")
     noise = laplace_sample(2.0 * delta_bcost / eps1, rng, size=len(table))
-    return replace(table, costs=table.costs + noise)
+    return replace(table, costs=np.add(noise, table.costs, out=noise))
 
 
 def least_cost_partition(table: CostTable, n: int) -> Partition:
@@ -307,13 +311,13 @@ def exact_partition(x: DataVector, eps2: float, mode: str = "pow2") -> Partition
 def private_partition(x: DataVector, params: PartitionParams, rng: RngStream) -> Partition:
     """Choose a partition under eps1-differential privacy.
 
-    Computes exact candidate costs, perturbs each with Laplace noise scaled
-    to twice the per-entry sensitivity, then solves the least-cost dynamic
-    program on the noisy table.
+    Adds Laplace noise, scaled to twice the per-entry sensitivity, to each
+    slice of costs as it is computed, then solves the least-cost dynamic
+    program.  Same bits as `perturb_costs` on the exact table, except that a
+    zero uniform (chance 2^-53 per draw) is redrawn inside its slice.
     """
-    table = all_costs(x, params.eps2, params.mode)
-    noisy = perturb_costs(table, params.eps1, rng, delta_bcost=params.delta_bcost)
-    return least_cost_partition(noisy, x.n)
+    noise = (2.0 * params.delta_bcost / params.eps1, rng)
+    return least_cost_partition(all_costs(x, params.eps2, params.mode, noise), x.n)
 
 
 def utility_bound(

@@ -123,9 +123,10 @@ def hilbert_cell(map_: HilbertMap, d: int) -> tuple[int, int]:
 def _cells_of(coords: np.ndarray, lo: float, width: float, side: int) -> np.ndarray:
     # ceil - 1 sends boundary values to the smaller-index cell; the clip
     # handles both box edges and points outside the box.
-    u = (coords - lo) / width
-    cells = np.ceil(u).astype(np.int64) - 1
-    return np.clip(cells, 0, side - 1)
+    u = coords - lo
+    cells = np.ceil(np.divide(u, width, out=u), out=u).astype(np.int64)
+    cells -= 1
+    return np.clip(cells, 0, side - 1, out=cells)
 
 
 def grid_discretize(points, spec: GridSpec) -> np.ndarray:

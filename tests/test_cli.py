@@ -1,13 +1,14 @@
 """Command-line entry points, exercised in-process through main(argv)."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from dawa.cli import main
 from dawa.core import read_data_file, read_workload_file
+
+from .memory import peak_bytes
 
 
 @pytest.fixture
@@ -125,29 +126,24 @@ class TestPartitionCmd:
         assert captured.out == ""
 
     def test_stage1_too_large_is_refused_before_allocating(self, tmp_path, monkeypatch, capsys):
-        # n = 16384 in mode all has 134,225,920 candidates: 3.0 GiB for the
-        # costs, their noise and the noisy costs, against 1 GiB of memory
+        # n = 16384 in mode all has 134,225,920 candidates: 1.0 GiB for
+        # their float64 costs, against 0.5 GiB of memory
         p = tmp_path / "x.txt"
         p.write_text("1\n" * 16384)
-        monkeypatch.setattr("dawa.partition._physical_memory", lambda: 2.0**30)
-        tracemalloc.start()
-        try:
-            rc = main(["partition", "--data", str(p), "--eps1", "0.25", "--eps2", "0.75",
-                       "--mode", "all"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        monkeypatch.setattr("dawa.partition._physical_memory", lambda: 2.0**29)
+        peak, rc = peak_bytes(main, ["partition", "--data", str(p), "--eps1", "0.25", "--eps2", "0.75",
+                                     "--mode", "all"])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err == (
-            "dawa: error: stage 1 needs about 3.0 GiB for 134225920 candidate buckets "
-            "(mode 'all', n = 16384) but this machine has 1.0 GiB\n"
+            "dawa: error: stage 1 needs about 1.0 GiB for 134225920 candidate buckets "
+            "(mode 'all', n = 16384) but this machine has 0.5 GiB\n"
         )
         assert captured.out == ""
         assert peak < 16 * 2**20
 
     def test_stage1_that_fits_runs(self, monkeypatch, capsys, tmp_path):
-        # n = 1024 in mode all needs 12.6 MB
+        # n = 1024 in mode all needs 4.2 MB
         p = tmp_path / "x.txt"
         p.write_text("1\n" * 1024)
         monkeypatch.setattr("dawa.partition._physical_memory", lambda: 2.0**30)

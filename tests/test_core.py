@@ -1,7 +1,6 @@
 """Core types, RNG plumbing, query evaluation, and file formats."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from dawa.core import (
     write_workload_file,
 )
 
+from .memory import peak_bytes
 from .reference import reference_laplace_sample
 from .strategies import data_vectors, data_with_workload
 
@@ -396,12 +396,7 @@ class TestLaplace:
 
     def test_million_draws_hold_two_draw_sized_arrays(self):
         # the uniforms, reused for the result, and the signs: 16 MB at most
-        tracemalloc.start()
-        try:
-            laplace_sample(1.0, RngStream(0), size=1_000_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = peak_bytes(laplace_sample, 1.0, RngStream(0), size=1_000_000)
         assert peak <= 2.2 * 8_000_000
 
     def test_invalid_scale(self):

@@ -1,7 +1,6 @@
 """Measurement-tree scaling: greedy budget split, fast objective, OLS recovery."""
 
 import time
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -43,6 +42,7 @@ from dawa.oracles import (
 )
 from dawa.transform import transform_workload
 
+from .memory import peak_bytes
 from .reference import node_by_node_greedy, undo_root_discount
 from .strategies import partitions_of, random_transformed_workload, workload_of, workloads_over
 
@@ -622,12 +622,7 @@ class TestComplexitySmoke:
         his = rng.integers(los, n + 1)
         What = transform_workload(Workload(los, his), part)
         tree = build_query_tree(k, 2)
-        tracemalloc.start()
-        try:
-            greedy_scale(What, tree)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = peak_bytes(greedy_scale, What, tree)
         assert peak < 60e6
         assert np.max(leaf_cover_sums(tree)) <= 1.0 + 1e-9
 

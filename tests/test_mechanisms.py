@@ -1,7 +1,5 @@
 """End-to-end mechanisms: budget accounting, baselines, dispatch."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -27,6 +25,9 @@ from dawa.mechanisms import (
     run_mechanism,
     run_partition_laplace,
 )
+from dawa.partition import all_costs
+
+from .memory import peak_bytes
 
 
 @pytest.fixture
@@ -123,15 +124,10 @@ class TestLargeDomainMemory:
     def test_peak_traced_memory(self, runner):
         x = gen_synthetic_data("piecewise_constant", self.N, seed=4, segments=8)
         W = gen_workload("uniform", self.N, seed=5, num_queries=20)
-        tracemalloc.start()
-        try:
-            if runner == "greedy_no_partition":
-                got = run_greedy_no_partition(x, W, 1.0, RngStream(6))
-            else:
-                got = run_hier_uniform(x, 1.0, RngStream(6))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        if runner == "greedy_no_partition":
+            peak, got = peak_bytes(run_greedy_no_partition, x, W, 1.0, RngStream(6))
+        else:
+            peak, got = peak_bytes(run_hier_uniform, x, 1.0, RngStream(6))
         assert got.values.shape == (self.N,)
         assert np.all(np.isfinite(got.values))
         assert peak < 200 * 2**20
@@ -156,6 +152,17 @@ class TestDawa:
         )
         scales = {s for s, _ in ledger}
         assert scales == {2.0 * 2.0 / 0.25, 1.0 / 0.75}
+
+    @pytest.mark.parametrize("mode, n", [("all", 200), ("pow2", 8192)])
+    def test_one_ledger_entry_per_stage(self, mode, n):
+        # stage 1 draws its 20,100 or 98,319 candidates' noise in slices but
+        # records it once, before the first slice
+        x = gen_synthetic_data("piecewise_constant", n, seed=2, segments=4)
+        ledger = []
+        run_dawa(x, gen_workload("uniform", n, seed=3, num_queries=40),
+                 PrivacyBudget(1.0, 0.25, 0.75), RngStream(3, ledger=ledger), mode=mode)
+        assert [s for s, _ in ledger] == [2.0 * 2.0 / 0.25, 1.0 / 0.75]
+        assert ledger[0][1] == len(all_costs(x, 0.75, mode))
 
     def test_estimates_unclamped(self):
         # near-zero counts with real noise must be allowed to go negative

@@ -2,7 +2,6 @@
 empirical audit of stage 1's privacy claim."""
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +37,7 @@ from dawa.partition import (
     utility_bound,
 )
 
+from .memory import peak_bytes
 from .reference import reference_least_cost_partition
 from .strategies import data_vectors, data_with_partition
 
@@ -299,6 +299,52 @@ class TestPerturb:
         assert ledger[0][0] == 2.0
 
 
+class TestNoiseInSlices:
+    """On the private path `all_costs` adds each slice's noise as it goes;
+    the privacy audit and the benchmark's traced rebuild perturb the exact
+    table in one draw instead, so the two must give the same bits."""
+
+    # 20,100 candidates in 3 slices, and 98,319 in 13
+    CASES = [(200, "all"), (8192, "pow2")]
+
+    @staticmethod
+    def data(n):
+        return DataVector(np.random.default_rng(n).integers(0, 60, size=n))
+
+    @pytest.mark.parametrize("n, mode", CASES)
+    def test_slices_match_one_draw(self, n, mode):
+        x = self.data(n)
+        assert len(all_costs(x, 0.75, mode)) > 2 * _CHUNK
+        scale = 2.0 * BUCKET_COST_SENSITIVITY / 0.25
+        for seed in (1, 2):
+            fused = all_costs(x, 0.75, mode, (scale, RngStream(seed)))
+            two_step = perturb_costs(all_costs(x, 0.75, mode), 0.25, RngStream(seed))
+            assert fused.costs.tobytes() == two_step.costs.tobytes()
+
+    @pytest.mark.parametrize("n, mode", CASES)
+    def test_private_partition_matches_two_step(self, n, mode):
+        x = self.data(n)
+        for seed in (1, 2):
+            got = private_partition(x, PartitionParams(0.25, 0.75, mode), RngStream(seed))
+            noisy = perturb_costs(all_costs(x, 0.75, mode), 0.25, RngStream(seed))
+            assert np.array_equal(got.his, least_cost_partition(noisy, n).his)
+
+    @pytest.mark.parametrize("n, mode", CASES)
+    @pytest.mark.parametrize("delta_bcost", [BUCKET_COST_SENSITIVITY, 1.0])
+    def test_one_ledger_entry(self, n, mode, delta_bcost):
+        x, ledger = self.data(n), []
+        params = PartitionParams(0.25, 0.75, mode, delta_bcost=delta_bcost)
+        private_partition(x, params, RngStream(3, ledger=ledger))
+        assert ledger == [(2.0 * delta_bcost / 0.25, len(all_costs(x, 0.75, mode)))]
+
+    def test_private_partition_holds_one_table(self):
+        # 524,800 candidates: the noisy costs are the only array of their
+        # size; the exact costs and a separate noise array would be 3x
+        x = DataVector(np.random.default_rng(58).integers(0, 50, size=1024))
+        peak, _ = peak_bytes(private_partition, x, PartitionParams(0.25, 0.75, "all"), RngStream(3))
+        assert peak < 1.5 * 8 * 524_800
+
+
 class TestLeastCost:
     def test_matches_oracle_costs(self):
         rng = np.random.default_rng(0)
@@ -396,12 +442,7 @@ class TestLeastCostMatchesReference:
         # second copy of the costs (a Python float list is ~4x their size)
         x = DataVector(np.random.default_rng(57).integers(0, 50, size=1024))
         table = perturb_costs(all_costs(x, 0.75, "all"), 0.25, RngStream(3))
-        tracemalloc.start()
-        try:
-            least_cost_partition(table, x.n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = peak_bytes(least_cost_partition, table, x.n)
         assert peak < table.costs.nbytes
 
 
