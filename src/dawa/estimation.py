@@ -318,6 +318,13 @@ def strategy_matrix(tree: QueryTree) -> np.ndarray:
     return ((los[:, None] <= positions) & (positions <= his[:, None])).astype(np.float64)
 
 
+def scaled_tree(partition: Partition, W: Workload, t: int) -> QueryTree:
+    """The query tree over the partition's buckets, scaled greedily for W; its scalings are read-only."""
+    tree = greedy_scale(transform_workload(W, partition), build_query_tree(partition.k, t))
+    tree.scalings.setflags(write=False)
+    return tree
+
+
 def estimate_buckets(
     partition: Partition,
     W: Workload,
@@ -325,13 +332,13 @@ def estimate_buckets(
     eps2: float,
     t: int,
     rng: RngStream,
+    tree: "QueryTree | None" = None,
 ) -> Histogram:
-    """Full stage 2: transform, scale greedily, measure, reconcile."""
+    """Full stage 2: transform, scale greedily, measure, reconcile; a `tree`
+    from `scaled_tree(partition, W, t)` skips the first two and is only read."""
     if partition.n != x.n:
         raise DimensionError(f"partition covers [1, {partition.n}] but data has n={x.n}")
-    What = transform_workload(W, partition)
-    tree = build_query_tree(partition.k, t)
-    greedy_scale(What, tree)
+    tree = scaled_tree(partition, W, t) if tree is None else tree
     measurements = measure(partition.bucket_totals(x.counts), tree, eps2, rng)
     stats = ols_infer(tree, measurements)
     return Histogram(partition=partition, stats=stats)

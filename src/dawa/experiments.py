@@ -21,13 +21,16 @@ from .core import (
     ParameterError,
     PrivacyBudget,
     RngStream,
+    Partition,
     Workload,
     average_workload_error,
     derive_seed,
     read_data_file,
 )
+from .estimation import scaled_tree
 from .generators import gen_synthetic_data, gen_workload
-from .mechanisms import MECHANISM_NAMES, MechanismConfig, run_mechanism
+from .mechanisms import MECHANISM_NAMES, MechanismConfig, SharedWork, run_mechanism
+from .partition import deviation_table
 
 THREADS_ENV = "DAWA_THREADS"
 
@@ -55,32 +58,33 @@ class ExperimentConfig:
     record_timing: bool = True
 
     def __post_init__(self) -> None:
-        ints, lists = (int, np.integer), (list, tuple)
+        ints, reals, lists = (int, np.integer), (int, float, np.integer, np.floating), (list, tuple)
+        # bools are ints to Python; only record_timing may be one
         for name, kinds, what in (("n", ints, "an integer"), ("num_workloads", ints, "an integer"),
                                   ("trials", ints, "an integer"), ("master_seed", ints, "an integer"),
                                   ("branching", ints, "an integer"), ("mechanisms", lists, "a list"),
                                   ("epsilons", lists, "a list"), ("workload", dict, "an object"),
-                                  ("data", dict, "an object")):
+                                  ("data", dict, "an object"), ("stage1_fraction", reals, "a number"),
+                                  ("record_timing", bool, "true or false")):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kinds):
+            if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
                 raise ParameterError(f"config {name!r} must be {what}, got {value!r}")
+        eps_ok = all(isinstance(e, reals) and not isinstance(e, bool) and 0 < e < np.inf for e in self.epsilons)
+        for name, ok, what in (
+            ("mechanisms", self.mechanisms and all(m in MECHANISM_NAMES for m in self.mechanisms),
+             f"a nonempty list from {MECHANISM_NAMES}"),
+            ("epsilons", self.epsilons and eps_ok, "a nonempty list of positive finite numbers"),
+            ("num_workloads", self.num_workloads >= 1, "at least 1"), ("trials", self.trials >= 1, "at least 1"),
+            ("mode", self.mode in ("all", "pow2"), "'all' or 'pow2'"), ("branching", self.branching >= 2, "at least 2"),
+            ("stage1_fraction", 0 < self.stage1_fraction < 1, "in (0, 1)"),
+            ("workload", "kind" in self.workload, "an object with a 'kind'"),
+            ("data", "path" in self.data or "kind" in self.data, "an object with a 'path' or a 'kind'"),
+            ("n", "path" in self.data or self.n >= 1, "at least 1 for synthetic data"),
+        ):
+            if not ok:
+                raise ParameterError(f"config {name!r} must be {what}, got {getattr(self, name)!r}")
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        if not self.mechanisms:
-            raise ParameterError("at least one mechanism required")
-        for name in self.mechanisms:
-            if name not in MECHANISM_NAMES:
-                raise ParameterError(f"unknown mechanism {name!r}")
-        if not self.epsilons or any(e <= 0 for e in self.epsilons):
-            raise ParameterError("epsilons must be positive")
-        if self.num_workloads < 1 or self.trials < 1:
-            raise ParameterError("num_workloads and trials must be >= 1")
-        if "kind" not in self.workload:
-            raise ParameterError("workload config needs a 'kind'")
-        if "path" not in self.data and "kind" not in self.data:
-            raise ParameterError("data config needs a 'path' or a 'kind'")
-        if "path" not in self.data and self.n < 1:
-            raise ParameterError("synthetic data needs n >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -130,27 +134,35 @@ def _load_data(cfg: ExperimentConfig) -> DataVector:
     return gen_synthetic_data(cfg.data["kind"], cfg.n, derive_seed(cfg.master_seed, "data"), **params)
 
 
-def _execute_trial(task: tuple) -> TrialResult:
-    (name, eps, wid, trial, seed, mode, branching, stage1_fraction, record_timing, x, W) = task
-    config = MechanismConfig(
-        name=name,
-        budget=PrivacyBudget.split(eps, stage1_fraction),
-        mode=mode,
-        branching=branching,
-    )
-    rng = RngStream(seed)
+@dataclass(frozen=True)
+class _Trial:
+    mechanism: str
+    epsilon: float
+    workload_id: int
+    trial: int
+    seed: int
+
+
+_worker_grid: tuple | None = None  # a pool worker's grid, set once by _set_worker_grid
+
+
+def _set_worker_grid(grid: tuple) -> None:
+    global _worker_grid
+    _worker_grid = grid
+
+
+def _execute_trial(task: _Trial, grid: tuple | None = None) -> TrialResult:
+    """One trial on the grid (cfg, x, per workload id (W, SharedWork)), by
+    default the pool worker's; wall_ms leaves out the work the grid shares."""
+    cfg, x, workloads = grid or _worker_grid
+    W, shared = workloads[task.workload_id]
+    budget = PrivacyBudget.split(task.epsilon, cfg.stage1_fraction)
+    config = MechanismConfig(name=task.mechanism, budget=budget, mode=cfg.mode, branching=cfg.branching)
+    rng = RngStream(task.seed)
     start = time.perf_counter()
-    xhat = run_mechanism(config, x, W, rng)
-    wall_ms = (time.perf_counter() - start) * 1000.0 if record_timing else 0.0
-    return TrialResult(
-        mechanism=name,
-        epsilon=eps,
-        workload_id=wid,
-        trial=trial,
-        seed=seed,
-        avg_l1_error=average_workload_error(W, x, xhat),
-        wall_ms=wall_ms,
-    )
+    xhat = run_mechanism(config, x, W, rng, shared)
+    wall_ms = (time.perf_counter() - start) * 1000.0 if cfg.record_timing else 0.0
+    return TrialResult(**vars(task), avg_l1_error=average_workload_error(W, x, xhat), wall_ms=wall_ms)
 
 
 def compute_aggregates(results: "tuple[TrialResult, ...] | list[TrialResult]") -> tuple[dict, ...]:
@@ -193,25 +205,27 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     the mechanism or epsilon, so extending the grid leaves existing rows
     unchanged.  Set the DAWA_THREADS env var above 1 to run trials in
     worker processes; results are merged in deterministic order either way.
+    Stage 1's deviations and each workload's greedy_no_partition tree are
+    made once, before the first trial, and each worker gets them once.
     """
     workers = _thread_count()
     x = _load_data(cfg)
-    n = x.n
-    tasks = []
+    deviations = deviation_table(x, cfg.mode) if {"dawa", "partition_laplace"} & set(cfg.mechanisms) else None
+    workloads, tasks = [], []
     for wid in range(cfg.num_workloads):
         wparams = {k: v for k, v in cfg.workload.items() if k != "kind"}
-        W = gen_workload(cfg.workload["kind"], n, derive_seed(cfg.master_seed, "workload", wid), **wparams)
+        W = gen_workload(cfg.workload["kind"], x.n, derive_seed(cfg.master_seed, "workload", wid), **wparams)
+        tree = scaled_tree(Partition.unit(x.n), W, cfg.branching) if "greedy_no_partition" in cfg.mechanisms else None
+        workloads.append((W, SharedWork(deviations, tree)))
         for name in cfg.mechanisms:
             for eps in cfg.epsilons:
                 for trial in range(cfg.trials):
-                    seed = derive_seed(cfg.master_seed, "trial", wid, trial)
-                    tasks.append((name, eps, wid, trial, seed, cfg.mode, cfg.branching,
-                                  cfg.stage1_fraction, cfg.record_timing, x, W))
+                    tasks.append(_Trial(name, eps, wid, trial, derive_seed(cfg.master_seed, "trial", wid, trial)))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(workers, initializer=_set_worker_grid, initargs=((cfg, x, workloads),)) as pool:
             results = tuple(pool.map(_execute_trial, tasks))
     else:
-        results = tuple(_execute_trial(t) for t in tasks)
+        results = tuple(_execute_trial(t, (cfg, x, workloads)) for t in tasks)
     return Report(config=cfg.to_dict(), results=results, aggregates=compute_aggregates(results))
 
 

@@ -22,8 +22,8 @@ from .core import (
     laplace_sample,
     uniform_expand,
 )
-from .estimation import build_query_tree, estimate_buckets, measure, ols_infer
-from .partition import PartitionParams, private_partition
+from .estimation import QueryTree, build_query_tree, estimate_buckets, measure, ols_infer
+from .partition import CostTable, PartitionParams, private_partition
 
 MECHANISM_NAMES = (
     "dawa",
@@ -51,6 +51,16 @@ class MechanismConfig:
             raise ParameterError(f"branching must be >= 2, got {self.branching}")
 
 
+@dataclass(frozen=True)
+class SharedWork:
+    """Work that depends on neither epsilon nor the noise, made once and read by
+    releases on the same data and workload: the data's `deviation_table` for
+    dawa and partition_laplace, the workload's unit-bucket `scaled_tree`."""
+
+    deviations: CostTable | None = None
+    unit_tree: QueryTree | None = None
+
+
 def run_dawa(
     x: DataVector,
     W: Workload,
@@ -58,13 +68,14 @@ def run_dawa(
     rng: RngStream,
     mode: str = "pow2",
     t: int = 2,
+    deviations: CostTable | None = None,
 ) -> EstimateVector:
     """Two-stage mechanism: private partition on eps1, bucket estimation on eps2.
 
     Sequential composition of the stages spends exactly the total budget.
     """
     params = PartitionParams(eps1=budget.eps1, eps2=budget.eps2, mode=mode)
-    buckets = private_partition(x, params, rng)
+    buckets = private_partition(x, params, rng, deviations)
     hist = estimate_buckets(buckets, W, x, budget.eps2, t, rng)
     return uniform_expand(hist, x.n)
 
@@ -82,10 +93,11 @@ def run_partition_laplace(
     budget: PrivacyBudget,
     rng: RngStream,
     mode: str = "pow2",
+    deviations: CostTable | None = None,
 ) -> EstimateVector:
     """Private partition, then plain Laplace on each bucket count."""
     params = PartitionParams(eps1=budget.eps1, eps2=budget.eps2, mode=mode)
-    buckets = private_partition(x, params, rng)
+    buckets = private_partition(x, params, rng, deviations)
     stats = buckets.bucket_totals(x.counts) + laplace_sample(1.0 / budget.eps2, rng, size=buckets.k)
     return uniform_expand(Histogram(partition=buckets, stats=stats), x.n)
 
@@ -141,28 +153,31 @@ def run_greedy_no_partition(
     eps: float,
     rng: RngStream,
     t: int = 2,
+    tree: QueryTree | None = None,
 ) -> EstimateVector:
     """Stage 2 alone on unit buckets, spending the whole budget there."""
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     buckets = Partition.unit(x.n)
-    hist = estimate_buckets(buckets, W, x, eps, t, rng)
+    hist = estimate_buckets(buckets, W, x, eps, t, rng, tree)
     return uniform_expand(hist, x.n)
 
 
-def run_mechanism(config: MechanismConfig, x: DataVector, W: Workload, rng: RngStream) -> EstimateVector:
-    """Dispatch by configured name; single-stage mechanisms get the full budget."""
+def run_mechanism(config: MechanismConfig, x: DataVector, W: Workload, rng: RngStream,
+                  shared: SharedWork = SharedWork()) -> EstimateVector:
+    """Dispatch by configured name; single-stage mechanisms get the full budget.
+    With `shared` work for x, W and the config, the estimate has the same bits."""
     name = config.name
     if name == "dawa":
-        return run_dawa(x, W, config.budget, rng, mode=config.mode, t=config.branching)
+        return run_dawa(x, W, config.budget, rng, config.mode, config.branching, shared.deviations)
     if name == "identity":
         return run_identity(x, config.budget.epsilon, rng)
     if name == "partition_laplace":
-        return run_partition_laplace(x, config.budget, rng, mode=config.mode)
+        return run_partition_laplace(x, config.budget, rng, config.mode, shared.deviations)
     if name == "hier_uniform":
         return run_hier_uniform(x, config.budget.epsilon, rng, t=config.branching)
     if name == "hier_geometric":
         return run_hier_geometric(x, config.budget.epsilon, rng, t=config.branching)
     if name == "greedy_no_partition":
-        return run_greedy_no_partition(x, W, config.budget.epsilon, rng, t=config.branching)
+        return run_greedy_no_partition(x, W, config.budget.epsilon, rng, config.branching, shared.unit_tree)
     raise ParameterError(f"unknown mechanism {name!r}")

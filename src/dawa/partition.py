@@ -192,27 +192,29 @@ class _WaveletMatrix:
         return count, total
 
 
-def check_stage1_size(n: int, total: int, mode: str) -> int:
+def check_stage1_size(n: int, total: int, mode: str, tables: int = 1) -> int:
     """Stage 1's candidate count over n positions holding total, in closed
     form so that nothing is built; refuses costs that would not be exact and
-    tables that would not fit in memory."""
+    `tables` float64 per candidate that would not fit in memory."""
     bits = n.bit_length()
     candidates = n * (n + 1) // 2 if mode == "all" else bits * (n + 1) - (1 << bits) + 1
     if n * total > EXACT_COST_LIMIT:
         raise ParameterError(f"n * total = {n * total} exceeds 2**52; stage-1 costs would not be exact")
-    # stage 1 holds one float64 per candidate: the costs, noisy on the private path
-    need, have = 8 * candidates, _physical_memory()
+    # a release holds its costs, noisy on the private path; releases sharing deviations hold those too
+    need, have = 8 * tables * candidates, _physical_memory()
     if need > have:
         raise ParameterError(f"stage 1 needs about {need / 2**30:.1f} GiB for {candidates} candidate buckets "
                              f"(mode {mode!r}, n = {n}) but this machine has {have / 2**30:.1f} GiB")
     return candidates
 
 
-def all_costs(x: DataVector, eps2: float, mode: str = "pow2", noise: tuple | None = None) -> CostTable:
+def all_costs(x: DataVector, eps2: float, mode: str = "pow2", noise: tuple | None = None,
+              deviations: "CostTable | None" = None) -> CostTable:
     """Costs of every candidate bucket, plus Laplace(scale) noise if `noise` is (scale, rng).
 
     Candidates are processed in slices of _CHUNK so the per-query arrays
-    stay cache-resident; each slice is noised in place once computed.
+    stay cache-resident; each slice's deviations are computed, or read from
+    `deviations` (x's `deviation_table`), then priced and noised in place.
     """
     if eps2 <= 0:
         raise ParameterError(f"eps2 must be positive, got {eps2}")
@@ -222,26 +224,43 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2", noise: tuple | Non
     sizes = n - lengths + 1
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     offsets = bounds[:-1]
-    prefix = np.concatenate(([0], np.cumsum(x.counts)))
-    matrix = _WaveletMatrix(x.counts)
+    if deviations is None:
+        prefix = np.concatenate(([0], np.cumsum(x.counts)))
+        matrix = _WaveletMatrix(x.counts)
+    elif (deviations.n, deviations.mode) != (n, mode):
+        raise ParameterError(f"deviations of n = {deviations.n}, mode {deviations.mode!r} "
+                             f"for n = {n}, mode {mode!r}")
     costs = np.empty(candidates)
     draw = laplace_draws(*noise, candidates) if noise else None
     for at in range(0, candidates, _CHUNK):
         stop = min(at + _CHUNK, candidates)
-        first, last = np.searchsorted(bounds, (at, stop - 1), side="right") - 1
-        extents = np.diff(np.clip(bounds[first : last + 2], at, stop))
-        group = np.repeat(np.arange(first, last + 1), extents)
-        length = lengths[group]
-        start = np.arange(at, stop) - offsets[group]
-        window_total = prefix[start + length] - prefix[start]
-        # the ceiling of the window mean never exceeds the window's largest value
-        at_least = -(-window_total // length)
-        count, total = matrix.count_sum_at_least(start, start + length, at_least)
-        num = length * total - window_total * count
-        costs[at:stop] = (2 * num) / length + 1.0 / eps2
+        cost = costs[at:stop]
+        if deviations is None:
+            first, last = np.searchsorted(bounds, (at, stop - 1), side="right") - 1
+            extents = np.diff(np.clip(bounds[first : last + 2], at, stop))
+            group = np.repeat(np.arange(first, last + 1), extents)
+            length = lengths[group]
+            start = np.arange(at, stop) - offsets[group]
+            window_total = prefix[start + length] - prefix[start]
+            # the ceiling of the window mean never exceeds the window's largest value
+            at_least = -(-window_total // length)
+            count, total = matrix.count_sum_at_least(start, start + length, at_least)
+            num = length * total - window_total * count
+            np.divide(2 * num, length, out=cost)
+        else:
+            cost[:] = deviations.costs[at:stop]
+        cost += 1.0 / eps2
         if draw:
-            costs[at:stop] += draw(stop - at)
+            cost += draw(stop - at)
     return CostTable(n=n, mode=mode, lengths=lengths, offsets=offsets, costs=costs)
+
+
+def deviation_table(x: DataVector, mode: str = "pow2") -> CostTable:
+    """Every candidate's exact deviation 2N/L, which depends on x and mode
+    alone; `all_costs` prices and noises it with the bits of a fresh table.
+    Refused unless it fits in memory beside one such table of costs."""
+    check_stage1_size(x.n, x.total(), mode, tables=2)
+    return all_costs(x, math.inf, mode)  # 1/inf adds exactly 0.0
 
 
 def perturb_costs(
@@ -308,7 +327,8 @@ def exact_partition(x: DataVector, eps2: float, mode: str = "pow2") -> Partition
     return least_cost_partition(table, x.n)
 
 
-def private_partition(x: DataVector, params: PartitionParams, rng: RngStream) -> Partition:
+def private_partition(x: DataVector, params: PartitionParams, rng: RngStream,
+                      deviations: "CostTable | None" = None) -> Partition:
     """Choose a partition under eps1-differential privacy.
 
     Adds Laplace noise, scaled to twice the per-entry sensitivity, to each
@@ -317,7 +337,7 @@ def private_partition(x: DataVector, params: PartitionParams, rng: RngStream) ->
     zero uniform (chance 2^-53 per draw) is redrawn inside its slice.
     """
     noise = (2.0 * params.delta_bcost / params.eps1, rng)
-    return least_cost_partition(all_costs(x, params.eps2, params.mode, noise), x.n)
+    return least_cost_partition(all_costs(x, params.eps2, params.mode, noise, deviations), x.n)
 
 
 def utility_bound(

@@ -194,6 +194,8 @@ class TestRunCmd:
     @pytest.mark.parametrize("field, value", [
         ("trials", 2.5), ("num_workloads", "3"), ("n", 16.5), ("workload", "kind"),
         ("epsilons", "12"), ("mechanisms", "dawa"),
+        ("stage1_fraction", "x"), ("stage1_fraction", 1.0), ("record_timing", "false"),
+        ("mode", "pow3"), ("branching", 1), ("epsilons", [0.5, float("inf")]), ("epsilons", ["0.5"]),
     ])
     def test_malformed_config_is_clean_error(self, tmp_path, capsys, field, value):
         cfg = {
@@ -210,6 +212,27 @@ class TestRunCmd:
         assert err.startswith("dawa: error:") and repr(field) in err
         assert "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
+
+    def test_experiment_too_large_is_refused_before_the_first_trial(self, tmp_path, monkeypatch, capsys):
+        # n = 16384 in mode all: the shared deviations and one trial's noisy
+        # costs are 1.0 GiB each, against 1.5 GiB of memory
+        data = tmp_path / "x.txt"
+        data.write_text("1\n" * 16384)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "mechanisms": ["identity", "dawa"], "epsilons": [0.5], "mode": "all",
+            "workload": {"kind": "uniform", "num_queries": 5},
+            "data": {"path": str(data)}, "num_workloads": 1, "trials": 1,
+        }))
+        monkeypatch.setattr("dawa.partition._physical_memory", lambda: 1.5 * 2**30)
+        peak, rc = peak_bytes(main, ["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "dawa: error: stage 1 needs about 2.0 GiB for 134225920 candidate buckets "
+            "(mode 'all', n = 16384) but this machine has 1.5 GiB\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+        assert peak < 16 * 2**20
 
     def test_missing_config(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "none.json"),

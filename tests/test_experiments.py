@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from dawa.core import ParameterError
+import dawa.experiments
+from dawa.core import ParameterError, PrivacyBudget, RngStream, average_workload_error, derive_seed
 from dawa.experiments import (
     ExperimentConfig,
     TrialResult,
@@ -14,8 +15,11 @@ from dawa.experiments import (
     load_report,
     report_emit,
     run_experiment,
+    _load_data,
     _thread_count,
 )
+from dawa.generators import gen_workload
+from dawa.mechanisms import MECHANISM_NAMES, MechanismConfig, run_mechanism
 
 
 def small_config(**overrides):
@@ -163,3 +167,73 @@ class TestReportFile:
         )
         rep = run_experiment(cfg)
         assert len(rep.results) == 4  # 2 mechanisms x 2 epsilons
+
+
+class TestSharedWork:
+    """Stage 1's deviations and greedy_no_partition's tree depend on neither
+    epsilon nor the noise: an experiment makes them once and its trials
+    only read them, with the bits of a release that makes its own."""
+
+    @staticmethod
+    def config(mode):
+        # n = 200 in mode all has 20,100 candidates: 3 slices of stage 1
+        return small_config(mechanisms=MECHANISM_NAMES, mode=mode, n=200, trials=2, epsilons=(0.1, 1.0))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("mode", ["all", "pow2"])
+    def test_rows_equal_fresh_releases(self, monkeypatch, mode, threads):
+        monkeypatch.setenv("DAWA_THREADS", threads)
+        cfg = self.config(mode)
+        report = run_experiment(cfg)
+        x = _load_data(cfg)
+        workloads = [gen_workload("uniform", x.n, derive_seed(cfg.master_seed, "workload", wid), num_queries=25)
+                     for wid in range(cfg.num_workloads)]
+        assert len(report.results) == 6 * 2 * 2 * 2
+        for row in report.results:
+            config = MechanismConfig(row.mechanism, PrivacyBudget.split(row.epsilon), mode=mode)
+            xhat = run_mechanism(config, x, workloads[row.workload_id], RngStream(row.seed))
+            assert row.avg_l1_error == average_workload_error(workloads[row.workload_id], x, xhat)
+
+    def test_made_once_and_read_only(self, monkeypatch):
+        seen, matrices = [], []
+        real_run, real_matrix = dawa.experiments.run_mechanism, dawa.partition._WaveletMatrix
+
+        def run(config, x, W, rng, shared):
+            seen.append(shared)
+            return real_run(config, x, W, rng, shared)
+
+        def matrix(values):
+            matrices.append(values.size)
+            return real_matrix(values)
+
+        monkeypatch.delenv("DAWA_THREADS", raising=False)
+        monkeypatch.setattr(dawa.experiments, "run_mechanism", run)
+        monkeypatch.setattr(dawa.partition, "_WaveletMatrix", matrix)
+        run_experiment(self.config("all"))
+        # one wavelet matrix for the whole experiment, none per trial
+        assert matrices == [200]
+        deviations = {id(shared.deviations) for shared in seen}
+        trees = {id(shared.unit_tree) for shared in seen}
+        assert len(seen) == 48 and len(deviations) == 1 and len(trees) == 2
+        for shared in seen:
+            assert not shared.deviations.costs.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                shared.unit_tree.scalings[0] = 1.0
+
+    def test_one_stage1_ledger_entry_per_trial(self, monkeypatch):
+        ledgers = []
+
+        def stream(seed):
+            ledgers.append([])
+            return RngStream(seed, ledger=ledgers[-1])
+
+        monkeypatch.delenv("DAWA_THREADS", raising=False)
+        monkeypatch.setattr(dawa.experiments, "RngStream", stream)
+        report = run_experiment(self.config("all"))
+        assert len(ledgers) == len(report.results)
+        for row, ledger in zip(report.results, ledgers):
+            if row.mechanism in ("dawa", "partition_laplace"):
+                eps1 = PrivacyBudget.split(row.epsilon).eps1
+                assert len(ledger) == 2 and ledger[0] == (2.0 * 2.0 / eps1, 20_100)
+            else:
+                assert len(ledger) == 1

@@ -29,6 +29,8 @@ from dawa.partition import (
     bucket_cost,
     bucket_dev,
     candidate_lengths,
+    check_stage1_size,
+    deviation_table,
     exact_partition,
     least_cost_partition,
     partition_cost,
@@ -336,6 +338,38 @@ class TestNoiseInSlices:
         params = PartitionParams(0.25, 0.75, mode, delta_bcost=delta_bcost)
         private_partition(x, params, RngStream(3, ledger=ledger))
         assert ledger == [(2.0 * delta_bcost / 0.25, len(all_costs(x, 0.75, mode)))]
+
+    @pytest.mark.parametrize("n, mode", CASES)
+    def test_costs_from_shared_deviations_match(self, n, mode):
+        # an experiment's trials price and noise one shared deviation table
+        x = self.data(n)
+        deviations = deviation_table(x, mode)
+        assert not deviations.costs.flags.writeable
+        assert len(deviations) > 2 * _CHUNK
+        scale = 2.0 * BUCKET_COST_SENSITIVITY / 0.25
+        for eps2 in (0.75, 0.3):
+            shared = all_costs(x, eps2, mode, deviations=deviations)
+            assert shared.costs.tobytes() == all_costs(x, eps2, mode).costs.tobytes()
+            for seed in (1, 2):
+                ledger = []
+                shared = all_costs(x, eps2, mode, (scale, RngStream(seed, ledger=ledger)), deviations)
+                fresh = all_costs(x, eps2, mode, (scale, RngStream(seed)))
+                assert shared.costs.tobytes() == fresh.costs.tobytes()
+                assert ledger == [(scale, len(deviations))]
+
+    def test_deviations_of_other_data_are_refused(self):
+        x = self.data(200)
+        with pytest.raises(ParameterError, match="deviations of n = 200, mode 'all' for n = 200, mode 'pow2'"):
+            all_costs(x, 0.75, "pow2", deviations=deviation_table(x, "all"))
+        with pytest.raises(ParameterError, match="for n = 199"):
+            all_costs(self.data(199), 0.75, "all", deviations=deviation_table(x, "all"))
+
+    def test_shared_deviations_charge_a_second_table(self, monkeypatch):
+        # n = 16384 in mode all: 1.0 GiB per float64 table of 134,225,920 candidates
+        monkeypatch.setattr("dawa.partition._physical_memory", lambda: 1.5 * 2**30)
+        assert check_stage1_size(16384, 16384, "all") == 134_225_920
+        with pytest.raises(ParameterError, match=r"needs about 2\.0 GiB .* has 1\.5 GiB"):
+            check_stage1_size(16384, 16384, "all", tables=2)
 
     def test_private_partition_holds_one_table(self):
         # 524,800 candidates: the noisy costs are the only array of their
