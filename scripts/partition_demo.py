@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 
+import numpy as np
+
 from dawa.core import RngStream
 from dawa.generators import gen_synthetic_data
-from dawa.partition import PartitionParams, exact_partition, partition_cost, private_partition
+from dawa.partition import PartitionParams, all_costs, least_cost_partition, private_partition
 
 
 def fmt_buckets(p, limit=12):
@@ -20,6 +22,11 @@ def fmt_buckets(p, limit=12):
     if len(parts) > limit:
         parts = parts[:limit] + [f"... ({p.k} buckets)"]
     return " ".join(parts)
+
+
+def priced(table, p):
+    """Sum of the table's costs of p's buckets, accumulated left to right."""
+    return sum(table.costs[table.offsets[np.searchsorted(table.lengths, p.lengths())] + p.los - 1].tolist())
 
 
 def main(argv=None) -> int:
@@ -36,15 +43,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     x = gen_synthetic_data("piecewise_constant", args.n, args.seed, segments=args.segments)
-    exact = exact_partition(x, args.eps2, mode=args.mode)
-    opt_cost = partition_cost(x, exact, args.eps2)
+    table = all_costs(x, args.eps2, args.mode)
+    exact = least_cost_partition(table, x.n)
+    opt_cost = priced(table, exact)
     print(f"n = {args.n}, eps2 = {args.eps2}, mode = {args.mode}")
     print(f"exact:      cost {opt_cost:9.3f}  k = {exact.k:<4d} {fmt_buckets(exact)}")
 
     for eps1 in args.eps1:
         params = PartitionParams(eps1=eps1, eps2=args.eps2, mode=args.mode)
         chosen = private_partition(x, params, RngStream(args.seed + 1))
-        cost = partition_cost(x, chosen, args.eps2)
+        cost = priced(table, chosen)
         print(
             f"eps1 {eps1:<6g} cost {cost:9.3f}  k = {chosen.k:<4d} {fmt_buckets(chosen)}"
         )

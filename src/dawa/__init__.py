@@ -16,7 +16,6 @@ from .core import (
     Workload,
     average_workload_error,
     derive_seed,
-    evaluate_query,
     evaluate_workload,
     laplace_sample,
     read_data_file,
@@ -42,11 +41,8 @@ from .mechanisms import (
 from .partition import (
     PartitionParams,
     all_costs,
-    bucket_cost,
-    bucket_dev,
     exact_partition,
     least_cost_partition,
-    partition_cost,
     perturb_costs,
     private_partition,
     utility_bound,

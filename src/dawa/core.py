@@ -316,9 +316,6 @@ class RngStream:
             bad = u <= 0.0
         return u
 
-    def integers(self, low: int, high: int, size: int | None = None):
-        return self._gen.integers(low, high, size=size)
-
     @property
     def generator(self) -> np.random.Generator:
         return self._gen
@@ -363,14 +360,6 @@ def laplace_draws(scale: float, rng: RngStream, count: int):
         return u
 
     return draw
-
-
-def evaluate_query(q: Interval, x: "DataVector | EstimateVector | np.ndarray") -> float:
-    """Sum of x over [q.lo, q.hi]."""
-    vals = _values_of(x)
-    if not q.valid_for(vals.size):
-        raise InvalidIntervalError(f"query {q} outside domain of size {vals.size}")
-    return float(vals[q.lo - 1 : q.hi].sum())
 
 
 def evaluate_workload(W: Workload, x: "DataVector | EstimateVector | np.ndarray") -> np.ndarray:

@@ -83,6 +83,11 @@ def _level_slices(tree: QueryTree) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
+def check_branching(t: int) -> None:
+    if t < 2:
+        raise ParameterError(f"need branching t >= 2, got {t}")
+
+
 def build_query_tree(k: int, t: int = 2) -> QueryTree:
     """Complete-as-possible t-ary tree whose leaves are the unit intervals.
 
@@ -90,8 +95,7 @@ def build_query_tree(k: int, t: int = 2) -> QueryTree:
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
-    if t < 2:
-        raise ParameterError(f"need branching t >= 2, got {t}")
+    check_branching(t)
     sizes = [k]
     while sizes[-1] > 1:
         sizes.append(-(-sizes[-1] // t))
@@ -309,13 +313,6 @@ def ols_infer(tree: QueryTree, measurements: np.ndarray) -> np.ndarray:
             share = np.where(free, 1.0, var[at] / _sum_children(var[at], t)[parent])
             final = est[at] + (final - _sum_children(est[at], t))[parent] * share
     return final
-
-
-def strategy_matrix(tree: QueryTree) -> np.ndarray:
-    """Dense 0/1 interval-indicator rows of all nodes in level order."""
-    los, his = tree.bounds()
-    positions = np.arange(1, tree.k + 1)
-    return ((los[:, None] <= positions) & (positions <= his[:, None])).astype(np.float64)
 
 
 def scaled_tree(partition: Partition, W: Workload, t: int) -> QueryTree:

@@ -30,7 +30,7 @@ from .core import (
 from .estimation import scaled_tree
 from .generators import gen_synthetic_data, gen_workload
 from .mechanisms import MECHANISM_NAMES, MechanismConfig, SharedWork, run_mechanism
-from .partition import deviation_table
+from .partition import check_stage1_size, deviation_table
 
 THREADS_ENV = "DAWA_THREADS"
 
@@ -210,7 +210,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     """
     workers = _thread_count()
     x = _load_data(cfg)
-    deviations = deviation_table(x, cfg.mode) if {"dawa", "partition_laplace"} & set(cfg.mechanisms) else None
+    deviations = None
+    if {"dawa", "partition_laplace"} & set(cfg.mechanisms):
+        # refused before any trial unless the deviations fit beside one noisy table per trial process
+        check_stage1_size(x.n, x.total(), cfg.mode, tables=1 + workers)
+        deviations = deviation_table(x, cfg.mode)
     workloads, tasks = [], []
     for wid in range(cfg.num_workloads):
         wparams = {k: v for k, v in cfg.workload.items() if k != "kind"}

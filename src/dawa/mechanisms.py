@@ -22,7 +22,7 @@ from .core import (
     laplace_sample,
     uniform_expand,
 )
-from .estimation import QueryTree, build_query_tree, estimate_buckets, measure, ols_infer
+from .estimation import QueryTree, build_query_tree, check_branching, estimate_buckets, measure, ols_infer
 from .partition import CostTable, PartitionParams, private_partition
 
 MECHANISM_NAMES = (
@@ -74,6 +74,7 @@ def run_dawa(
 
     Sequential composition of the stages spends exactly the total budget.
     """
+    check_branching(t)  # before stage 1, which dominates a release's time and memory
     params = PartitionParams(eps1=budget.eps1, eps2=budget.eps2, mode=mode)
     buckets = private_partition(x, params, rng, deviations)
     hist = estimate_buckets(buckets, W, x, budget.eps2, t, rng)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     DataVector,
-    Interval,
     ParameterError,
     Partition,
     RngStream,
@@ -80,13 +79,6 @@ class CostTable:
         for arr in (self.lengths, self.offsets, self.costs):
             arr.setflags(write=False)
 
-    def cost(self, lo: int, hi: int) -> float:
-        length = hi - lo + 1
-        i = int(np.searchsorted(self.lengths, length))
-        if not (lo >= 1 and hi <= self.n and i < self.lengths.size and self.lengths[i] == length):
-            raise KeyError((lo, hi))
-        return float(self.costs[self.offsets[i] + lo - 1])
-
     def __len__(self) -> int:
         return int(self.costs.size)
 
@@ -99,44 +91,6 @@ def candidate_lengths(n: int, mode: str) -> tuple[int, ...]:
     if mode == "pow2":
         return tuple(1 << j for j in range(int(n).bit_length()))
     raise ParameterError(f"mode must be 'all' or 'pow2', got {mode!r}")
-
-
-def _dev_numerator(values: list[int], total: int, length: int) -> int:
-    """Sum of (v*length - total) over v with v*length >= total, exactly."""
-    acc = 0
-    for v in values:
-        scaled = v * length - total
-        if scaled >= 0:
-            acc += scaled
-    return acc
-
-
-def bucket_dev(x: DataVector, b: Interval) -> float:
-    """Total absolute deviation of the bucket's counts from their mean.
-
-    Equal to twice the one-sided deviation above the mean; the integer
-    numerator is exact and only the final division rounds.
-    """
-    if not b.valid_for(x.n):
-        raise ParameterError(f"bucket {b} outside domain of size {x.n}")
-    values = [int(v) for v in x.counts[b.lo - 1 : b.hi]]
-    total = sum(values)
-    num = _dev_numerator(values, total, b.length)
-    return (2 * num) / b.length
-
-
-def bucket_cost(x: DataVector, b: Interval, eps2: float) -> float:
-    """Deviation plus the stage-2 noise price of carrying one more bucket."""
-    if eps2 <= 0:
-        raise ParameterError(f"eps2 must be positive, got {eps2}")
-    return bucket_dev(x, b) + 1.0 / eps2
-
-def partition_cost(x: DataVector, buckets: "Partition | list[Interval]", eps2: float) -> float:
-    """Sum of bucket costs, accumulated left to right."""
-    total = 0.0
-    for b in buckets:
-        total += bucket_cost(x, b, eps2)
-    return total
 
 
 def _physical_memory() -> float:
@@ -258,8 +212,7 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2", noise: tuple | Non
 def deviation_table(x: DataVector, mode: str = "pow2") -> CostTable:
     """Every candidate's exact deviation 2N/L, which depends on x and mode
     alone; `all_costs` prices and noises it with the bits of a fresh table.
-    Refused unless it fits in memory beside one such table of costs."""
-    check_stage1_size(x.n, x.total(), mode, tables=2)
+    Its caller checks that it fits beside the tables of costs read from it."""
     return all_costs(x, math.inf, mode)  # 1/inf adds exactly 0.0
 
 
@@ -322,7 +275,7 @@ def least_cost_partition(table: CostTable, n: int) -> Partition:
 
 
 def exact_partition(x: DataVector, eps2: float, mode: str = "pow2") -> Partition:
-    """Noise-free least-cost partition; not private, for oracles and debugging."""
+    """Noise-free least-cost partition; not private, for `dawa partition --exact` and tests."""
     table = all_costs(x, eps2, mode)
     return least_cost_partition(table, x.n)
 

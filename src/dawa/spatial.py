@@ -106,20 +106,6 @@ def _xy_to_d(g: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
-def hilbert_index(map_: HilbertMap, cx: int, cy: int) -> int:
-    """0-based curve position of cell (cx, cy)."""
-    if not (0 <= cx < map_.side and 0 <= cy < map_.side):
-        raise ParameterError(f"cell ({cx}, {cy}) outside {map_.side}x{map_.side} grid")
-    return int(map_.position[cx, cy])
-
-
-def hilbert_cell(map_: HilbertMap, d: int) -> tuple[int, int]:
-    """Cell at 0-based curve position d."""
-    if not 0 <= d < map_.domain_size:
-        raise ParameterError(f"index {d} outside [0, {map_.domain_size})")
-    return divmod(int(np.flatnonzero(map_.position.ravel() == d)[0]), map_.side)
-
-
 def _cells_of(coords: np.ndarray, lo: float, width: float, side: int) -> np.ndarray:
     # ceil - 1 sends boundary values to the smaller-index cell; the clip
     # handles both box edges and points outside the box.
@@ -146,7 +132,7 @@ def grid_discretize(points, spec: GridSpec) -> np.ndarray:
 
 
 def linearize(grid: np.ndarray, map_: HilbertMap) -> DataVector:
-    """Flatten the grid along the curve: position d holds grid[hilbert_cell(d)]."""
+    """Flatten the grid along the curve: position map_.position[cx, cy] holds grid[cx, cy]."""
     arr = np.asarray(grid)
     if arr.shape != (map_.side, map_.side):
         raise DimensionError(f"grid shape {arr.shape} does not match {map_.side}x{map_.side}")

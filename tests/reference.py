@@ -1,13 +1,190 @@
-"""Scalar references for the array-native passes: the least-cost dynamic
+"""Scalar and dense references that the tests compare the array-native code
+against: per-bucket stage-1 costs, cost-table and Hilbert-curve lookups,
+brute-force partitions, dense stage-2 matrices, the least-cost dynamic
 program, the level-batched greedy scaling and the workload generators; and
 the two-branch Laplace sampler that the one-log form replaced."""
 
 import math
+from functools import cache
 
 import numpy as np
 
-from dawa.core import ParameterError, Partition, RngStream
-from dawa.estimation import _objective, _search_lambda, decay_factor
+from dawa.core import (DataVector, EstimateVector, Interval, InvalidIntervalError, ParameterError, Partition,
+                       RngStream, SingularStrategyError, Workload, _values_of)
+from dawa.estimation import QueryTree, _objective, _search_lambda, decay_factor
+from dawa.partition import CostTable
+from dawa.spatial import HilbertMap
+
+BRUTE_FORCE_MAX_N = 12
+
+
+def _dev_numerator(values: list[int], total: int, length: int) -> int:
+    """Sum of (v*length - total) over v with v*length >= total, exactly."""
+    acc = 0
+    for v in values:
+        scaled = v * length - total
+        if scaled >= 0:
+            acc += scaled
+    return acc
+
+
+def bucket_dev(x: DataVector, b: Interval) -> float:
+    """Total absolute deviation of the bucket's counts from their mean.
+
+    Equal to twice the one-sided deviation above the mean; the integer
+    numerator is exact and only the final division rounds.
+    """
+    if not b.valid_for(x.n):
+        raise ParameterError(f"bucket {b} outside domain of size {x.n}")
+    values = [int(v) for v in x.counts[b.lo - 1 : b.hi]]
+    total = sum(values)
+    num = _dev_numerator(values, total, b.length)
+    return (2 * num) / b.length
+
+
+def bucket_cost(x: DataVector, b: Interval, eps2: float) -> float:
+    """Deviation plus the stage-2 noise price of carrying one more bucket."""
+    if eps2 <= 0:
+        raise ParameterError(f"eps2 must be positive, got {eps2}")
+    return bucket_dev(x, b) + 1.0 / eps2
+
+
+def partition_cost(x: DataVector, buckets: "Partition | list[Interval]", eps2: float) -> float:
+    """Sum of bucket costs, accumulated left to right."""
+    total = 0.0
+    for b in buckets:
+        total += bucket_cost(x, b, eps2)
+    return total
+
+
+def cost_at(table: CostTable, lo: int, hi: int) -> float:
+    """The table's cost of bucket [lo, hi]; KeyError for a non-candidate."""
+    length = hi - lo + 1
+    i = int(np.searchsorted(table.lengths, length))
+    if not (lo >= 1 and hi <= table.n and i < table.lengths.size and table.lengths[i] == length):
+        raise KeyError((lo, hi))
+    return float(table.costs[table.offsets[i] + lo - 1])
+
+
+def evaluate_query(q: Interval, x: "DataVector | EstimateVector | np.ndarray") -> float:
+    """Sum of x over [q.lo, q.hi]."""
+    vals = _values_of(x)
+    if not q.valid_for(vals.size):
+        raise InvalidIntervalError(f"query {q} outside domain of size {vals.size}")
+    return float(vals[q.lo - 1 : q.hi].sum())
+
+
+def hilbert_index(map_: HilbertMap, cx: int, cy: int) -> int:
+    """0-based curve position of cell (cx, cy)."""
+    if not (0 <= cx < map_.side and 0 <= cy < map_.side):
+        raise ParameterError(f"cell ({cx}, {cy}) outside {map_.side}x{map_.side} grid")
+    return int(map_.position[cx, cy])
+
+
+def hilbert_cell(map_: HilbertMap, d: int) -> tuple[int, int]:
+    """Cell at 0-based curve position d."""
+    if not 0 <= d < map_.domain_size:
+        raise ParameterError(f"index {d} outside [0, {map_.domain_size})")
+    return divmod(int(np.flatnonzero(map_.position.ravel() == d)[0]), map_.side)
+
+
+def oracle_brute_partition(x: DataVector, eps2: float) -> tuple[Partition, float]:
+    """Exact least-cost partition by enumerating all 2^(n-1) bucketings.
+
+    Costs accumulate left to right over each candidate's buckets, matching
+    the dynamic program's summation order so optimal costs compare exactly.
+    """
+    n = x.n
+    if n > BRUTE_FORCE_MAX_N:
+        raise ParameterError(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {n}")
+
+    @cache
+    def cached_cost(lo: int, hi: int) -> float:
+        return bucket_cost(x, Interval(lo, hi), eps2)
+
+    best_cost = np.inf
+    best: "list[int] | None" = None
+    for mask in range(1 << (n - 1)):
+        total = 0.0
+        his = []
+        lo = 1
+        for j in range(1, n + 1):
+            if j == n or (mask >> (j - 1)) & 1:
+                total += cached_cost(lo, j)
+                his.append(j)
+                lo = j + 1
+        if total < best_cost:
+            best_cost = total
+            best = his
+    return Partition(np.array(best)), float(best_cost)
+
+
+def strategy_matrix(tree: QueryTree) -> np.ndarray:
+    """Dense 0/1 interval-indicator rows of all nodes in level order."""
+    los, his = tree.bounds()
+    positions = np.arange(1, tree.k + 1)
+    return ((los[:, None] <= positions) & (positions <= his[:, None])).astype(np.float64)
+
+
+def dense_transform(W: Workload, partition: Partition) -> np.ndarray:
+    """The m-by-k rewritten workload: per query and bucket, the covered
+    length over the bucket length."""
+    q_lo, q_hi = W.los[:, None], W.his[:, None]
+    b_lo, b_hi = partition.los, partition.his
+    covered = np.maximum(np.minimum(q_hi, b_hi) - np.maximum(q_lo, b_lo) + 1, 0)
+    return covered / (b_hi - b_lo + 1)
+
+
+def oracle_dense_stage2(matrix: np.ndarray, Y: np.ndarray, scalings: np.ndarray, eps2: float) -> float:
+    """Expected total squared workload error from explicit dense matrices: 2/eps2^2
+    times the trace of the workload Gram against the inverse strategy Gram."""
+    if eps2 <= 0:
+        raise ParameterError(f"eps2 must be positive, got {eps2}")
+    scaled = np.asarray(scalings, dtype=np.float64)[:, None] * np.asarray(Y, dtype=np.float64)
+    try:
+        inv = np.linalg.inv(scaled.T @ scaled)
+    except np.linalg.LinAlgError as err:
+        raise SingularStrategyError(f"strategy Gram is singular: {err}") from None
+    return (2.0 / eps2**2) * float(np.sum((matrix.T @ matrix) * inv))
+
+
+def strategy_error(matrix: np.ndarray, tree: QueryTree, eps2: float) -> float:
+    """Expected total squared workload error of the scaled tree strategy."""
+    return oracle_dense_stage2(matrix, strategy_matrix(tree), tree.scalings, eps2)
+
+
+def dense_scaling_objective(matrix: np.ndarray, tree: QueryTree, lam: float, mu: float) -> float:
+    """Direct evaluation of the greedy weight-search objective at the root.
+
+    Builds the whole strategy explicitly: the root takes weight lam, every
+    other node's current scaling is discounted by (1 - lam), and the target
+    matrix blends the workload Gram with the block-diagonal of the root's
+    children's workload Grams.
+    """
+    if tree.k < 2:
+        raise ParameterError("objective is defined for internal nodes only")
+    scalings = tree.scalings * (1.0 - lam)
+    scalings[0] = lam
+    scaled = scalings[:, None] * strategy_matrix(tree)
+    gram = scaled.T @ scaled
+    try:
+        inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError as err:
+        raise SingularStrategyError(f"strategy Gram is singular: {err}") from None
+    target = mu * (matrix.T @ matrix)
+    los, his = tree.bounds()
+    children = slice(1, 1 + tree.level_sizes[1])
+    for lo, hi in zip(los[children].tolist(), his[children].tolist()):
+        Wc = matrix[:, lo - 1 : hi]
+        target[lo - 1 : hi, lo - 1 : hi] += (1.0 - mu) * (Wc.T @ Wc)
+    return float(np.sum(target * inv))
+
+
+def dense_ols(rows: np.ndarray, scalings: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Weighted least-squares solve by lstsq on the explicit design matrix."""
+    design = np.asarray(scalings)[:, None] * np.asarray(rows, dtype=np.float64)
+    solution, *_ = np.linalg.lstsq(design, np.asarray(values, dtype=np.float64), rcond=None)
+    return solution
 
 
 def reference_least_cost_partition(table, n):

@@ -22,7 +22,6 @@ from dawa.core import (
     RngStream,
     Workload,
     average_workload_error,
-    evaluate_query,
     uniform_expand,
 )
 from dawa.estimation import (
@@ -33,20 +32,15 @@ from dawa.estimation import (
     greedy_scale,
     leaf_cover_sums,
     ols_infer,
-    strategy_matrix,
 )
 from dawa.experiments import ExperimentConfig, report_emit, run_experiment
 from dawa.generators import gen_synthetic_data, gen_workload
 from dawa.mechanisms import run_dawa, run_greedy_no_partition, run_identity
-from dawa.oracles import dense_scaling_objective, dense_transform, oracle_brute_partition
 from dawa.partition import (
     PartitionParams,
     all_costs,
-    bucket_cost,
-    bucket_dev,
     candidate_lengths,
     least_cost_partition,
-    partition_cost,
     private_partition,
     utility_bound,
 )
@@ -55,13 +49,13 @@ from dawa.spatial import (
     HilbertMap,
     RectangleQuery,
     answer_rectangle,
-    hilbert_cell,
-    hilbert_index,
     rectangle_to_ranges,
 )
 from dawa.transform import transform_workload
 
-from .reference import node_by_node_greedy, rows_of, undo_root_discount
+from .reference import (bucket_cost, bucket_dev, cost_at, dense_scaling_objective, dense_transform, evaluate_query,
+                        hilbert_cell, hilbert_index, node_by_node_greedy, oracle_brute_partition, partition_cost,
+                        rows_of, strategy_matrix, undo_root_discount)
 from .strategies import random_transformed_workload
 
 EXAMPLE_COUNTS = [2, 3, 8, 1, 0, 2, 0, 4, 2, 4]
@@ -117,7 +111,7 @@ def test_a02_cost_tables_match_naive_recomputation():
         for length in candidate_lengths(x.n, mode):
             for lo in range(1, x.n - length + 2):
                 hi = lo + length - 1
-                assert table.cost(lo, hi) == bucket_cost(x, Interval(lo, hi), eps2)
+                assert cost_at(table, lo, hi) == bucket_cost(x, Interval(lo, hi), eps2)
                 checked += 1
         assert checked == len(table)
 

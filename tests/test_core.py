@@ -22,7 +22,6 @@ from dawa.core import (
     Workload,
     average_workload_error,
     derive_seed,
-    evaluate_query,
     evaluate_workload,
     laplace_sample,
     read_data_file,
@@ -33,7 +32,7 @@ from dawa.core import (
 )
 
 from .memory import peak_bytes
-from .reference import reference_laplace_sample
+from .reference import evaluate_query, reference_laplace_sample
 from .strategies import data_vectors, data_with_workload
 
 

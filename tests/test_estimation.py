@@ -31,19 +31,12 @@ from dawa.estimation import (
     leaf_cover_sums,
     measure,
     ols_infer,
-    strategy_matrix,
-)
-from dawa.oracles import (
-    dense_ols,
-    dense_scaling_objective,
-    dense_transform,
-    oracle_dense_stage2,
-    strategy_error,
 )
 from dawa.transform import transform_workload
 
 from .memory import peak_bytes
-from .reference import node_by_node_greedy, undo_root_discount
+from .reference import (dense_ols, dense_scaling_objective, dense_transform, node_by_node_greedy,
+                        oracle_dense_stage2, strategy_error, strategy_matrix, undo_root_discount)
 from .strategies import partitions_of, random_transformed_workload, workload_of, workloads_over
 
 

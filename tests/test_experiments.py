@@ -220,6 +220,20 @@ class TestSharedWork:
             with pytest.raises(ValueError, match="read-only"):
                 shared.unit_tree.scalings[0] = 1.0
 
+    def test_memory_check_charges_a_table_per_trial_process(self, monkeypatch):
+        # 20,100 candidates of 8 B: two tables fit, three do not; the shared
+        # deviations stay in the parent and each worker holds its own noisy costs
+        def pool(*args, **kwargs):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr("dawa.partition._physical_memory", lambda: 2.5 * 8 * 20_100)
+        monkeypatch.setenv("DAWA_THREADS", "1")
+        assert len(run_experiment(self.config("all")).results) == 48
+        monkeypatch.setenv("DAWA_THREADS", "2")
+        monkeypatch.setattr(dawa.experiments, "ProcessPoolExecutor", pool)
+        with pytest.raises(ParameterError, match=r"needs about .* for 20100 candidate buckets \(mode 'all', n = 200\)"):
+            run_experiment(self.config("all"))
+
     def test_one_stage1_ledger_entry_per_trial(self, monkeypatch):
         ledgers = []
 

@@ -178,6 +178,14 @@ class TestDawa:
                 got = run_dawa(piecewise_x, uniform_W, budget, RngStream(0), mode=mode, t=t)
                 assert got.values.shape == (64,)
 
+    def test_bad_branching_is_refused_before_stage1(self, monkeypatch, piecewise_x, uniform_W):
+        def stage1(*args):
+            raise AssertionError("stage 1 ran")
+
+        monkeypatch.setattr("dawa.mechanisms.private_partition", stage1)
+        with pytest.raises(ParameterError, match=r"^need branching t >= 2, got 1$"):
+            run_dawa(piecewise_x, uniform_W, PrivacyBudget.split(1.0), RngStream(0), t=1)
+
 
 class TestDispatch:
     def test_all_names_run(self, piecewise_x, uniform_W):

@@ -18,7 +18,6 @@ from dawa.core import (
     RngStream,
     laplace_sample,
 )
-from dawa.oracles import BRUTE_FORCE_MAX_N, oracle_brute_partition
 from dawa.partition import (
     _CHUNK,
     BUCKET_COST_SENSITIVITY,
@@ -26,21 +25,19 @@ from dawa.partition import (
     PartitionParams,
     _WaveletMatrix,
     all_costs,
-    bucket_cost,
-    bucket_dev,
     candidate_lengths,
     check_stage1_size,
     deviation_table,
     exact_partition,
     least_cost_partition,
-    partition_cost,
     perturb_costs,
     private_partition,
     utility_bound,
 )
 
 from .memory import peak_bytes
-from .reference import reference_least_cost_partition
+from .reference import (BRUTE_FORCE_MAX_N, bucket_cost, bucket_dev, cost_at, oracle_brute_partition, partition_cost,
+                        reference_least_cost_partition)
 from .strategies import data_vectors, data_with_partition
 
 
@@ -139,7 +136,7 @@ def candidates(n: int, mode: str):
 class TestCostTable:
     def test_size_k_anchor(self, example_x):
         table = all_costs(example_x, 1.0, "all")
-        assert table.cost(4, 7) == pytest.approx(4.0)  # dev 3 plus price 1
+        assert cost_at(table, 4, 7) == pytest.approx(4.0)  # dev 3 plus price 1
 
     def test_size_k_matches_direct(self, example_x):
         # the length-k slice of the flat array, read directly by offset
@@ -157,7 +154,7 @@ class TestCostTable:
         # the vectorised numerators must reproduce the direct formula bit for bit
         for mode in ("all", "pow2"):
             table = all_costs(x, eps2, mode)
-            got = [table.cost(lo, hi) for lo, hi in candidates(x.n, mode)]
+            got = [cost_at(table, lo, hi) for lo, hi in candidates(x.n, mode)]
             assert len(got) == len(table)
             assert table.costs.tolist() == got
             assert got == [bucket_cost(x, Interval(lo, hi), eps2) for lo, hi in candidates(x.n, mode)]
@@ -168,7 +165,7 @@ class TestCostTable:
         # more distinct values give the wavelet matrix more levels
         table = all_costs(x, 0.37, "all")
         for lo, hi in candidates(x.n, "all"):
-            assert table.cost(lo, hi) == bucket_cost(x, Interval(lo, hi), 0.37)
+            assert cost_at(table, lo, hi) == bucket_cost(x, Interval(lo, hi), 0.37)
 
     def test_all_costs_entry_counts(self, example_x):
         assert len(all_costs(example_x, 1.0, "all")) == 55
@@ -186,7 +183,7 @@ class TestCostTable:
         t = all_costs(example_x, 1.0, "pow2")
         for lo, hi in [(1, 3), (0, 1), (10, 11), (5, 4)]:
             with pytest.raises(KeyError):
-                t.cost(lo, hi)
+                cost_at(t, lo, hi)
 
     def test_arrays_read_only(self, example_x):
         t = all_costs(example_x, 1.0, "pow2")
@@ -204,7 +201,7 @@ class TestCostTable:
             assert x.n * x.total() == EXACT_COST_LIMIT
             table = all_costs(x, 0.5, "all")
             for lo, hi in candidates(x.n, "all"):
-                assert table.cost(lo, hi) == bucket_cost(x, Interval(lo, hi), 0.5)
+                assert cost_at(table, lo, hi) == bucket_cost(x, Interval(lo, hi), 0.5)
 
     def test_overflow_guard_rejects_past_limit(self):
         # 2**52 + 1 = 17 * 264917625139441

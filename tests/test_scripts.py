@@ -3,12 +3,17 @@
 import dataclasses
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from dawa.core import RngStream
 from dawa.experiments import ExperimentConfig, run_experiment
+from dawa.generators import gen_synthetic_data
 from dawa.mechanisms import MECHANISM_NAMES
+from dawa.partition import PartitionParams, exact_partition, private_partition
+from .reference import partition_cost
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -26,6 +31,13 @@ def test_partition_demo(capsys):
     assert lines[0].startswith("n = 32")
     assert lines[1].startswith("exact:")
     assert len(lines) == 2 + 4  # one line per default eps1
+    # each printed cost, gathered from the exact table, is the per-bucket sum
+    x = gen_synthetic_data("piecewise_constant", 32, 0, segments=6)
+    chosen = [exact_partition(x, 0.75)] + [
+        private_partition(x, PartitionParams(eps1, 0.75), RngStream(1)) for eps1 in (0.05, 0.25, 1.0, 10.0)]
+    for line, p in zip(lines[1:], chosen):
+        cost, k = re.search(r"cost +(\S+) +k = (\d+)", line).groups()
+        assert (cost, int(k)) == (f"{partition_cost(x, p, 0.75):.3f}", p.k)
 
 
 def test_regime_sweep(tmp_path, capsys):

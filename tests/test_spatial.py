@@ -21,8 +21,6 @@ from dawa.spatial import (
     RectangleQuery,
     answer_rectangle,
     grid_discretize,
-    hilbert_cell,
-    hilbert_index,
     linearize,
     read_points_file,
     read_rectangles_file,
@@ -30,6 +28,8 @@ from dawa.spatial import (
     rectangles_to_workload,
     run_spatial,
 )
+
+from .reference import hilbert_cell, hilbert_index
 
 
 def brute_ranges(rect, map_):

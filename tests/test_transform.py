@@ -11,14 +11,12 @@ from dawa.core import (
     Interval,
     Partition,
     Workload,
-    evaluate_query,
     evaluate_workload,
     uniform_expand,
 )
-from dawa.oracles import dense_transform
 from dawa.transform import transform_workload
 
-from .reference import rows_of
+from .reference import dense_transform, evaluate_query, rows_of
 from .strategies import data_with_partition, intervals_for, partitions_of, workload_of
 
 
