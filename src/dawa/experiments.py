@@ -8,6 +8,7 @@ report, so a report is reproducible from its config alone.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -212,8 +213,10 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     x = _load_data(cfg)
     deviations = None
     if {"dawa", "partition_laplace"} & set(cfg.mechanisms):
-        # refused before any trial unless the deviations fit beside one noisy table per trial process
-        check_stage1_size(x.n, x.total(), cfg.mode, tables=1 + workers)
+        # refused before any trial unless the deviations fit beside one noisy table per trial
+        # process; a worker that is not forked also unpickles its own copy of the deviations
+        copies = 2 if workers > 1 and multiprocessing.get_start_method() != "fork" else 1
+        check_stage1_size(x.n, x.total(), cfg.mode, tables=1 + copies * workers)
         deviations = deviation_table(x, cfg.mode)
     workloads, tasks = [], []
     for wid in range(cfg.num_workloads):

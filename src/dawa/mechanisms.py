@@ -47,8 +47,7 @@ class MechanismConfig:
             raise ParameterError(f"unknown mechanism {self.name!r}; choose from {MECHANISM_NAMES}")
         if self.mode not in ("all", "pow2"):
             raise ParameterError(f"mode must be 'all' or 'pow2', got {self.mode!r}")
-        if self.branching < 2:
-            raise ParameterError(f"branching must be >= 2, got {self.branching}")
+        check_branching(self.branching)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ A bucket's cost is its internal deviation from uniformity plus the 1/eps2
 noise price a bucket will pay in stage 2.  The deviation is 2*N/L for the
 exact integer numerator N = L*S - T*C, where T is the bucket total and C and
 S count and sum the values at or above the mean T/L.  `all_costs` computes
-N for every candidate bucket at once from prefix sums and a wavelet matrix
-over the ranks of the distinct counts, so each cost is one float division
-away from the exact value and matches the direct per-bucket computation bit
-for bit.  The costs live in one flat array, noised slice by slice on the
-private path, and the dynamic program gathers the candidates ending at each
-endpoint as one row of it.
+N for every candidate bucket at once from prefix sums and a structure over
+the ranks of the D distinct counts: a table of per-rank prefix rows, one
+lookup per candidate, while its D*(n + 1) entries stay within _TABLE_CAP,
+and otherwise a wavelet matrix, log D levels per candidate.  Either way each
+cost is one float division away from the exact value and matches the direct
+per-bucket computation bit for bit.  The costs live in one flat array,
+noised slice by slice on the private path, and the dynamic program gathers
+the candidates ending at each endpoint as one row of it.
 """
 from __future__ import annotations
 
@@ -38,6 +40,10 @@ EXACT_COST_LIMIT = 2**52
 # Candidates per slice of the cost computation, and per block of rows the
 # dynamic program gathers; sized for the L2 cache.
 _CHUNK = 1 << 13
+
+# Largest D*(n + 1) for which stage 1 builds a `_RankTable`: its two int64
+# arrays then take at most 1 MiB, stay in cache and need no memory check.
+_TABLE_CAP = 8 * _CHUNK
 
 
 @dataclass(frozen=True)
@@ -113,8 +119,8 @@ class _WaveletMatrix:
     level, so the work grows with log D and not with the window length.
     """
 
-    def __init__(self, values: np.ndarray):
-        self.distinct, rank = np.unique(values, return_inverse=True)
+    def __init__(self, values: np.ndarray, distinct: np.ndarray, rank: np.ndarray):
+        self.distinct = distinct
         self.levels = []
         for shift in range(max(1, (self.distinct.size - 1).bit_length()) - 1, -1, -1):
             bit = (rank >> shift) & 1
@@ -144,6 +150,42 @@ class _WaveletMatrix:
         count += hi - lo
         total += (hi - lo) * self.distinct[rank]
         return count, total
+
+
+class _RankTable:
+    """Count and sum of the values in a window that reach a threshold, from
+    one prefix-count row and one prefix-sum row per rank r over the values
+    of rank >= r, each flattened to D * (n + 1) entries.  A query is one
+    lookup of its threshold's rank and four gathers; the table grows with
+    D * n, so `_window_index` builds it only up to _TABLE_CAP entries."""
+
+    def __init__(self, values: np.ndarray, distinct: np.ndarray, rank: np.ndarray):
+        self.distinct = distinct
+        self.width = values.size + 1
+        reach = rank >= np.arange(distinct.size)[:, None]
+        self.counts = np.zeros((distinct.size, self.width), dtype=np.int64)
+        self.sums = np.zeros_like(self.counts)
+        np.cumsum(reach, axis=1, out=self.counts[:, 1:])
+        np.cumsum(reach * values, axis=1, out=self.sums[:, 1:])
+        self.counts, self.sums = self.counts.ravel(), self.sums.ravel()
+
+    def count_sum_at_least(
+        self, starts: np.ndarray, stops: np.ndarray, thresholds: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per query, count and sum of values[a:b] that are >= t, for t at
+        most the largest value."""
+        row = np.searchsorted(self.distinct, thresholds) * self.width
+        lo, hi = row + starts, row + stops
+        return self.counts[hi] - self.counts[lo], self.sums[hi] - self.sums[lo]
+
+
+def _window_index(values: np.ndarray) -> "_RankTable | _WaveletMatrix":
+    """The structure that answers stage 1's window queries over values: the
+    rank table while it fits in _TABLE_CAP entries, else the wavelet matrix."""
+    distinct, rank = np.unique(values, return_inverse=True)
+    if distinct.size * (values.size + 1) <= _TABLE_CAP:
+        return _RankTable(values, distinct, rank)
+    return _WaveletMatrix(values, distinct, rank)
 
 
 def check_stage1_size(n: int, total: int, mode: str, tables: int = 1) -> int:
@@ -180,7 +222,7 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2", noise: tuple | Non
     offsets = bounds[:-1]
     if deviations is None:
         prefix = np.concatenate(([0], np.cumsum(x.counts)))
-        matrix = _WaveletMatrix(x.counts)
+        index = _window_index(x.counts)
     elif (deviations.n, deviations.mode) != (n, mode):
         raise ParameterError(f"deviations of n = {deviations.n}, mode {deviations.mode!r} "
                              f"for n = {n}, mode {mode!r}")
@@ -198,7 +240,7 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2", noise: tuple | Non
             window_total = prefix[start + length] - prefix[start]
             # the ceiling of the window mean never exceeds the window's largest value
             at_least = -(-window_total // length)
-            count, total = matrix.count_sum_at_least(start, start + length, at_least)
+            count, total = index.count_sum_at_least(start, start + length, at_least)
             num = length * total - window_total * count
             np.divide(2 * num, length, out=cost)
         else:

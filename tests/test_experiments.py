@@ -195,23 +195,23 @@ class TestSharedWork:
             assert row.avg_l1_error == average_workload_error(workloads[row.workload_id], x, xhat)
 
     def test_made_once_and_read_only(self, monkeypatch):
-        seen, matrices = [], []
-        real_run, real_matrix = dawa.experiments.run_mechanism, dawa.partition._WaveletMatrix
+        seen, indexes = [], []
+        real_run, real_index = dawa.experiments.run_mechanism, dawa.partition._window_index
 
         def run(config, x, W, rng, shared):
             seen.append(shared)
             return real_run(config, x, W, rng, shared)
 
-        def matrix(values):
-            matrices.append(values.size)
-            return real_matrix(values)
+        def index(values):
+            indexes.append(values.size)
+            return real_index(values)
 
         monkeypatch.delenv("DAWA_THREADS", raising=False)
         monkeypatch.setattr(dawa.experiments, "run_mechanism", run)
-        monkeypatch.setattr(dawa.partition, "_WaveletMatrix", matrix)
+        monkeypatch.setattr(dawa.partition, "_window_index", index)
         run_experiment(self.config("all"))
-        # one wavelet matrix for the whole experiment, none per trial
-        assert matrices == [200]
+        # one window index for the whole experiment, none per trial
+        assert indexes == [200]
         deviations = {id(shared.deviations) for shared in seen}
         trees = {id(shared.unit_tree) for shared in seen}
         assert len(seen) == 48 and len(deviations) == 1 and len(trees) == 2
@@ -232,6 +232,24 @@ class TestSharedWork:
         monkeypatch.setenv("DAWA_THREADS", "2")
         monkeypatch.setattr(dawa.experiments, "ProcessPoolExecutor", pool)
         with pytest.raises(ParameterError, match=r"needs about .* for 20100 candidate buckets \(mode 'all', n = 200\)"):
+            run_experiment(self.config("all"))
+
+    @pytest.mark.parametrize("method, refused", [("fork", False), ("spawn", True), ("forkserver", True)])
+    def test_memory_check_charges_a_copy_per_worker_that_is_not_forked(self, monkeypatch, method, refused):
+        # 20,100 candidates of 8 B and 2 workers: 1 + 2 tables fit, 1 + 2 * 2 do not
+        class PoolStarted(Exception):
+            pass
+
+        def pool(*args, **kwargs):
+            raise PoolStarted
+
+        monkeypatch.setattr("dawa.partition._physical_memory", lambda: 3.5 * 8 * 20_100)
+        monkeypatch.setattr(dawa.experiments.multiprocessing, "get_start_method", lambda: method)
+        monkeypatch.setattr(dawa.experiments, "ProcessPoolExecutor", pool)
+        monkeypatch.setenv("DAWA_THREADS", "2")
+        raised = (pytest.raises(ParameterError, match=r"needs about .* for 20100 candidate buckets") if refused
+                  else pytest.raises(PoolStarted))
+        with raised:
             run_experiment(self.config("all"))
 
     def test_one_stage1_ledger_entry_per_trial(self, monkeypatch):

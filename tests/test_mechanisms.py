@@ -223,7 +223,7 @@ class TestDispatch:
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             MechanismConfig(name="dawa", budget=PrivacyBudget.split(1.0), mode="bad")
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^need branching t >= 2, got 1$"):
             MechanismConfig(name="dawa", budget=PrivacyBudget.split(1.0), branching=1)
 
 

@@ -22,8 +22,11 @@ from dawa.partition import (
     _CHUNK,
     BUCKET_COST_SENSITIVITY,
     EXACT_COST_LIMIT,
+    _TABLE_CAP,
     PartitionParams,
+    _RankTable,
     _WaveletMatrix,
+    _window_index,
     all_costs,
     candidate_lengths,
     check_stage1_size,
@@ -230,7 +233,13 @@ def kernel_values(draw):
     return values
 
 
+def build(structure, values):
+    return structure(values, *np.unique(values, return_inverse=True))
+
+
 class TestWaveletMatrix:
+    """The wavelet matrix and the rank table answer the same window queries."""
+
     @settings(max_examples=200, deadline=None)
     @given(kernel_values(), st.data())
     def test_count_sum_at_least_matches_brute_force(self, values, data):
@@ -245,13 +254,14 @@ class TestWaveletMatrix:
                 starts.append(a)
                 stops.append(b)
                 thresholds.append(t)
-        count, total = _WaveletMatrix(values).count_sum_at_least(
-            np.array(starts), np.array(stops), np.array(thresholds, dtype=np.int64)
-        )
-        for a, b, t, c, s in zip(starts, stops, thresholds, count.tolist(), total.tolist()):
-            window = values[a:b]
-            reached = window[window >= t]
-            assert (c, s) == (reached.size, int(reached.sum()))
+        for structure in (_WaveletMatrix, _RankTable):
+            count, total = build(structure, values).count_sum_at_least(
+                np.array(starts), np.array(stops), np.array(thresholds, dtype=np.int64)
+            )
+            for a, b, t, c, s in zip(starts, stops, thresholds, count.tolist(), total.tolist()):
+                window = values[a:b]
+                reached = window[window >= t]
+                assert (c, s) == (reached.size, int(reached.sum())), structure.__name__
 
     def test_levels_follow_distinct_counts_not_the_largest(self):
         # a spike near the exact-cost limit needs 43 value bits but adds one rank
@@ -259,10 +269,45 @@ class TestWaveletMatrix:
         values = rng.integers(0, 6, size=1024)
         values[17] = EXACT_COST_LIMIT // values.size
         distinct = np.unique(values).size
-        levels = _WaveletMatrix(values).levels
+        levels = build(_WaveletMatrix, values).levels
         assert len(levels) == (distinct - 1).bit_length() == 3
         assert int(values.max()).bit_length() == 43
-        assert len(_WaveletMatrix(np.zeros(5, dtype=np.int64)).levels) == 1
+        assert len(build(_WaveletMatrix, np.zeros(5, dtype=np.int64)).levels) == 1
+
+
+class TestWindowIndex:
+    """`all_costs` takes the rank table while its D * (n + 1) entries fit in
+    _TABLE_CAP and the wavelet matrix beyond, with the same bits either way."""
+
+    def test_stage1_all_shape_takes_the_table(self):
+        # n = 1024 piecewise constant with D = 6, as the stage1-all benchmark
+        values = np.repeat(np.array([4, 0, 17, 9, 0, 2, 31, 4]), 128)
+        assert np.unique(values).size * (values.size + 1) == 6150
+        assert isinstance(_window_index(values), _RankTable)
+
+    def test_cap_is_inclusive(self):
+        # D = 1: n + 1 entries
+        assert _TABLE_CAP == 65_536
+        assert isinstance(_window_index(np.full(65_535, 3)), _RankTable)
+        assert isinstance(_window_index(np.full(65_536, 3)), _WaveletMatrix)
+
+    def test_spatial_g7_size_takes_the_wavelet(self):
+        # n = 2^14 cells with D = 281 distinct counts: 4.6M entries
+        values = np.arange(16_384) % 281 * 7
+        assert isinstance(_window_index(values), _WaveletMatrix)
+
+    # 20,100 candidates in 3 slices, and 19,964 in 3
+    @pytest.mark.parametrize("n, mode", [(200, "all"), (2000, "pow2")])
+    def test_both_structures_give_the_same_costs(self, monkeypatch, n, mode):
+        x = DataVector(np.random.default_rng(n).integers(0, 40, size=n))
+        scale = 2.0 * BUCKET_COST_SENSITIVITY / 0.25
+        costs = []
+        for structure in (_RankTable, _WaveletMatrix):
+            monkeypatch.setattr("dawa.partition._window_index", lambda values, s=structure: build(s, values))
+            assert len(all_costs(x, 0.75, mode)) > 2 * _CHUNK
+            costs.append([all_costs(x, 0.75, mode).costs.tobytes(),
+                          all_costs(x, 0.75, mode, (scale, RngStream(4))).costs.tobytes()])
+        assert costs[0] == costs[1]
 
 
 class TestPerturb:
