@@ -14,7 +14,7 @@ import numpy as np
 
 from dawa.core import RngStream
 from dawa.generators import gen_synthetic_data
-from dawa.partition import PartitionParams, all_costs, least_cost_partition, private_partition
+from dawa.partition import MODES, PartitionParams, all_costs, least_cost_partition, private_partition
 
 
 def fmt_buckets(p, limit=12):
@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     parser.add_argument("--eps1", type=float, nargs="+",
                         default=[0.05, 0.25, 1.0, 10.0],
                         help="stage-1 budgets to try")
-    parser.add_argument("--mode", default="pow2", choices=["all", "pow2"])
+    parser.add_argument("--mode", default="pow2", choices=MODES)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 

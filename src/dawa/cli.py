@@ -14,7 +14,7 @@ from .core import (
 )
 from .experiments import ExperimentConfig, report_emit, run_experiment
 from .generators import gen_synthetic_data, gen_workload
-from .partition import PartitionParams, exact_partition, private_partition
+from .partition import MODES, PartitionParams, exact_partition, private_partition
 from .spatial import (
     GridSpec,
     RectangleQuery,
@@ -38,32 +38,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _given(args, *names) -> dict:
+    """The generator flags given on the command line; absent ones are not in args."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
 def _cmd_workload(args) -> int:
-    kind = args.kind.replace("-", "_")
-    params = {}
-    if args.num_queries is not None:
-        params["num_queries"] = args.num_queries
-    if args.sigma is not None:
-        params["sigma"] = args.sigma
-    if args.clusters is not None:
-        params["num_clusters"] = args.clusters
-    if args.per_cluster is not None:
-        params["queries_per_cluster"] = args.per_cluster
-    W = gen_workload(kind, args.n, args.seed, **params)
+    params = _given(args, "num_queries", "sigma", "num_clusters", "queries_per_cluster")
+    W = gen_workload(args.kind.replace("-", "_"), args.n, args.seed, **params)
     write_workload_file(args.out, W)
     return 0
 
 
 def _cmd_datagen(args) -> int:
-    kind = args.kind.replace("-", "_")
-    params = {}
-    if args.value is not None:
-        params["value"] = args.value
-    if args.segments is not None:
-        params["segments"] = args.segments
-    if args.total is not None:
-        params["total"] = args.total
-    x = gen_synthetic_data(kind, args.n, args.seed, **params)
+    params = _given(args, "value", "segments", "total")
+    x = gen_synthetic_data(args.kind.replace("-", "_"), args.n, args.seed, **params)
     write_data_file(args.out, x)
     return 0
 
@@ -118,13 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["identity", "uniform", "clustered", "large-clustered"])
     p.add_argument("--n", type=int, required=True, help="domain size")
     p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    p.add_argument("--num-queries", type=int, default=None,
+    # generator flags: absent unless given, each named as the generator's parameter
+    p.add_argument("--num-queries", type=int, default=argparse.SUPPRESS,
                    help="uniform kind: number of queries (default 2000)")
-    p.add_argument("--sigma", type=float, default=None,
+    p.add_argument("--sigma", type=float, default=argparse.SUPPRESS,
                    help="clustered kinds: half-width scale (default 256 / 1024)")
-    p.add_argument("--clusters", type=int, default=None,
+    p.add_argument("--clusters", dest="num_clusters", metavar="CLUSTERS", type=int, default=argparse.SUPPRESS,
                    help="clustered kinds: number of clusters (default 5)")
-    p.add_argument("--per-cluster", type=int, default=None,
+    p.add_argument("--per-cluster", dest="queries_per_cluster", metavar="PER_CLUSTER", type=int,
+                   default=argparse.SUPPRESS,
                    help="clustered kinds: queries per cluster (default 400)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_workload)
@@ -134,10 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["constant", "piecewise-constant", "heavy-tail"])
     p.add_argument("--n", type=int, required=True, help="domain size")
     p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    p.add_argument("--value", type=int, default=None, help="constant kind: cell value (default 5)")
-    p.add_argument("--segments", type=int, default=None,
+    p.add_argument("--value", type=int, default=argparse.SUPPRESS, help="constant kind: cell value (default 5)")
+    p.add_argument("--segments", type=int, default=argparse.SUPPRESS,
                    help="piecewise kind: number of uniform runs (default 8)")
-    p.add_argument("--total", type=float, default=None,
+    p.add_argument("--total", type=float, default=argparse.SUPPRESS,
                    help="target total mass (default 10*n)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_datagen)
@@ -146,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="counts file, one integer per line")
     p.add_argument("--eps1", type=float, required=True, help="partition stage budget")
     p.add_argument("--eps2", type=float, required=True, help="estimation stage budget (prices bucket count)")
-    p.add_argument("--mode", choices=["all", "pow2"], default="pow2",
+    p.add_argument("--mode", choices=MODES, default="pow2",
                    help="candidate bucket lengths (default pow2)")
     p.add_argument("--seed", type=int, default=0, help="noise seed (default 0)")
     p.add_argument("--exact", action="store_true",
@@ -162,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("XMIN", "XMAX", "YMIN", "YMAX"),
                    help="bounding box (default: tight box around the points)")
     p.add_argument("--seed", type=int, default=0, help="noise seed (default 0)")
-    p.add_argument("--mode", choices=["all", "pow2"], default="pow2",
+    p.add_argument("--mode", choices=MODES, default="pow2",
                    help="partition candidate lengths (default pow2)")
     p.add_argument("--branching", type=int, default=2, help="measurement tree fan-out (default 2)")
     p.add_argument("--stage1-fraction", type=float, default=0.25,

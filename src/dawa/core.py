@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import operator
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,33 +36,11 @@ class SingularStrategyError(ValueError):
     """The measurement strategy does not determine every position."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Inclusive 1-based range [lo, hi]."""
+class Interval(NamedTuple):
+    """Inclusive 1-based range [lo, hi], as `Workload` and `Partition` iteration yields it."""
 
     lo: int
     hi: int
-
-    def __post_init__(self) -> None:
-        if type(self.lo) is not int or type(self.hi) is not int:
-            # numpy integers are stored as Python ints, so equality, hash and
-            # repr do not depend on where the endpoints came from
-            try:
-                object.__setattr__(self, "lo", operator.index(self.lo))
-                object.__setattr__(self, "hi", operator.index(self.hi))
-            except TypeError:
-                raise InvalidIntervalError(
-                    f"endpoints must be integers, got ({self.lo!r}, {self.hi!r})"
-                ) from None
-        if not 1 <= self.lo <= self.hi:
-            raise InvalidIntervalError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo + 1
-
-    def valid_for(self, n: int) -> bool:
-        return self.hi <= n
 
 
 _INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max

@@ -31,7 +31,7 @@ from .core import (
 from .estimation import scaled_tree
 from .generators import gen_synthetic_data, gen_workload
 from .mechanisms import MECHANISM_NAMES, MechanismConfig, SharedWork, run_mechanism
-from .partition import check_stage1_size, deviation_table
+from .partition import MODES, check_stage1_size, deviation_table
 
 THREADS_ENV = "DAWA_THREADS"
 
@@ -76,7 +76,7 @@ class ExperimentConfig:
              f"a nonempty list from {MECHANISM_NAMES}"),
             ("epsilons", self.epsilons and eps_ok, "a nonempty list of positive finite numbers"),
             ("num_workloads", self.num_workloads >= 1, "at least 1"), ("trials", self.trials >= 1, "at least 1"),
-            ("mode", self.mode in ("all", "pow2"), "'all' or 'pow2'"), ("branching", self.branching >= 2, "at least 2"),
+            ("mode", self.mode in MODES, "'all' or 'pow2'"), ("branching", self.branching >= 2, "at least 2"),
             ("stage1_fraction", 0 < self.stage1_fraction < 1, "in (0, 1)"),
             ("workload", "kind" in self.workload, "an object with a 'kind'"),
             ("data", "path" in self.data or "kind" in self.data, "an object with a 'path' or a 'kind'"),

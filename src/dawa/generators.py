@@ -9,6 +9,20 @@ WORKLOAD_KINDS = ("identity", "uniform", "clustered", "large_clustered")
 DATA_KINDS = ("constant", "piecewise_constant", "heavy_tail")
 
 
+def _at_least_one(name: str, value) -> int:
+    value = int(value)
+    if value < 1:
+        raise ParameterError(f"{name} must be at least 1, got {value}")
+    return value
+
+
+def _finite_nonnegative(name: str, value) -> float:
+    value = float(value)
+    if not (np.isfinite(value) and value >= 0):
+        raise ParameterError(f"{name} must be finite and nonnegative, got {value}")
+    return value
+
+
 def _clustered(n: int, rng: RngStream, num_clusters: int, queries_per_cluster: int,
                sigma: float) -> Workload:
     """Queries bunched around uniform cluster centers.
@@ -38,15 +52,15 @@ def gen_workload(kind: str, n: int, seed: int, **params) -> Workload:
     if kind == "identity":
         return Workload(np.arange(1, n + 1), np.arange(1, n + 1))
     if kind == "uniform":
-        num_queries = int(params.pop("num_queries", 2000))
+        num_queries = _at_least_one("num_queries", params.pop("num_queries", 2000))
         if params:
             raise ParameterError(f"unknown params for uniform workload: {sorted(params)}")
         ends = rng.generator.integers(1, n + 1, size=(num_queries, 2))
         return Workload(ends.min(axis=1), ends.max(axis=1))
     if kind in ("clustered", "large_clustered"):
-        sigma = float(params.pop("sigma", 256.0 if kind == "clustered" else 1024.0))
-        num_clusters = int(params.pop("num_clusters", 5))
-        queries_per_cluster = int(params.pop("queries_per_cluster", 400))
+        sigma = _finite_nonnegative("sigma", params.pop("sigma", 256.0 if kind == "clustered" else 1024.0))
+        num_clusters = _at_least_one("num_clusters", params.pop("num_clusters", 5))
+        queries_per_cluster = _at_least_one("queries_per_cluster", params.pop("queries_per_cluster", 400))
         if params:
             raise ParameterError(f"unknown params for {kind} workload: {sorted(params)}")
         return _clustered(n, rng, num_clusters, queries_per_cluster, sigma)
@@ -72,7 +86,7 @@ def gen_synthetic_data(kind: str, n: int, seed: int, **params) -> DataVector:
         return DataVector(np.full(n, value, dtype=np.int64))
     if kind == "piecewise_constant":
         segments = int(params.pop("segments", 8))
-        total = float(params.pop("total", 10.0 * n))
+        total = _finite_nonnegative("total", params.pop("total", 10.0 * n))
         if params:
             raise ParameterError(f"unknown params for piecewise data: {sorted(params)}")
         if not 1 <= segments <= n:
@@ -92,7 +106,7 @@ def gen_synthetic_data(kind: str, n: int, seed: int, **params) -> DataVector:
                 return DataVector(np.repeat(levels, lengths))
         raise ParameterError("could not draw distinct adjacent segment levels")
     if kind == "heavy_tail":
-        total = float(params.pop("total", 10.0 * n))
+        total = _finite_nonnegative("total", params.pop("total", 10.0 * n))
         alpha = float(params.pop("alpha", 1.5))
         if params:
             raise ParameterError(f"unknown params for heavy_tail data: {sorted(params)}")

@@ -23,7 +23,7 @@ from .core import (
     uniform_expand,
 )
 from .estimation import QueryTree, build_query_tree, check_branching, estimate_buckets, measure, ols_infer
-from .partition import CostTable, PartitionParams, private_partition
+from .partition import CostTable, PartitionParams, check_mode, private_partition
 
 MECHANISM_NAMES = (
     "dawa",
@@ -45,8 +45,7 @@ class MechanismConfig:
     def __post_init__(self) -> None:
         if self.name not in MECHANISM_NAMES:
             raise ParameterError(f"unknown mechanism {self.name!r}; choose from {MECHANISM_NAMES}")
-        if self.mode not in ("all", "pow2"):
-            raise ParameterError(f"mode must be 'all' or 'pow2', got {self.mode!r}")
+        check_mode(self.mode)
         check_branching(self.branching)
 
 

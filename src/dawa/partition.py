@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from .core import (
 # One count added or removed changes a bucket's deviation by at most 2.
 BUCKET_COST_SENSITIVITY = 2.0
 
+# Candidate bucket lengths: every length, or the powers of two.
+MODES = ("all", "pow2")
+
 # Every numerator L*S - T*C is at most n * total; doubled, it must stay an
 # exact float64 integer for the cost to round exactly once.
 EXACT_COST_LIMIT = 2**52
@@ -46,6 +50,11 @@ _CHUNK = 1 << 13
 _TABLE_CAP = 8 * _CHUNK
 
 
+def check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ParameterError(f"mode must be 'all' or 'pow2', got {mode!r}")
+
+
 @dataclass(frozen=True)
 class PartitionParams:
     """Knobs for the private partition stage."""
@@ -53,17 +62,15 @@ class PartitionParams:
     eps1: float
     eps2: float
     mode: str = "pow2"
-    delta_bcost: float = BUCKET_COST_SENSITIVITY
+    # a property of the cost function, not a knob: a smaller value under-noises stage 1
+    delta_bcost: ClassVar[float] = BUCKET_COST_SENSITIVITY
 
     def __post_init__(self) -> None:
         for name in ("eps1", "eps2"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ParameterError(f"{name} must be positive and finite, got {v}")
-        if self.mode not in ("all", "pow2"):
-            raise ParameterError(f"mode must be 'all' or 'pow2', got {self.mode!r}")
-        if self.delta_bcost <= 0:
-            raise ParameterError("delta_bcost must be positive")
+        check_mode(self.mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +99,10 @@ class CostTable:
 def candidate_lengths(n: int, mode: str) -> tuple[int, ...]:
     if n < 1:
         raise ParameterError(f"domain size must be >= 1, got {n}")
+    check_mode(mode)
     if mode == "all":
         return tuple(range(1, n + 1))
-    if mode == "pow2":
-        return tuple(1 << j for j in range(int(n).bit_length()))
-    raise ParameterError(f"mode must be 'all' or 'pow2', got {mode!r}")
+    return tuple(1 << j for j in range(int(n).bit_length()))
 
 
 def _physical_memory() -> float:
@@ -335,13 +341,7 @@ def private_partition(x: DataVector, params: PartitionParams, rng: RngStream,
     return least_cost_partition(all_costs(x, params.eps2, params.mode, noise, deviations), x.n)
 
 
-def utility_bound(
-    n: int,
-    num_candidates: int,
-    delta: float,
-    eps1: float,
-    delta_bcost: float = BUCKET_COST_SENSITIVITY,
-) -> float:
+def utility_bound(n: int, num_candidates: int, delta: float, eps1: float) -> float:
     """Additive gap to the optimal partition cost, holding except with
     probability delta."""
     if n < 1 or num_candidates < 1:
@@ -350,4 +350,4 @@ def utility_bound(
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
     if eps1 <= 0:
         raise ParameterError(f"eps1 must be positive, got {eps1}")
-    return 4.0 * delta_bcost * n * math.log(num_candidates / delta) / eps1
+    return 4.0 * BUCKET_COST_SENSITIVITY * n * math.log(num_candidates / delta) / eps1

@@ -34,12 +34,13 @@ def bucket_dev(x: DataVector, b: Interval) -> float:
     Equal to twice the one-sided deviation above the mean; the integer
     numerator is exact and only the final division rounds.
     """
-    if not b.valid_for(x.n):
+    if not b.hi <= x.n:
         raise ParameterError(f"bucket {b} outside domain of size {x.n}")
+    length = b.hi - b.lo + 1
     values = [int(v) for v in x.counts[b.lo - 1 : b.hi]]
     total = sum(values)
-    num = _dev_numerator(values, total, b.length)
-    return (2 * num) / b.length
+    num = _dev_numerator(values, total, length)
+    return (2 * num) / length
 
 
 def bucket_cost(x: DataVector, b: Interval, eps2: float) -> float:
@@ -69,7 +70,7 @@ def cost_at(table: CostTable, lo: int, hi: int) -> float:
 def evaluate_query(q: Interval, x: "DataVector | EstimateVector | np.ndarray") -> float:
     """Sum of x over [q.lo, q.hi]."""
     vals = _values_of(x)
-    if not q.valid_for(vals.size):
+    if not q.hi <= vals.size:
         raise InvalidIntervalError(f"query {q} outside domain of size {vals.size}")
     return float(vals[q.lo - 1 : q.hi].sum())
 

@@ -1,12 +1,14 @@
 """Command-line entry points, exercised in-process through main(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from dawa.cli import main
 from dawa.core import read_data_file, read_workload_file
+from dawa.generators import gen_synthetic_data, gen_workload
 
 from .memory import peak_bytes
 
@@ -337,6 +339,43 @@ def test_out_file_has_the_stdout_bytes(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == stdout.encode()
     assert b"\r" not in out.read_bytes()
+
+
+@pytest.mark.parametrize("command, kind, flag, value, params", [
+    ("datagen", "constant", "--value", "7", {"value": 7}),
+    ("datagen", "heavy-tail", "--total", "123.5", {"total": 123.5}),
+    ("workload", "clustered", "--sigma", "3.5", {"sigma": 3.5}),
+    ("workload", "clustered", "--clusters", "2", {"num_clusters": 2}),
+    ("workload", "large-clustered", "--per-cluster", "7", {"queries_per_cluster": 7}),
+], ids=["value", "total", "sigma", "clusters", "per-cluster"])
+def test_generator_flag_passes_through(tmp_path, command, kind, flag, value, params):
+    out = tmp_path / "out"
+    assert main([command, "--kind", kind, "--n", "64", "--seed", "3", flag, value, "--out", str(out)]) == 0
+    kind = kind.replace("-", "_")
+    if command == "datagen":
+        want, default = (gen_synthetic_data(kind, 64, 3, **p).counts.tolist() for p in (params, {}))
+        got = read_data_file(out).counts.tolist()
+    else:
+        want, default = (list(gen_workload(kind, 64, 3, **p)) for p in (params, {}))
+        got = list(read_workload_file(out))
+    assert got == want != default
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["datagen", "--kind", "piecewise-constant", "--total", "nan"], "total"),
+    (["datagen", "--kind", "heavy-tail", "--total", "inf"], "total"),
+    (["workload", "--kind", "clustered", "--sigma", "nan"], "sigma"),
+    (["workload", "--kind", "clustered", "--sigma", "-1"], "sigma"),
+    (["workload", "--kind", "uniform", "--num-queries", "-1"], "num_queries"),
+    (["workload", "--kind", "clustered", "--clusters", "0"], "num_clusters"),
+    (["workload", "--kind", "large-clustered", "--per-cluster", "0"], "queries_per_cluster"),
+])
+def test_bad_generator_parameter_is_clean_error(capsys, argv, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would escape main as an exception
+        assert main(argv + ["--n", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"dawa: error: {name} must be ") and err.count("\n") == 1
 
 
 class TestTopLevel:

@@ -33,36 +33,59 @@ from dawa.core import (
 
 from .memory import peak_bytes
 from .reference import evaluate_query, reference_laplace_sample
-from .strategies import data_vectors, data_with_workload
+from .strategies import data_vectors, data_with_partition, data_with_workload
 
 
 class TestInterval:
+    """Intervals are named (lo, hi) pairs of Python ints; the Workload and
+    Partition arrays they come from hold the checks."""
+
     def test_basic(self):
         q = Interval(2, 6)
-        assert q.length == 5
-        assert q.valid_for(10)
-        assert not q.valid_for(5)
+        assert q == (2, 6)
+        assert (q.lo, q.hi) == tuple(q) == (2, 6)
+        assert repr(q) == "Interval(lo=2, hi=6)"
 
     def test_point_interval(self):
-        q = Interval(4, 4)
-        assert q.length == 1
+        lo, hi = next(iter(Partition.single(4)))
+        assert (lo, hi) == (1, 4)
+        lo, hi = next(iter(Workload([4], [4])))
+        assert lo == hi == 4
 
     @pytest.mark.parametrize("lo,hi", [(0, 3), (-1, 2), (5, 4), (3, 0)])
     def test_invalid(self, lo, hi):
+        # a pair is not checked; the workload it would come from is
+        assert Interval(lo, hi) == (lo, hi)
         with pytest.raises(InvalidIntervalError):
-            Interval(lo, hi)
+            Workload([lo], [hi])
 
     def test_numpy_integer_endpoints_stored_as_int(self):
-        q = Interval(np.int64(1), np.int32(3))
-        assert type(q.lo) is int and type(q.hi) is int
-        assert q == Interval(1, 3)
-        assert hash(q) == hash(Interval(1, 3))
-        assert repr(q) == "Interval(lo=1, hi=3)"
+        for dtype in (np.int32, np.uint8, np.uint64):
+            W = Workload(np.array([1, 2], dtype=dtype), np.array([3, 2], dtype=dtype))
+            assert list(W) == [(1, 3), (2, 2)]
+            assert all(type(lo) is int and type(hi) is int for lo, hi in W)
+            q = next(iter(W))
+            assert hash(q) == hash(Interval(1, 3)) == hash((1, 3))
+            assert repr(q) == "Interval(lo=1, hi=3)"
 
     @pytest.mark.parametrize("lo", [1.0, np.float64(1.0), "1", None])
     def test_non_integer_endpoints_rejected(self, lo):
         with pytest.raises(InvalidIntervalError):
-            Interval(lo, 3)
+            Workload([lo], [3])
+
+    @given(data_with_workload())
+    def test_workload_iterates_to_its_arrays(self, xw):
+        _, W = xw
+        pairs = list(W)
+        assert pairs == list(zip(W.los.tolist(), W.his.tolist()))
+        assert all(type(q) is Interval and type(q.lo) is int and type(q.hi) is int for q in pairs)
+
+    @given(data_with_partition())
+    def test_partition_iterates_to_its_arrays(self, xp):
+        _, p = xp
+        pairs = list(p)
+        assert pairs == list(zip(p.los.tolist(), p.his.tolist()))
+        assert all(type(q) is Interval and type(q.lo) is int and type(q.hi) is int for q in pairs)
 
 
 class TestDataVector:

@@ -50,7 +50,7 @@ class TestWorkloads:
         for n, seed in ((1, 0), (97, 3), (4096, 8)):
             W = gen_workload(kind, n, seed, **params)
             want = reference_gen_workload(kind, n, seed, **params)
-            assert [(q.lo, q.hi) for q in W] == want
+            assert list(W) == want
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
@@ -59,6 +59,19 @@ class TestWorkloads:
     def test_unknown_param(self):
         with pytest.raises(ParameterError):
             gen_workload("uniform", 10, seed=0, shape=3)
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("clustered", {"sigma": np.nan}, "sigma"),
+        ("large_clustered", {"sigma": np.inf}, "sigma"),
+        ("clustered", {"sigma": -1.0}, "sigma"),
+        ("uniform", {"num_queries": -1}, "num_queries"),
+        ("uniform", {"num_queries": 0}, "num_queries"),
+        ("clustered", {"num_clusters": 0}, "num_clusters"),
+        ("large_clustered", {"queries_per_cluster": 0}, "queries_per_cluster"),
+    ])
+    def test_bad_parameter_is_named(self, kind, params, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be "):
+            gen_workload(kind, 16, seed=0, **params)
 
     def test_kinds_registry(self):
         for kind in WORKLOAD_KINDS:
@@ -103,6 +116,12 @@ class TestData:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             gen_synthetic_data("gaussian", 10, seed=0)
+
+    @pytest.mark.parametrize("kind", ["piecewise_constant", "heavy_tail"])
+    @pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_total_is_named(self, kind, total):
+        with pytest.raises(ParameterError, match="^total must be "):
+            gen_synthetic_data(kind, 16, seed=0, total=total)
 
     def test_unknown_param(self):
         with pytest.raises(ParameterError):

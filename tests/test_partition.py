@@ -2,6 +2,7 @@
 empirical audit of stage 1's privacy claim."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,11 @@ from dawa.core import (
     Interval,
     ParameterError,
     Partition,
+    PrivacyBudget,
     RngStream,
     laplace_sample,
 )
+from dawa.mechanisms import MechanismConfig
 from dawa.partition import (
     _CHUNK,
     BUCKET_COST_SENSITIVITY,
@@ -61,6 +64,15 @@ class TestCandidateLengths:
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
             candidate_lengths(5, "fib")
+
+    @pytest.mark.parametrize("make", [
+        lambda mode: candidate_lengths(5, mode),
+        lambda mode: PartitionParams(0.25, 0.75, mode),
+        lambda mode: MechanismConfig("dawa", PrivacyBudget.split(1.0), mode=mode),
+    ], ids=["candidate_lengths", "PartitionParams", "MechanismConfig"])
+    def test_one_mode_check(self, make):
+        with pytest.raises(ParameterError, match=re.escape("mode must be 'all' or 'pow2', got 'fib'")):
+            make("fib")
 
 
 class TestBucketDev:
@@ -374,12 +386,16 @@ class TestNoiseInSlices:
             assert np.array_equal(got.his, least_cost_partition(noisy, n).his)
 
     @pytest.mark.parametrize("n, mode", CASES)
-    @pytest.mark.parametrize("delta_bcost", [BUCKET_COST_SENSITIVITY, 1.0])
-    def test_one_ledger_entry(self, n, mode, delta_bcost):
+    def test_one_ledger_entry(self, n, mode):
         x, ledger = self.data(n), []
-        params = PartitionParams(0.25, 0.75, mode, delta_bcost=delta_bcost)
-        private_partition(x, params, RngStream(3, ledger=ledger))
-        assert ledger == [(2.0 * delta_bcost / 0.25, len(all_costs(x, 0.75, mode)))]
+        private_partition(x, PartitionParams(0.25, 0.75, mode), RngStream(3, ledger=ledger))
+        assert ledger == [(2.0 * BUCKET_COST_SENSITIVITY / 0.25, len(all_costs(x, 0.75, mode)))]
+
+    def test_sensitivity_is_not_a_parameter(self):
+        # a smaller value would under-noise stage 1, so no caller may set one
+        assert PartitionParams(0.25, 0.75).delta_bcost == BUCKET_COST_SENSITIVITY
+        with pytest.raises(TypeError):
+            PartitionParams(0.25, 0.75, "pow2", delta_bcost=1.0)
 
     @pytest.mark.parametrize("n, mode", CASES)
     def test_costs_from_shared_deviations_match(self, n, mode):
@@ -446,8 +462,8 @@ class TestLeastCost:
         table = all_costs(example_x, 1.0, "pow2")
         got = least_cost_partition(table, 10)
         assert got.n == 10
-        for b in got:
-            assert b.length in (1, 2, 4, 8)
+        for lo, hi in got:
+            assert hi - lo + 1 in (1, 2, 4, 8)
 
     def test_upper_bound_anchor(self, example_x):
         # the hand-worked four-bucket grouping costs 10 2/3; the optimum

@@ -59,7 +59,7 @@ class TestTransformQuery:
     @given(partitions_of(16), intervals_for(16))
     def test_coefficients_are_overlap_fractions(self, part, q):
         got = transform_query(q, part)
-        want = np.array([overlap(q, b) / b.length for b in part])
+        want = np.array([overlap(q, b) / (b.hi - b.lo + 1) for b in part])
         assert np.array_equal(got, want)
         assert np.all(got >= 0.0) and np.all(got <= 1.0)
 
@@ -82,7 +82,7 @@ class TestTransformWorkload:
     @given(partitions_of(24), st.lists(intervals_for(24), min_size=1, max_size=8))
     def test_rows_are_exact_overlap_fractions(self, part, qs):
         tw = transform_workload(workload_of(qs), part)
-        want = np.array([[overlap(q, b) / b.length for b in part] for q in qs])
+        want = np.array([[overlap(q, b) / (b.hi - b.lo + 1) for b in part] for q in qs])
         assert rows_of(tw).tobytes() == want.tobytes()
         assert dense_transform(workload_of(qs), part).tobytes() == want.tobytes()
 
