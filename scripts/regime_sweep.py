@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from dawa.experiments import ExperimentConfig, report_emit, run_experiment
+from dawa.generators import DATA_KINDS
 from dawa.mechanisms import MECHANISM_NAMES
 
 
@@ -27,10 +28,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         choices=list(MECHANISM_NAMES), metavar="NAME",
         help=f"subset of: {', '.join(MECHANISM_NAMES)}",
     )
-    parser.add_argument(
-        "--data-kind", default="piecewise_constant",
-        choices=["constant", "piecewise_constant", "heavy_tail"],
-    )
+    parser.add_argument("--data-kind", default="piecewise_constant", choices=DATA_KINDS)
     parser.add_argument("--segments", type=int, default=8,
                         help="segment count for piecewise data")
     parser.add_argument("--queries", type=int, default=200, help="queries per workload")

@@ -13,7 +13,7 @@ from .core import (
     write_workload_file,
 )
 from .experiments import ExperimentConfig, report_emit, run_experiment
-from .generators import gen_synthetic_data, gen_workload
+from .generators import DATA_KINDS, WORKLOAD_KINDS, gen_synthetic_data, gen_workload
 from .partition import MODES, PartitionParams, exact_partition, private_partition
 from .spatial import (
     GridSpec,
@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dawa",
         description="Data- and workload-aware private range query answering.",
-        epilog="Set DAWA_THREADS to parallelize experiment trials (default 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -103,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("workload", help="generate a workload CSV")
-    p.add_argument("--kind", required=True,
-                   choices=["identity", "uniform", "clustered", "large-clustered"])
+    p.add_argument("--kind", required=True, choices=[k.replace("_", "-") for k in WORKLOAD_KINDS])
     p.add_argument("--n", type=int, required=True, help="domain size")
     p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     # generator flags: absent unless given, each named as the generator's parameter
@@ -121,8 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_workload)
 
     p = sub.add_parser("datagen", help="generate a synthetic data file")
-    p.add_argument("--kind", required=True,
-                   choices=["constant", "piecewise-constant", "heavy-tail"])
+    p.add_argument("--kind", required=True, choices=[k.replace("_", "-") for k in DATA_KINDS])
     p.add_argument("--n", type=int, required=True, help="domain size")
     p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     p.add_argument("--value", type=int, default=argparse.SUPPRESS, help="constant kind: cell value (default 5)")

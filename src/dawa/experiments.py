@@ -8,10 +8,7 @@ report, so a report is reproducible from its config alone.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,8 +29,6 @@ from .estimation import scaled_tree
 from .generators import gen_synthetic_data, gen_workload
 from .mechanisms import MECHANISM_NAMES, MechanismConfig, SharedWork, run_mechanism
 from .partition import MODES, check_stage1_size, deviation_table
-
-THREADS_ENV = "DAWA_THREADS"
 
 
 @dataclass(frozen=True)
@@ -135,37 +130,6 @@ def _load_data(cfg: ExperimentConfig) -> DataVector:
     return gen_synthetic_data(cfg.data["kind"], cfg.n, derive_seed(cfg.master_seed, "data"), **params)
 
 
-@dataclass(frozen=True)
-class _Trial:
-    mechanism: str
-    epsilon: float
-    workload_id: int
-    trial: int
-    seed: int
-
-
-_worker_grid: tuple | None = None  # a pool worker's grid, set once by _set_worker_grid
-
-
-def _set_worker_grid(grid: tuple) -> None:
-    global _worker_grid
-    _worker_grid = grid
-
-
-def _execute_trial(task: _Trial, grid: tuple | None = None) -> TrialResult:
-    """One trial on the grid (cfg, x, per workload id (W, SharedWork)), by
-    default the pool worker's; wall_ms leaves out the work the grid shares."""
-    cfg, x, workloads = grid or _worker_grid
-    W, shared = workloads[task.workload_id]
-    budget = PrivacyBudget.split(task.epsilon, cfg.stage1_fraction)
-    config = MechanismConfig(name=task.mechanism, budget=budget, mode=cfg.mode, branching=cfg.branching)
-    rng = RngStream(task.seed)
-    start = time.perf_counter()
-    xhat = run_mechanism(config, x, W, rng, shared)
-    wall_ms = (time.perf_counter() - start) * 1000.0 if cfg.record_timing else 0.0
-    return TrialResult(**vars(task), avg_l1_error=average_workload_error(W, x, xhat), wall_ms=wall_ms)
-
-
 def compute_aggregates(results: "tuple[TrialResult, ...] | list[TrialResult]") -> tuple[dict, ...]:
     """Per (mechanism, epsilon): mean/std of trial errors and mean runtime."""
     groups: dict[tuple[str, float], list[TrialResult]] = {}
@@ -187,52 +151,40 @@ def compute_aggregates(results: "tuple[TrialResult, ...] | list[TrialResult]") -
     return tuple(out)
 
 
-def _thread_count() -> int:
-    """Worker processes for experiment trials: DAWA_THREADS, 1 when unset."""
-    value = os.environ.get(THREADS_ENV, "1")
-    try:
-        workers = int(value)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ParameterError(f"{THREADS_ENV} must be a positive integer, got {value!r}")
-    return workers
-
-
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Execute the full grid deterministically.
 
     Trial seeds depend only on (master_seed, workload_id, trial), never on
     the mechanism or epsilon, so extending the grid leaves existing rows
-    unchanged.  Set the DAWA_THREADS env var above 1 to run trials in
-    worker processes; results are merged in deterministic order either way.
-    Stage 1's deviations and each workload's greedy_no_partition tree are
-    made once, before the first trial, and each worker gets them once.
+    unchanged.  Stage 1's deviations are made once per experiment and each
+    workload's greedy_no_partition tree before that workload's first trial;
+    a trial's wall_ms leaves out this shared work.
     """
-    workers = _thread_count()
     x = _load_data(cfg)
     deviations = None
     if {"dawa", "partition_laplace"} & set(cfg.mechanisms):
-        # refused before any trial unless the deviations fit beside one noisy table per trial
-        # process; a worker that is not forked also unpickles its own copy of the deviations
-        copies = 2 if workers > 1 and multiprocessing.get_start_method() != "fork" else 1
-        check_stage1_size(x.n, x.total(), cfg.mode, tables=1 + copies * workers)
+        # refused before any trial unless the shared deviations fit beside one trial's noisy costs
+        check_stage1_size(x.n, x.total(), cfg.mode, tables=2)
         deviations = deviation_table(x, cfg.mode)
-    workloads, tasks = [], []
+    wparams = {k: v for k, v in cfg.workload.items() if k != "kind"}
+    results = []
     for wid in range(cfg.num_workloads):
-        wparams = {k: v for k, v in cfg.workload.items() if k != "kind"}
         W = gen_workload(cfg.workload["kind"], x.n, derive_seed(cfg.master_seed, "workload", wid), **wparams)
         tree = scaled_tree(Partition.unit(x.n), W, cfg.branching) if "greedy_no_partition" in cfg.mechanisms else None
-        workloads.append((W, SharedWork(deviations, tree)))
+        shared = SharedWork(deviations, tree)
         for name in cfg.mechanisms:
             for eps in cfg.epsilons:
+                budget = PrivacyBudget.split(eps, cfg.stage1_fraction)
+                config = MechanismConfig(name=name, budget=budget, mode=cfg.mode, branching=cfg.branching)
                 for trial in range(cfg.trials):
-                    tasks.append(_Trial(name, eps, wid, trial, derive_seed(cfg.master_seed, "trial", wid, trial)))
-    if workers > 1:
-        with ProcessPoolExecutor(workers, initializer=_set_worker_grid, initargs=((cfg, x, workloads),)) as pool:
-            results = tuple(pool.map(_execute_trial, tasks))
-    else:
-        results = tuple(_execute_trial(t, (cfg, x, workloads)) for t in tasks)
+                    seed = derive_seed(cfg.master_seed, "trial", wid, trial)
+                    rng = RngStream(seed)
+                    start = time.perf_counter()
+                    xhat = run_mechanism(config, x, W, rng, shared)
+                    wall_ms = (time.perf_counter() - start) * 1000.0 if cfg.record_timing else 0.0
+                    results.append(TrialResult(name, eps, wid, trial, seed,
+                                               average_workload_error(W, x, xhat), wall_ms))
+    results = tuple(results)
     return Report(config=cfg.to_dict(), results=results, aggregates=compute_aggregates(results))
 
 

@@ -23,6 +23,15 @@ def _finite_nonnegative(name: str, value) -> float:
     return value
 
 
+def _total(params: dict, n: int) -> float:
+    """The target total mass, popped from params.  Scaled draws may round past
+    it, so it stays a factor 2 below the int64 limit on the counts' total."""
+    total = _finite_nonnegative("total", params.pop("total", 10.0 * n))
+    if total >= 2.0**62:
+        raise ParameterError(f"total must be below 2**62, got {total:g}")
+    return total
+
+
 def _clustered(n: int, rng: RngStream, num_clusters: int, queries_per_cluster: int,
                sigma: float) -> Workload:
     """Queries bunched around uniform cluster centers.
@@ -81,16 +90,19 @@ def gen_synthetic_data(kind: str, n: int, seed: int, **params) -> DataVector:
         value = int(params.pop("value", 5))
         if params:
             raise ParameterError(f"unknown params for constant data: {sorted(params)}")
-        if value < 0:
-            raise ParameterError(f"value must be nonnegative, got {value}")
+        if not 0 <= value < 2**63:
+            raise ParameterError(f"value must be nonnegative and below 2**63, got {value}")
         return DataVector(np.full(n, value, dtype=np.int64))
     if kind == "piecewise_constant":
         segments = int(params.pop("segments", 8))
-        total = _finite_nonnegative("total", params.pop("total", 10.0 * n))
+        total = _total(params, n)
         if params:
             raise ParameterError(f"unknown params for piecewise data: {sorted(params)}")
         if not 1 <= segments <= n:
             raise ParameterError(f"segments must be in [1, {n}], got {segments}")
+        # a level is at most 1.8 / 0.2 times the mean total / n, so below this every level rounds to 0
+        if segments > 1 and 9 * total / n < 0.5:
+            raise ParameterError(f"total must be at least n / 18 = {n / 18:g} for {segments} segments, got {total:g}")
         gen = rng.generator
         if segments == 1:
             lengths = np.asarray([n])
@@ -106,12 +118,12 @@ def gen_synthetic_data(kind: str, n: int, seed: int, **params) -> DataVector:
                 return DataVector(np.repeat(levels, lengths))
         raise ParameterError("could not draw distinct adjacent segment levels")
     if kind == "heavy_tail":
-        total = _finite_nonnegative("total", params.pop("total", 10.0 * n))
+        total = _total(params, n)
         alpha = float(params.pop("alpha", 1.5))
         if params:
             raise ParameterError(f"unknown params for heavy_tail data: {sorted(params)}")
-        if alpha <= 0:
-            raise ParameterError(f"alpha must be positive, got {alpha}")
+        if not (np.isfinite(alpha) and alpha > 0):
+            raise ParameterError(f"alpha must be positive and finite, got {alpha}")
         raw = rng.generator.pareto(alpha, size=n) + 1.0
         return DataVector(np.floor(raw * (total / raw.sum())).astype(np.int64))
     raise ParameterError(f"unknown data kind {kind!r}; choose from {DATA_KINDS}")

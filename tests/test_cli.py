@@ -8,7 +8,7 @@ import pytest
 
 from dawa.cli import main
 from dawa.core import read_data_file, read_workload_file
-from dawa.generators import gen_synthetic_data, gen_workload
+from dawa.generators import DATA_KINDS, WORKLOAD_KINDS, gen_synthetic_data, gen_workload
 
 from .memory import peak_bytes
 
@@ -177,21 +177,6 @@ class TestRunCmd:
         assert len(doc["results"]) == 4
         printed = capsys.readouterr().out
         assert "identity" in printed and "dawa" in printed
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-    def test_bad_threads_is_clean_error(self, tmp_path, monkeypatch, capsys, value):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "mechanisms": ["identity"], "epsilons": [0.5],
-            "workload": {"kind": "uniform", "num_queries": 5},
-            "data": {"kind": "constant"}, "n": 8, "num_workloads": 1, "trials": 1,
-        }))
-        monkeypatch.setenv("DAWA_THREADS", value)
-        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.err == f"dawa: error: DAWA_THREADS must be a positive integer, got {value!r}\n"
-        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("field, value", [
         ("trials", 2.5), ("num_workloads", "3"), ("n", 16.5), ("workload", "kind"),
@@ -369,6 +354,9 @@ def test_generator_flag_passes_through(tmp_path, command, kind, flag, value, par
     (["workload", "--kind", "uniform", "--num-queries", "-1"], "num_queries"),
     (["workload", "--kind", "clustered", "--clusters", "0"], "num_clusters"),
     (["workload", "--kind", "large-clustered", "--per-cluster", "0"], "queries_per_cluster"),
+    (["datagen", "--kind", "constant", "--value", str(2**70)], "value"),
+    (["datagen", "--kind", "heavy-tail", "--total", "1e300"], "total"),
+    (["datagen", "--kind", "piecewise-constant", "--total", "0"], "total"),
 ])
 def test_bad_generator_parameter_is_clean_error(capsys, argv, name):
     with warnings.catch_warnings():
@@ -376,6 +364,17 @@ def test_bad_generator_parameter_is_clean_error(capsys, argv, name):
         assert main(argv + ["--n", "16"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"dawa: error: {name} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, kind", [("workload", k) for k in WORKLOAD_KINDS]
+                         + [("datagen", k) for k in DATA_KINDS])
+def test_every_generator_kind_runs(tmp_path, command, kind):
+    out = tmp_path / "out"
+    assert main([command, "--kind", kind.replace("_", "-"), "--n", "32", "--seed", "1", "--out", str(out)]) == 0
+    if command == "datagen":
+        assert read_data_file(out).counts.tolist() == gen_synthetic_data(kind, 32, 1).counts.tolist()
+    else:
+        assert list(read_workload_file(out)) == list(gen_workload(kind, 32, 1))
 
 
 class TestTopLevel:

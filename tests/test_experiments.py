@@ -1,7 +1,6 @@
 """Experiment grid: config plumbing, seed discipline, report stability."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from dawa.experiments import (
     report_emit,
     run_experiment,
     _load_data,
-    _thread_count,
 )
 from dawa.generators import gen_workload
 from dawa.mechanisms import MECHANISM_NAMES, MechanismConfig, run_mechanism
@@ -96,27 +94,6 @@ class TestDeterminism:
         report_emit(run_experiment(cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg = small_config()
-        p1, p2 = tmp_path / "s.json", tmp_path / "p.json"
-        report_emit(run_experiment(cfg), p1)
-        os.environ["DAWA_THREADS"] = "2"
-        try:
-            report_emit(run_experiment(cfg), p2)
-        finally:
-            del os.environ["DAWA_THREADS"]
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_thread_count(self, monkeypatch):
-        monkeypatch.delenv("DAWA_THREADS", raising=False)
-        assert _thread_count() == 1
-        monkeypatch.setenv("DAWA_THREADS", "3")
-        assert _thread_count() == 3
-        for bad in ("abc", "0", "-1", "2.0"):
-            monkeypatch.setenv("DAWA_THREADS", bad)
-            with pytest.raises(ParameterError, match=f"DAWA_THREADS must be a positive integer, got '{bad}'"):
-                _thread_count()
-
     def test_timing_flag(self):
         rep = run_experiment(small_config(record_timing=False, trials=1, num_workloads=1))
         assert all(r.wall_ms == 0.0 for r in rep.results)
@@ -179,10 +156,8 @@ class TestSharedWork:
         # n = 200 in mode all has 20,100 candidates: 3 slices of stage 1
         return small_config(mechanisms=MECHANISM_NAMES, mode=mode, n=200, trials=2, epsilons=(0.1, 1.0))
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("mode", ["all", "pow2"])
-    def test_rows_equal_fresh_releases(self, monkeypatch, mode, threads):
-        monkeypatch.setenv("DAWA_THREADS", threads)
+    def test_rows_equal_fresh_releases(self, mode):
         cfg = self.config(mode)
         report = run_experiment(cfg)
         x = _load_data(cfg)
@@ -206,7 +181,6 @@ class TestSharedWork:
             indexes.append(values.size)
             return real_index(values)
 
-        monkeypatch.delenv("DAWA_THREADS", raising=False)
         monkeypatch.setattr(dawa.experiments, "run_mechanism", run)
         monkeypatch.setattr(dawa.partition, "_window_index", index)
         run_experiment(self.config("all"))
@@ -221,35 +195,15 @@ class TestSharedWork:
                 shared.unit_tree.scalings[0] = 1.0
 
     def test_memory_check_charges_a_table_per_trial_process(self, monkeypatch):
-        # 20,100 candidates of 8 B: two tables fit, three do not; the shared
-        # deviations stay in the parent and each worker holds its own noisy costs
-        def pool(*args, **kwargs):
+        # 20,100 candidates of 8 B: the shared deviations and one trial's noisy costs
+        def run(*args):
             raise AssertionError("a trial started")
 
         monkeypatch.setattr("dawa.partition._physical_memory", lambda: 2.5 * 8 * 20_100)
-        monkeypatch.setenv("DAWA_THREADS", "1")
         assert len(run_experiment(self.config("all")).results) == 48
-        monkeypatch.setenv("DAWA_THREADS", "2")
-        monkeypatch.setattr(dawa.experiments, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr("dawa.partition._physical_memory", lambda: 1.5 * 8 * 20_100)
+        monkeypatch.setattr(dawa.experiments, "run_mechanism", run)
         with pytest.raises(ParameterError, match=r"needs about .* for 20100 candidate buckets \(mode 'all', n = 200\)"):
-            run_experiment(self.config("all"))
-
-    @pytest.mark.parametrize("method, refused", [("fork", False), ("spawn", True), ("forkserver", True)])
-    def test_memory_check_charges_a_copy_per_worker_that_is_not_forked(self, monkeypatch, method, refused):
-        # 20,100 candidates of 8 B and 2 workers: 1 + 2 tables fit, 1 + 2 * 2 do not
-        class PoolStarted(Exception):
-            pass
-
-        def pool(*args, **kwargs):
-            raise PoolStarted
-
-        monkeypatch.setattr("dawa.partition._physical_memory", lambda: 3.5 * 8 * 20_100)
-        monkeypatch.setattr(dawa.experiments.multiprocessing, "get_start_method", lambda: method)
-        monkeypatch.setattr(dawa.experiments, "ProcessPoolExecutor", pool)
-        monkeypatch.setenv("DAWA_THREADS", "2")
-        raised = (pytest.raises(ParameterError, match=r"needs about .* for 20100 candidate buckets") if refused
-                  else pytest.raises(PoolStarted))
-        with raised:
             run_experiment(self.config("all"))
 
     def test_one_stage1_ledger_entry_per_trial(self, monkeypatch):
@@ -259,7 +213,6 @@ class TestSharedWork:
             ledgers.append([])
             return RngStream(seed, ledger=ledgers[-1])
 
-        monkeypatch.delenv("DAWA_THREADS", raising=False)
         monkeypatch.setattr(dawa.experiments, "RngStream", stream)
         report = run_experiment(self.config("all"))
         assert len(ledgers) == len(report.results)

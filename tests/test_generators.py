@@ -1,5 +1,7 @@
 """Synthetic workload and data generators: shapes, determinism, validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,10 +120,28 @@ class TestData:
             gen_synthetic_data("gaussian", 10, seed=0)
 
     @pytest.mark.parametrize("kind", ["piecewise_constant", "heavy_tail"])
-    @pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf, -1.0, 2.0**62, 1e300])
     def test_bad_total_is_named(self, kind, total):
         with pytest.raises(ParameterError, match="^total must be "):
             gen_synthetic_data(kind, 16, seed=0, total=total)
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("constant", {"value": -1}, "value"),
+        ("constant", {"value": 2**63}, "value"),
+        ("constant", {"value": 2**70}, "value"),
+        ("heavy_tail", {"alpha": 0.0}, "alpha"),
+        ("heavy_tail", {"alpha": np.nan}, "alpha"),
+        ("heavy_tail", {"alpha": np.inf}, "alpha"),
+        ("piecewise_constant", {"segments": 0}, "segments"),
+        # 9 * total / n < 1/2: every level rounds to 0, so no draw has distinct adjacent levels
+        ("piecewise_constant", {"segments": 2, "total": 0.0}, "total"),
+        ("piecewise_constant", {"segments": 8, "total": 0.88}, "total"),
+    ])
+    def test_bad_parameter_is_named(self, kind, params, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=f"^{name} must be "):
+                gen_synthetic_data(kind, 16, seed=0, **params)
 
     def test_unknown_param(self):
         with pytest.raises(ParameterError):
