@@ -208,10 +208,6 @@ class Partition:
     def unit(cls, n: int) -> "Partition":
         return cls(np.arange(1, n + 1))
 
-    @classmethod
-    def single(cls, n: int) -> "Partition":
-        return cls(np.array([n]))
-
 
 @dataclass(frozen=True)
 class Histogram:

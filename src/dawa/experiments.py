@@ -198,8 +198,3 @@ def report_emit(report: Report, path: "str | Path") -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_report(path: "str | Path") -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -286,32 +286,41 @@ def least_cost_partition(table: CostTable, n: int) -> Partition:
 
     Dynamic program over right endpoints.  The candidates ending at j form
     one row, lengths longest first: the bucket of length L = lengths[i]
-    sits at offsets[i] - L + j in the flat costs, and L > j costs inf.  Rows
-    are gathered a block of endpoints at a time; per endpoint the row is
-    added to best[j - L] and argmin, which returns the first minimum, picks
-    the length.  That is the same rule as a longest-first scan with strict
+    sits at offsets[i] - L + j in the flat costs.  Rows are gathered a block
+    of endpoints at a time; per endpoint the row is added to the least cost
+    of [1, j - L] and argmin, which returns the first minimum, picks the
+    length.  That is the same rule as a longest-first scan with strict
     improvement, so among equal-cost partitions the one with the longer
     final bucket wins.
+
+    `best` is padded in front with one inf per unit of the longest length,
+    so a length L > j adds inf to its gathered entry, an earlier length's
+    cost.  That needs finite costs and path sums: a table where 2n times
+    the largest |cost| overflows, which bounds every path sum with room for
+    rounding, is refused.
     """
     if n != table.n:
         raise ParameterError(f"table covers [1, {table.n}], asked for [1, {n}]")
+    costs = table.costs
+    largest = float(max(costs.max(), -costs.min()))
+    if not math.isfinite(2.0 * n * largest):
+        raise ParameterError(f"stage-1 costs reach {largest:g}; summed over n = {n} positions they would "
+                             "overflow float64, so a larger eps1 or eps2 is needed")
     lengths = table.lengths[::-1]
+    pad = int(lengths[0])
     base = (table.offsets - table.lengths)[::-1]
-    best = np.full(n + 1, math.inf)
-    best[0] = 0.0
+    best = np.full(pad + n + 1, math.inf)
+    best[pad] = 0.0
     pick = np.zeros(n + 1, dtype=np.intp)
     rows = max(1, _CHUNK // lengths.size)
     for first in range(1, n + 1, rows):
         ends = np.arange(first, min(first + rows, n + 1))[:, None]
-        prev = ends - lengths
-        fits = prev >= 0
-        block = np.where(fits, table.costs[np.where(fits, base + ends, 0)], math.inf)
-        prev[~fits] = 0
-        for j, row, back in zip(ends[:, 0].tolist(), block, prev):
+        block = costs[base + ends]
+        for j, row, back in zip(ends[:, 0].tolist(), block, ends + (pad - lengths)):
             c = best[back]
             c += row
             at = c.argmin()
-            best[j] = c[at]
+            best[pad + j] = c[at]
             pick[j] = at
     pick = lengths[pick].tolist()
     his = []

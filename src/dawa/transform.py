@@ -26,7 +26,6 @@ class TransformedWorkload:
     last: np.ndarray
     first_frac: np.ndarray
     last_frac: np.ndarray
-    source: Workload
     partition: Partition
 
 
@@ -42,4 +41,4 @@ def transform_workload(W: Workload, partition: Partition) -> TransformedWorkload
         (np.minimum(q_hi, b_hi[end]) - np.maximum(q_lo, b_lo[end]) + 1) / (b_hi[end] - b_lo[end] + 1)
         for end in (first, last)
     )
-    return TransformedWorkload(first, last, first_frac, last_frac, source=W, partition=partition)
+    return TransformedWorkload(first, last, first_frac, last_frac, partition=partition)

@@ -185,10 +185,11 @@ def test_a04_bucket_transform_is_exact():
     assert worst <= 1e-9
 
     _, part = _example()
-    What = transform_workload(Workload([2], [6]), part)
+    W = Workload([2], [6])
+    What = transform_workload(W, part)
     assert (What.first.tolist(), What.last.tolist()) == ([0], [2])
     assert (What.first_frac.tolist(), What.last_frac.tolist()) == ([0.5], [0.75])
-    assert np.array_equal(dense_transform(What.source, part), [[0.5, 1.0, 0.75, 0.0]])
+    assert np.array_equal(dense_transform(W, part), [[0.5, 1.0, 0.75, 0.0]])
     _ok(f"bucket-space workload answers match position space on 1000 triples (max gap {worst:.1e})")
 
 
@@ -218,7 +219,7 @@ def test_a05_fast_objective_and_implicit_inverse():
         k = int(rng.integers(2, 65))
         t = int(rng.choice([2, 3]))
         What = random_transformed_workload(rng, k, int(rng.integers(3, 13)))
-        matrix = dense_transform(What.source, What.partition)
+        matrix = rows_of(What)
         tree = greedy_scale(What, build_query_tree(k, t))
 
         # tree least-squares inverse against direct inversion of the final gram

@@ -90,6 +90,19 @@ class TestPartitionCmd:
         main(args)
         assert capsys.readouterr().out == first
 
+    # at eps2 = 1e-310 the bucket price 1/eps2 is inf, and at 1e-308 the sums of costs overflow
+    @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["private", "exact"])
+    @pytest.mark.parametrize("eps2", ["1e-310", "1e-308"])
+    def test_costs_that_overflow_are_clean_error(self, tmp_path, capsys, eps2, exact):
+        p = tmp_path / "c.txt"
+        assert main(["datagen", "--kind", "piecewise-constant", "--n", "100", "--seed", "1", "--out", str(p)]) == 0
+        rc = main(["partition", "--data", str(p), "--eps1", "0.25", "--eps2", eps2, "--mode", "pow2", *exact])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].startswith("dawa: error: stage-1 costs reach ")
+        assert "a larger eps1 or eps2 is needed" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_count_outside_int64_is_clean_error(self, tmp_path, capsys):
         p = tmp_path / "huge.txt"

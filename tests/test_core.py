@@ -47,7 +47,7 @@ class TestInterval:
         assert repr(q) == "Interval(lo=2, hi=6)"
 
     def test_point_interval(self):
-        lo, hi = next(iter(Partition.single(4)))
+        lo, hi = next(iter(Partition(np.array([4]))))
         assert (lo, hi) == (1, 4)
         lo, hi = next(iter(Workload([4], [4])))
         assert lo == hi == 4
@@ -137,7 +137,7 @@ class TestPartition:
         assert p.his.tolist() == p.los.tolist() == [1, 2, 3, 4]
 
     def test_single(self):
-        p = Partition.single(7)
+        p = Partition(np.array([7]))
         assert p.k == 1
         assert list(p) == [Interval(1, 7)]
 

@@ -35,14 +35,14 @@ from dawa.estimation import (
 from dawa.transform import transform_workload
 
 from .memory import peak_bytes
-from .reference import (dense_ols, dense_scaling_objective, dense_transform, node_by_node_greedy,
+from .reference import (dense_ols, dense_scaling_objective, node_by_node_greedy, rows_of,
                         oracle_dense_stage2, strategy_error, strategy_matrix, undo_root_discount)
 from .strategies import partitions_of, random_transformed_workload, workload_of, workloads_over
 
 
 def dense(What):
-    """The m-by-k matrix of a transformed workload, built independently."""
-    return dense_transform(What.source, What.partition)
+    """The m-by-k matrix of a transformed workload, written one query at a time."""
+    return rows_of(What)
 
 
 def identity_workload(k):
@@ -529,7 +529,7 @@ class TestEstimateBuckets:
         assert np.array_equal(a.stats, b.stats)
 
     def test_single_bucket(self, example_x, tiny_workload):
-        part = Partition.single(10)
+        part = Partition(np.array([10]))
         h = estimate_buckets(part, tiny_workload, example_x, 1e12, 2, RngStream(0))
         assert h.stats[0] == pytest.approx(26.0, abs=1e-6)
 

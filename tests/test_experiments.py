@@ -11,7 +11,6 @@ from dawa.experiments import (
     ExperimentConfig,
     TrialResult,
     compute_aggregates,
-    load_report,
     report_emit,
     run_experiment,
     _load_data,
@@ -127,7 +126,7 @@ class TestReportFile:
         cfg = small_config(trials=1, num_workloads=1)
         p = tmp_path / "r.json"
         report_emit(run_experiment(cfg), p)
-        doc = load_report(p)
+        doc = json.loads(p.read_text())
         assert set(doc) == {"aggregates", "config", "results"}
         assert doc["config"] == cfg.to_dict()
         row = doc["results"][0]

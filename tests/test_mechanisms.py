@@ -227,6 +227,14 @@ class TestDispatch:
             MechanismConfig(name="dawa", budget=PrivacyBudget.split(1.0), branching=1)
 
 
+def test_dawa_refuses_costs_that_overflow():
+    # at eps = 1e-306 the noisy stage-1 costs near 1e308 overflow when summed
+    x = gen_synthetic_data("piecewise_constant", 1024, seed=1)
+    W = gen_workload("uniform", 1024, seed=2, num_queries=50)
+    with pytest.raises(ParameterError, match="a larger eps1 or eps2 is needed"):
+        run_dawa(x, W, PrivacyBudget.split(1e-306), RngStream(1))
+
+
 class TestRegimeSmoke:
     def test_dawa_beats_identity_on_blocky_data(self):
         # small version of the qualitative claim; the acceptance suite runs

@@ -125,7 +125,7 @@ class TestBucketAndPartitionCost:
     def test_anchor_partition_eps01(self, example_x, example_partition):
         got = partition_cost(example_x, example_partition, 0.1)
         assert got == pytest.approx(46.0 + 2.0 / 3.0)
-        single = partition_cost(example_x, Partition.single(10), 0.1)
+        single = partition_cost(example_x, Partition(np.array([10])), 0.1)
         assert single == pytest.approx(27.2)
         # cheap statistics favour fine buckets; scarce budget favours coarse
         assert got > single
@@ -488,6 +488,18 @@ class TestLeastCost:
         scaled = replace(table, costs=3.7 * table.costs)
         assert np.array_equal(least_cost_partition(scaled, 10).his, base.his)
 
+    @pytest.mark.parametrize("mode", ["all", "pow2"])
+    @pytest.mark.parametrize("top", [1e307, math.inf, -math.inf, math.nan])
+    def test_costs_that_could_overflow_are_refused(self, mode, top):
+        # a path sum of costs near 1e307 overflows float64; refused before the
+        # DP, which would otherwise pick a length that is not a candidate
+        x = DataVector(np.random.default_rng(58).integers(0, 20, size=100))
+        table = all_costs(x, 1.0, mode)
+        costs = np.random.default_rng(59).uniform(1e306, 1e307, size=len(table))
+        costs[7] = top
+        with pytest.raises(ParameterError, match="a larger eps1 or eps2 is needed"):
+            least_cost_partition(replace(table, costs=costs), x.n)
+
 
 def random_table(rng, n, mode, kind):
     """Exact, Laplace-perturbed or tie-heavy (small integer) cost table."""
@@ -518,6 +530,8 @@ class TestLeastCostMatchesReference:
             table = random_table(rng, n, mode, kind)
             got = least_cost_partition(table, n)
             assert np.array_equal(got.his, reference_least_cost_partition(table, n).his), (n, mode, kind)
+            # the buckets tile [1, n] (a Partition's buckets are contiguous from 1) and are candidates
+            assert got.n == n and set(got.lengths().tolist()) <= set(candidate_lengths(n, mode)), (n, mode, kind)
 
     @pytest.mark.parametrize("mode", ["all", "pow2"])
     def test_block_boundaries(self, mode):

@@ -96,7 +96,6 @@ class TestTransformWorkload:
             assert end.shape == (3,)
         for i, q in enumerate(tiny_workload):
             assert np.array_equal(rows_of(tw)[i], transform_query(q, example_partition))
-        assert tw.source is tiny_workload
         assert tw.partition is example_partition
 
     def test_exactness_identity(self, example_partition, tiny_workload):
