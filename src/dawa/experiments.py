@@ -28,7 +28,7 @@ from .core import (
 from .estimation import scaled_tree
 from .generators import gen_synthetic_data, gen_workload
 from .mechanisms import MECHANISM_NAMES, MechanismConfig, SharedWork, run_mechanism
-from .partition import MODES, check_stage1_size, deviation_table
+from .partition import MODES, PartitionParams, check_stage1_size, deviation_table
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,10 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     deviations = None
     if {"dawa", "partition_laplace"} & set(cfg.mechanisms):
         # refused before any trial unless the shared deviations fit beside one trial's noisy costs
-        check_stage1_size(x.n, x.total(), cfg.mode, tables=2)
+        # and the costs at the smallest epsilon, which are the largest, cannot overflow
+        smallest = PrivacyBudget.split(min(cfg.epsilons), cfg.stage1_fraction)
+        params = PartitionParams(smallest.eps1, smallest.eps2, cfg.mode)
+        check_stage1_size(x.n, x.total(), cfg.mode, tables=2, eps2=params.eps2, noise_scale=params.noise_scale)
         deviations = deviation_table(x, cfg.mode)
     wparams = {k: v for k, v in cfg.workload.items() if k != "kind"}
     results = []

@@ -72,6 +72,11 @@ class PartitionParams:
                 raise ParameterError(f"{name} must be positive and finite, got {v}")
         check_mode(self.mode)
 
+    @property
+    def noise_scale(self) -> float:
+        """Laplace scale of the cost noise: twice the per-entry sensitivity over eps1."""
+        return 2.0 * self.delta_bcost / self.eps1
+
 
 @dataclass(frozen=True, eq=False)
 class CostTable:
@@ -194,14 +199,30 @@ def _window_index(values: np.ndarray) -> "_RankTable | _WaveletMatrix":
     return _WaveletMatrix(values, distinct, rank)
 
 
-def check_stage1_size(n: int, total: int, mode: str, tables: int = 1) -> int:
-    """Stage 1's candidate count over n positions holding total, in closed
-    form so that nothing is built; refuses costs that would not be exact and
-    `tables` float64 per candidate that would not fit in memory."""
+def candidate_count(n: int, mode: str) -> int:
+    """Stage 1's candidate buckets over n positions, in closed form."""
     bits = n.bit_length()
-    candidates = n * (n + 1) // 2 if mode == "all" else bits * (n + 1) - (1 << bits) + 1
+    return n * (n + 1) // 2 if mode == "all" else bits * (n + 1) - (1 << bits) + 1
+
+
+def _check_sums_finite(largest: float, n: int) -> None:
+    # 2n times the largest |cost| bounds every path sum of the DP with room for rounding
+    if not math.isfinite(2.0 * n * largest):
+        raise ParameterError(f"stage-1 costs reach {largest:g}; summed over n = {n} positions they would "
+                             "overflow float64, so a larger eps1 or eps2 is needed")
+
+
+def check_stage1_size(n: int, total: int, mode: str, tables: int = 1,
+                      eps2: float = math.inf, noise_scale: float = 0.0) -> int:
+    """Stage 1's candidate count, from its parameters alone so that nothing
+    is built; refuses costs that would not be exact, costs priced 1/eps2 and
+    noised at `noise_scale` whose sums could overflow, and `tables` float64
+    per candidate that would not fit in memory."""
+    candidates = candidate_count(n, mode)
     if n * total > EXACT_COST_LIMIT:
         raise ParameterError(f"n * total = {n * total} exceeds 2**52; stage-1 costs would not be exact")
+    # a deviation is at most 2 * total, and a Laplace draw at most 52 ln 2 < 37 times its scale
+    _check_sums_finite(2.0 * total + 1.0 / eps2 + 37.0 * noise_scale, n)
     # a release holds its costs, noisy on the private path; releases sharing deviations hold those too
     need, have = 8 * tables * candidates, _physical_memory()
     if need > have:
@@ -221,7 +242,9 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2", noise: tuple | Non
     if eps2 <= 0:
         raise ParameterError(f"eps2 must be positive, got {eps2}")
     n = x.n
-    candidates = check_stage1_size(n, x.total(), mode)
+    # the sampler refuses a noise scale that is not finite before the sizes are checked
+    draw = laplace_draws(*noise, candidate_count(n, mode)) if noise else None
+    candidates = check_stage1_size(n, x.total(), mode, eps2=eps2, noise_scale=noise[0] if noise else 0.0)
     lengths = np.asarray(candidate_lengths(n, mode), dtype=np.int64)
     sizes = n - lengths + 1
     bounds = np.concatenate(([0], np.cumsum(sizes)))
@@ -233,7 +256,6 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2", noise: tuple | Non
         raise ParameterError(f"deviations of n = {deviations.n}, mode {deviations.mode!r} "
                              f"for n = {n}, mode {mode!r}")
     costs = np.empty(candidates)
-    draw = laplace_draws(*noise, candidates) if noise else None
     for at in range(0, candidates, _CHUNK):
         stop = min(at + _CHUNK, candidates)
         cost = costs[at:stop]
@@ -302,10 +324,7 @@ def least_cost_partition(table: CostTable, n: int) -> Partition:
     if n != table.n:
         raise ParameterError(f"table covers [1, {table.n}], asked for [1, {n}]")
     costs = table.costs
-    largest = float(max(costs.max(), -costs.min()))
-    if not math.isfinite(2.0 * n * largest):
-        raise ParameterError(f"stage-1 costs reach {largest:g}; summed over n = {n} positions they would "
-                             "overflow float64, so a larger eps1 or eps2 is needed")
+    _check_sums_finite(float(max(costs.max(), -costs.min())), n)
     lengths = table.lengths[::-1]
     pad = int(lengths[0])
     base = (table.offsets - table.lengths)[::-1]
@@ -346,8 +365,7 @@ def private_partition(x: DataVector, params: PartitionParams, rng: RngStream,
     program.  Same bits as `perturb_costs` on the exact table, except that a
     zero uniform (chance 2^-53 per draw) is redrawn inside its slice.
     """
-    noise = (2.0 * params.delta_bcost / params.eps1, rng)
-    return least_cost_partition(all_costs(x, params.eps2, params.mode, noise, deviations), x.n)
+    return least_cost_partition(all_costs(x, params.eps2, params.mode, (params.noise_scale, rng), deviations), x.n)
 
 
 def utility_bound(n: int, num_candidates: int, delta: float, eps1: float) -> float:

@@ -23,7 +23,7 @@ from .core import (
     read_csv_rows,
 )
 from .mechanisms import run_dawa
-from .partition import check_stage1_size
+from .partition import PartitionParams, check_stage1_size
 
 
 @dataclass(frozen=True)
@@ -80,30 +80,26 @@ class HilbertMap:
     @cached_property
     def position(self) -> np.ndarray:
         """Read-only int64 table: position[cx, cy] is the cell's 0-based curve
-        position.  One walk of the curve fills it, on first use."""
-        cx, cy = np.indices((self.side, self.side), dtype=np.int64)
-        table = _xy_to_d(self.g, cx, cy)
+        position.  Built on first use by `_hilbert_table`."""
+        table = _hilbert_table(self.g)
         table.setflags(write=False)
         return table
 
 
-def _xy_to_d(g: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized cell-to-index walk down the quadrant recursion, over int64
-    cell coordinate arrays."""
-    d = np.zeros_like(x)
-    n = 1 << g
-    s = n >> 1
-    while s > 0:
-        rx = ((x & s) > 0).astype(np.int64)
-        ry = ((y & s) > 0).astype(np.int64)
-        d += s * s * ((3 * rx) ^ ry)
-        swap = ry == 0
-        flip = swap & (rx == 1)
-        xf = np.where(flip, n - 1 - x, x)
-        yf = np.where(flip, n - 1 - y, y)
-        x, y = np.where(swap, yf, xf), np.where(swap, xf, yf)
-        s >>= 1
-    return d
+def _hilbert_table(g: int) -> np.ndarray:
+    """2^g x 2^g table of curve positions, rows cx, doubled in place: the
+    curve p over the s x s corner, reflected in its diagonal, fills [:s, :s];
+    p + s*s fills [:s, s:2s]; p + 2*s*s fills [s:2s, s:2s]; and p reflected in
+    its anti-diagonal, plus 3*s*s, fills [s:2s, :s].  The whole table is
+    allocated first, so a g too large fails before any work."""
+    table = np.zeros((1 << g, 1 << g), dtype=np.int64)
+    for s in [1 << k for k in range(g)]:
+        p, q = table[:s, :s].copy(), s * s
+        table[:s, :s] = p.T
+        table[:s, s:2 * s] = p + q
+        table[s:2 * s, s:2 * s] = p + 2 * q
+        table[s:2 * s, :s] = p[::-1, ::-1].T + 3 * q
+    return table
 
 
 def _cells_of(coords: np.ndarray, lo: float, width: float, side: int) -> np.ndarray:
@@ -249,7 +245,8 @@ def run_spatial(
     Returns the per-rectangle answers and the private linearized estimate.
     """
     # refuse what stage 1 cannot run before the grid and curve table exist
-    check_stage1_size(spec.side * spec.side, len(points), mode)
+    params = PartitionParams(budget.eps1, budget.eps2, mode)
+    check_stage1_size(spec.side * spec.side, len(points), mode, eps2=params.eps2, noise_scale=params.noise_scale)
     map_ = HilbertMap(spec.g)
     grid = grid_discretize(points, spec)
     x = linearize(grid, map_)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from dawa import partition
 from dawa.core import DataVector, Interval, Partition, PrivacyBudget, Workload
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -42,3 +43,18 @@ def single_query():
 @pytest.fixture
 def tiny_workload(single_query):
     return Workload(np.array([single_query.lo, 1, 4]), np.array([single_query.hi, 10, 4]))
+
+
+@pytest.fixture
+def window_index_calls(monkeypatch):
+    """Sizes of the values each `_window_index` call indexes; stage 1 builds
+    that index first whenever it computes a fresh cost table."""
+    calls = []
+    build = partition._window_index
+
+    def spy(values):
+        calls.append(values.size)
+        return build(values)
+
+    monkeypatch.setattr(partition, "_window_index", spy)
+    return calls

@@ -2,7 +2,8 @@
 against: per-bucket stage-1 costs, cost-table and Hilbert-curve lookups,
 brute-force partitions, dense stage-2 matrices, the least-cost dynamic
 program, the level-batched greedy scaling and the workload generators; and
-the two-branch Laplace sampler that the one-log form replaced."""
+the two forms that faster ones replaced, the per-level walk of the Hilbert
+curve and the two-branch Laplace sampler."""
 
 import math
 from functools import cache
@@ -87,6 +88,25 @@ def hilbert_cell(map_: HilbertMap, d: int) -> tuple[int, int]:
     if not 0 <= d < map_.domain_size:
         raise ParameterError(f"index {d} outside [0, {map_.domain_size})")
     return divmod(int(np.flatnonzero(map_.position.ravel() == d)[0]), map_.side)
+
+
+def xy_to_d(g: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Vectorized cell-to-index walk down the quadrant recursion, over int64
+    cell coordinate arrays."""
+    d = np.zeros_like(x)
+    n = 1 << g
+    s = n >> 1
+    while s > 0:
+        rx = ((x & s) > 0).astype(np.int64)
+        ry = ((y & s) > 0).astype(np.int64)
+        d += s * s * ((3 * rx) ^ ry)
+        swap = ry == 0
+        flip = swap & (rx == 1)
+        xf = np.where(flip, n - 1 - x, x)
+        yf = np.where(flip, n - 1 - y, y)
+        x, y = np.where(swap, yf, xf), np.where(swap, xf, yf)
+        s >>= 1
+    return d
 
 
 def oracle_brute_partition(x: DataVector, eps2: float) -> tuple[Partition, float]:

@@ -93,15 +93,29 @@ class TestPartitionCmd:
     # at eps2 = 1e-310 the bucket price 1/eps2 is inf, and at 1e-308 the sums of costs overflow
     @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["private", "exact"])
     @pytest.mark.parametrize("eps2", ["1e-310", "1e-308"])
-    def test_costs_that_overflow_are_clean_error(self, tmp_path, capsys, eps2, exact):
+    def test_costs_that_overflow_are_clean_error(self, tmp_path, capsys, window_index_calls, eps2, exact):
         p = tmp_path / "c.txt"
         assert main(["datagen", "--kind", "piecewise-constant", "--n", "100", "--seed", "1", "--out", str(p)]) == 0
         rc = main(["partition", "--data", str(p), "--eps1", "0.25", "--eps2", eps2, "--mode", "pow2", *exact])
         assert rc == 1
+        assert window_index_calls == []  # refused from the parameters, before any cost
         captured = capsys.readouterr()
         assert captured.err.splitlines()[-1].startswith("dawa: error: stage-1 costs reach ")
         assert "a larger eps1 or eps2 is needed" in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    # n = 4096 in mode all: the refusal used to come after 8.4M costs
+    @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["private", "exact"])
+    @pytest.mark.parametrize("eps2", ["1e-310", "1e-308"])
+    def test_overflow_refused_before_any_cost_at_n_4096(self, tmp_path, capsys, window_index_calls, eps2, exact):
+        p = tmp_path / "c.txt"
+        assert main(["datagen", "--kind", "piecewise-constant", "--n", "4096", "--seed", "1", "--out", str(p)]) == 0
+        rc = main(["partition", "--data", str(p), "--eps1", "0.25", "--eps2", eps2, "--mode", "all", *exact])
+        assert rc == 1
+        assert window_index_calls == []
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].startswith("dawa: error: stage-1 costs reach ")
         assert captured.out == ""
 
     def test_count_outside_int64_is_clean_error(self, tmp_path, capsys):

@@ -205,6 +205,16 @@ class TestSharedWork:
         with pytest.raises(ParameterError, match=r"needs about .* for 20100 candidate buckets \(mode 'all', n = 200\)"):
             run_experiment(self.config("all"))
 
+    def test_overflow_at_smallest_epsilon_refused_before_any_trial(self, monkeypatch, window_index_calls):
+        # at eps 1e-306 stage 1's costs could overflow; at 1.0 they could not
+        def run(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(dawa.experiments, "run_mechanism", run)
+        with pytest.raises(ParameterError, match="a larger eps1 or eps2 is needed"):
+            run_experiment(small_config(epsilons=(1.0, 1e-306)))
+        assert window_index_calls == []
+
     def test_one_stage1_ledger_entry_per_trial(self, monkeypatch):
         ledgers = []
 

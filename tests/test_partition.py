@@ -18,8 +18,10 @@ from dawa.core import (
     Partition,
     PrivacyBudget,
     RngStream,
+    laplace_draws,
     laplace_sample,
 )
+from dawa.generators import gen_synthetic_data
 from dawa.mechanisms import MechanismConfig
 from dawa.partition import (
     _CHUNK,
@@ -499,6 +501,35 @@ class TestLeastCost:
         costs[7] = top
         with pytest.raises(ParameterError, match="a larger eps1 or eps2 is needed"):
             least_cost_partition(replace(table, costs=costs), x.n)
+
+
+class TestOverflowFromParameters:
+    # |cost| <= 2 * total + 1/eps2 + 37 * noise scale; stage 1 refuses when 2n
+    # times that is not finite, before it computes any cost
+
+    def test_noise_alone_can_overflow(self, window_index_calls):
+        x = gen_synthetic_data("piecewise_constant", 100, seed=1)
+        with pytest.raises(ParameterError, match="a larger eps1 or eps2 is needed"):
+            private_partition(x, PartitionParams(1e-306, 1.0), RngStream(0))
+        assert window_index_calls == []
+        # the same bound is finite on the exact path, which adds no noise
+        assert exact_partition(x, 1.0).n == 100
+
+    def test_bound_in_closed_form(self):
+        # 2n * (2 * 10 + 1e306 + 37 * 1e304) is finite at n = 10 and not at n = 100
+        assert check_stage1_size(10, 10, "pow2", eps2=1e-306, noise_scale=1e304) == 29
+        with pytest.raises(ParameterError, match="^stage-1 costs reach 1.37e\\+306; summed over n = 100 "):
+            check_stage1_size(100, 10, "pow2", eps2=1e-306, noise_scale=1e304)
+
+    def test_bound_holds_at_the_extremes(self, monkeypatch):
+        # the largest Laplace draws come from the ends of the 2^-53 grid: 52 ln 2 = 36.04 scales
+        rng = RngStream(0)
+        monkeypatch.setattr(rng, "uniform_open", lambda size: np.array([2.0**-53, 1.0 - 2.0**-53]))
+        draws = np.abs(laplace_draws(3.0, rng, 2)(2))
+        assert np.all((36.0 * 3.0 < draws) & (draws <= 37.0 * 3.0))
+        # one count among zeros deviates from its bucket's mean by 2 * total * (1 - 1/L)
+        x = DataVector(np.array([0] * 99 + [50]))
+        assert deviation_table(x, "all").costs.max() == 2.0 * 50 * (1 - 1 / 100)
 
 
 def random_table(rng, n, mode, kind):

@@ -29,7 +29,8 @@ from dawa.spatial import (
     run_spatial,
 )
 
-from .reference import hilbert_cell, hilbert_index
+from .memory import peak_bytes
+from .reference import hilbert_cell, hilbert_index, xy_to_d
 
 
 def brute_ranges(rect, map_):
@@ -147,15 +148,30 @@ class TestHilbertCurve:
         with pytest.raises(ValueError):
             position[0, 0] = 1
 
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_position_matches_walk(self, g):
+        cx, cy = np.indices((1 << g, 1 << g), dtype=np.int64)
+        assert np.array_equal(HilbertMap(g).position, xy_to_d(g, cx, cy))
+
+    def test_build_allocates_little_beside_table(self):
+        # the per-level walk peaked at 11.3 times the 512 KiB table
+        peak, position = peak_bytes(lambda: HilbertMap(8).position)
+        assert peak <= 3 * position.nbytes == 3 * 512 * 1024
+
+    def test_table_too_large_fails_at_first_allocation(self):
+        # 8 PiB: the table is asked for whole before any level is filled
+        with pytest.raises(MemoryError):
+            HilbertMap(25).position
+
     def test_one_walk_per_run(self, monkeypatch):
         calls = []
-        walk = spatial._xy_to_d
+        build = spatial._hilbert_table
 
         def spy(*args):
             calls.append(args[0])
-            return walk(*args)
+            return build(*args)
 
-        monkeypatch.setattr(spatial, "_xy_to_d", spy)
+        monkeypatch.setattr(spatial, "_hilbert_table", spy)
         spec = GridSpec(g=3, xmin=0, xmax=8, ymin=0, ymax=8)
         pts = np.random.default_rng(6).uniform(0, 8, size=(100, 2))
         rects = [RectangleQuery.from_box(spec, 0.5, 5.0, 1.0, 7.5), RectangleQuery(2, 6, 0, 3)]
@@ -407,6 +423,17 @@ class TestRunSpatial:
         a, _ = run_spatial(pts, rects, spec, PrivacyBudget.split(1.0), RngStream(9))
         b, _ = run_spatial(pts, rects, spec, PrivacyBudget.split(1.0), RngStream(9))
         assert a == b
+
+    def test_refuses_overflow_before_the_grid(self, monkeypatch, window_index_calls):
+        def discretize(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(spatial, "grid_discretize", discretize)
+        spec = GridSpec(g=3, xmin=0, xmax=8, ymin=0, ymax=8)
+        pts = np.random.default_rng(6).uniform(0, 8, size=(100, 2))
+        with pytest.raises(ParameterError, match="a larger eps1 or eps2 is needed"):
+            run_spatial(pts, [RectangleQuery(2, 6, 0, 3)], spec, PrivacyBudget.split(1e-306), RngStream(0))
+        assert window_index_calls == []
 
 
 class TestSpatialFiles:
