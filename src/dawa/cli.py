@@ -5,6 +5,7 @@ import argparse
 import sys
 
 from .core import (
+    ParameterError,
     PrivacyBudget,
     RngStream,
     read_data_file,
@@ -58,6 +59,8 @@ def _cmd_datagen(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    if args.eps1 is None and not args.exact:
+        raise ParameterError("--eps1 is required unless --exact is given")
     x = read_data_file(args.data)
     if args.exact:
         print("warning: --exact skips the privacy noise; output is NOT private", file=sys.stderr)
@@ -132,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="print a private partition of a data file as CSV")
     p.add_argument("--data", required=True, help="counts file, one integer per line")
-    p.add_argument("--eps1", type=float, required=True, help="partition stage budget")
+    p.add_argument("--eps1", type=float, help="partition stage budget (not read with --exact)")
     p.add_argument("--eps2", type=float, required=True, help="estimation stage budget (prices bucket count)")
     p.add_argument("--mode", choices=MODES, default="pow2",
                    help="candidate bucket lengths (default pow2)")

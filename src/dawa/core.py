@@ -315,10 +315,14 @@ def laplace_sample(scale: float, rng: RngStream, size: int | None = None):
     return float(u[0]) if size is None else u
 
 
-def laplace_draws(scale: float, rng: RngStream, count: int):
-    """Record `count` Laplace(scale) draws as one ledger entry; `draw(size)` takes the next `size`."""
+def check_laplace_scale(scale: float) -> None:
     if not (np.isfinite(scale) and scale > 0):
         raise ParameterError(f"scale must be positive and finite, got {scale}")
+
+
+def laplace_draws(scale: float, rng: RngStream, count: int):
+    """Record `count` Laplace(scale) draws as one ledger entry; `draw(size)` takes the next `size`."""
+    check_laplace_scale(scale)
     if rng.ledger is not None:
         rng.ledger.append((float(scale), count))
 

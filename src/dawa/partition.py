@@ -4,11 +4,11 @@ A bucket's cost is its internal deviation from uniformity plus the 1/eps2
 noise price a bucket will pay in stage 2.  The deviation is 2*N/L for the
 exact integer numerator N = L*S - T*C, where T is the bucket total and C and
 S count and sum the values at or above the mean T/L.  `all_costs` computes
-N for every candidate bucket at once from prefix sums and a structure over
-the ranks of the D distinct counts: a table of per-rank prefix rows, one
-lookup per candidate, while its D*(n + 1) entries stay within _TABLE_CAP,
-and otherwise a wavelet matrix, log D levels per candidate.  Either way each
-cost is one float division away from the exact value and matches the direct
+N for every candidate bucket at once from prefix sums and one index over the
+ranks of the D distinct counts: per-rank prefix rows for the lowest ranks,
+as many as _TABLE_CAP entries hold, one lookup per candidate, and a wavelet
+matrix for the ranks past them, log D levels per candidate.  Each cost is
+one float division away from the exact value and matches the direct
 per-bucket computation bit for bit.  The costs live in one flat array,
 noised slice by slice on the private path, and the dynamic program gathers
 the candidates ending at each endpoint as one row of it.
@@ -27,6 +27,7 @@ from .core import (
     ParameterError,
     Partition,
     RngStream,
+    check_laplace_scale,
     laplace_draws,
     laplace_sample,
 )
@@ -45,8 +46,8 @@ EXACT_COST_LIMIT = 2**52
 # dynamic program gathers; sized for the L2 cache.
 _CHUNK = 1 << 13
 
-# Largest D*(n + 1) for which stage 1 builds a `_RankTable`: its two int64
-# arrays then take at most 1 MiB, stay in cache and need no memory check.
+# Most entries in the rank rows of `_WindowIndex`: its two int64 arrays
+# then take at most 1 MiB, stay in cache and need no memory check.
 _TABLE_CAP = 8 * _CHUNK
 
 
@@ -118,21 +119,32 @@ def _physical_memory() -> float:
         return math.inf
 
 
-class _WaveletMatrix:
-    """Count and sum of the values in a window that reach a threshold.
-
-    Levels run over the bits of each value's rank among the D distinct
-    values, top bit first: max(1, bits(D - 1)) of them, each with the prefix
-    count of its bit, the prefix sums of the values whose bit is set and its
-    zero count; the next level puts the 0-bit values first, stably.  A query
-    walks its threshold rank's bits, adding the window's 1-branch at each 0
-    bit, and ends on the values equal to the rank.  Every query walks every
-    level, so the work grows with log D and not with the window length.
+class _WindowIndex:
+    """Count and sum of the values in a window that reach a threshold, from
+    the ranks of the D distinct values.  A query of rank below
+    R = min(D, _TABLE_CAP // (n + 1)) is one lookup in that rank's
+    prefix-count and prefix-sum rows over the values of at least its rank.
+    Only when R < D is there a wavelet matrix over the rank bits, top bit
+    first: max(1, bits(D - 1)) levels, each with the prefix count of its
+    bit, the prefix sums of the values whose bit is set and its zero count,
+    the next level putting the 0-bit values first, stably.  A query of rank
+    R or more walks its rank's bits, adding the window's 1-branch at each 0
+    bit, and ends on the values equal to the rank: log D steps per query.
     """
 
-    def __init__(self, values: np.ndarray, distinct: np.ndarray, rank: np.ndarray):
-        self.distinct = distinct
+    def __init__(self, values: np.ndarray):
+        self.distinct, rank = np.unique(values, return_inverse=True)
+        self.width = values.size + 1
+        self.rows = min(self.distinct.size, _TABLE_CAP // self.width)
+        reach = rank >= np.arange(self.rows)[:, None]
+        self.counts = np.zeros((self.rows, self.width), dtype=np.int64)
+        self.sums = np.zeros_like(self.counts)
+        np.cumsum(reach, axis=1, out=self.counts[:, 1:])
+        np.cumsum(reach * values, axis=1, out=self.sums[:, 1:])
+        self.counts, self.sums = self.counts.ravel(), self.sums.ravel()
         self.levels = []
+        if self.rows == self.distinct.size:
+            return
         for shift in range(max(1, (self.distinct.size - 1).bit_length()) - 1, -1, -1):
             bit = (rank >> shift) & 1
             ones = np.concatenate(([0], np.cumsum(bit)))
@@ -147,8 +159,22 @@ class _WaveletMatrix:
         """Per query, count and sum of values[a:b] that are >= t, for t at
         most the largest value."""
         rank = np.searchsorted(self.distinct, thresholds)
-        count = np.zeros(starts.size, dtype=np.int64)
-        total = np.zeros(starts.size, dtype=np.int64)
+        if not self.levels:
+            return self._read_rows(rank, starts, stops)
+        if not self.rows:
+            return self._walk(rank, starts, stops)
+        count, total = np.empty((2, rank.size), dtype=np.int64)
+        for part, answer in ((rank < self.rows, self._read_rows), (rank >= self.rows, self._walk)):
+            count[part], total[part] = answer(rank[part], starts[part], stops[part])
+        return count, total
+
+    def _read_rows(self, rank, starts, stops):
+        row = rank * self.width
+        lo, hi = row + starts, row + stops
+        return self.counts[hi] - self.counts[lo], self.sums[hi] - self.sums[lo]
+
+    def _walk(self, rank, starts, stops):
+        count, total = np.zeros((2, rank.size), dtype=np.int64)
         lo, hi = starts, stops
         for shift, ones, sums, zeros in self.levels:
             ones_lo, ones_hi = ones[lo], ones[hi]
@@ -161,42 +187,6 @@ class _WaveletMatrix:
         count += hi - lo
         total += (hi - lo) * self.distinct[rank]
         return count, total
-
-
-class _RankTable:
-    """Count and sum of the values in a window that reach a threshold, from
-    one prefix-count row and one prefix-sum row per rank r over the values
-    of rank >= r, each flattened to D * (n + 1) entries.  A query is one
-    lookup of its threshold's rank and four gathers; the table grows with
-    D * n, so `_window_index` builds it only up to _TABLE_CAP entries."""
-
-    def __init__(self, values: np.ndarray, distinct: np.ndarray, rank: np.ndarray):
-        self.distinct = distinct
-        self.width = values.size + 1
-        reach = rank >= np.arange(distinct.size)[:, None]
-        self.counts = np.zeros((distinct.size, self.width), dtype=np.int64)
-        self.sums = np.zeros_like(self.counts)
-        np.cumsum(reach, axis=1, out=self.counts[:, 1:])
-        np.cumsum(reach * values, axis=1, out=self.sums[:, 1:])
-        self.counts, self.sums = self.counts.ravel(), self.sums.ravel()
-
-    def count_sum_at_least(
-        self, starts: np.ndarray, stops: np.ndarray, thresholds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per query, count and sum of values[a:b] that are >= t, for t at
-        most the largest value."""
-        row = np.searchsorted(self.distinct, thresholds) * self.width
-        lo, hi = row + starts, row + stops
-        return self.counts[hi] - self.counts[lo], self.sums[hi] - self.sums[lo]
-
-
-def _window_index(values: np.ndarray) -> "_RankTable | _WaveletMatrix":
-    """The structure that answers stage 1's window queries over values: the
-    rank table while it fits in _TABLE_CAP entries, else the wavelet matrix."""
-    distinct, rank = np.unique(values, return_inverse=True)
-    if distinct.size * (values.size + 1) <= _TABLE_CAP:
-        return _RankTable(values, distinct, rank)
-    return _WaveletMatrix(values, distinct, rank)
 
 
 def candidate_count(n: int, mode: str) -> int:
@@ -242,19 +232,21 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2", noise: tuple | Non
     if eps2 <= 0:
         raise ParameterError(f"eps2 must be positive, got {eps2}")
     n = x.n
-    # the sampler refuses a noise scale that is not finite before the sizes are checked
-    draw = laplace_draws(*noise, candidate_count(n, mode)) if noise else None
+    if noise:  # the sampler refuses a bad scale before the overflow check reads it
+        check_laplace_scale(noise[0])
     candidates = check_stage1_size(n, x.total(), mode, eps2=eps2, noise_scale=noise[0] if noise else 0.0)
+    if deviations is not None and (deviations.n, deviations.mode) != (n, mode):
+        raise ParameterError(f"deviations of n = {deviations.n}, mode {deviations.mode!r} "
+                             f"for n = {n}, mode {mode!r}")
+    # recorded once every check has passed, so a refused release charges nothing
+    draw = laplace_draws(*noise, candidates) if noise else None
     lengths = np.asarray(candidate_lengths(n, mode), dtype=np.int64)
     sizes = n - lengths + 1
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     offsets = bounds[:-1]
     if deviations is None:
         prefix = np.concatenate(([0], np.cumsum(x.counts)))
-        index = _window_index(x.counts)
-    elif (deviations.n, deviations.mode) != (n, mode):
-        raise ParameterError(f"deviations of n = {deviations.n}, mode {deviations.mode!r} "
-                             f"for n = {n}, mode {mode!r}")
+        index = _WindowIndex(x.counts)
     costs = np.empty(candidates)
     for at in range(0, candidates, _CHUNK):
         stop = min(at + _CHUNK, candidates)

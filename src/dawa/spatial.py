@@ -103,12 +103,12 @@ def _hilbert_table(g: int) -> np.ndarray:
 
 
 def _cells_of(coords: np.ndarray, lo: float, width: float, side: int) -> np.ndarray:
-    # ceil - 1 sends boundary values to the smaller-index cell; the clip
-    # handles both box edges and points outside the box.
-    u = coords - lo
-    cells = np.ceil(np.divide(u, width, out=u), out=u).astype(np.int64)
-    cells -= 1
-    return np.clip(cells, 0, side - 1, out=cells)
+    # ceil - 1 sends boundary values to the smaller-index cell; clipping before
+    # the cast clamps points outside the box, even where the offset overflows.
+    with np.errstate(over="ignore"):
+        u = coords - lo
+        np.subtract(np.ceil(np.divide(u, width, out=u), out=u), 1.0, out=u)
+    return np.clip(u, 0, side - 1, out=u).astype(np.int64)
 
 
 def grid_discretize(points, spec: GridSpec) -> np.ndarray:

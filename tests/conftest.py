@@ -47,14 +47,14 @@ def tiny_workload(single_query):
 
 @pytest.fixture
 def window_index_calls(monkeypatch):
-    """Sizes of the values each `_window_index` call indexes; stage 1 builds
+    """Sizes of the values of each `_WindowIndex` built; stage 1 builds
     that index first whenever it computes a fresh cost table."""
     calls = []
-    build = partition._window_index
+    build = partition._WindowIndex
 
     def spy(values):
         calls.append(values.size)
         return build(values)
 
-    monkeypatch.setattr(partition, "_window_index", spy)
+    monkeypatch.setattr(partition, "_WindowIndex", spy)
     return calls

@@ -1,9 +1,9 @@
 """Scalar and dense references that the tests compare the array-native code
 against: per-bucket stage-1 costs, cost-table and Hilbert-curve lookups,
-brute-force partitions, dense stage-2 matrices, the least-cost dynamic
-program, the level-batched greedy scaling and the workload generators; and
-the two forms that faster ones replaced, the per-level walk of the Hilbert
-curve and the two-branch Laplace sampler."""
+the grid cell of a point, brute-force partitions, dense stage-2 matrices,
+the least-cost dynamic program, the level-batched greedy scaling and the
+workload generators; and the two forms that faster ones replaced, the
+per-level walk of the Hilbert curve and the two-branch Laplace sampler."""
 
 import math
 from functools import cache
@@ -14,7 +14,7 @@ from dawa.core import (DataVector, EstimateVector, Interval, InvalidIntervalErro
                        RngStream, SingularStrategyError, Workload, _values_of)
 from dawa.estimation import QueryTree, _objective, _search_lambda, decay_factor
 from dawa.partition import CostTable
-from dawa.spatial import HilbertMap
+from dawa.spatial import GridSpec, HilbertMap
 
 BRUTE_FORCE_MAX_N = 12
 
@@ -107,6 +107,16 @@ def xy_to_d(g: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x, y = np.where(swap, yf, xf), np.where(swap, xf, yf)
         s >>= 1
     return d
+
+
+def grid_cell(spec: GridSpec, px: float, py: float) -> tuple[int, int]:
+    """Cell (cx, cy) of one point: ceil(offset / cell size) - 1 per axis, so
+    that a point on a cell boundary takes the smaller index, clamped to the
+    grid in Python integers."""
+    def axis(c, lo, size):
+        return min(spec.side - 1, max(0, math.ceil((c - lo) / size) - 1))
+
+    return axis(px, spec.xmin, spec.cell_width), axis(py, spec.ymin, spec.cell_height)
 
 
 def oracle_brute_partition(x: DataVector, eps2: float) -> tuple[Partition, float]:

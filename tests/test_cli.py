@@ -82,6 +82,18 @@ class TestPartitionCmd:
         err = capsys.readouterr().err
         assert "NOT private" in err
 
+    def test_exact_needs_no_eps1(self, data_file, capsys):
+        rc = main(["partition", "--data", str(data_file), "--eps2", "0.75", "--exact"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        main(["partition", "--data", str(data_file), "--eps1", "0.25", "--eps2", "0.75", "--exact"])
+        assert capsys.readouterr().out == out and out.startswith("lo,hi\n")
+
+    def test_private_without_eps1_is_clean_error(self, data_file, capsys):
+        rc = main(["partition", "--data", str(data_file), "--eps2", "0.75"])
+        assert rc == 1
+        assert capsys.readouterr().err == "dawa: error: --eps1 is required unless --exact is given\n"
+
     def test_deterministic(self, data_file, capsys):
         args = ["partition", "--data", str(data_file), "--eps1", "0.25",
                 "--eps2", "0.75", "--seed", "9"]

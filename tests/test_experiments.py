@@ -170,7 +170,7 @@ class TestSharedWork:
 
     def test_made_once_and_read_only(self, monkeypatch):
         seen, indexes = [], []
-        real_run, real_index = dawa.experiments.run_mechanism, dawa.partition._window_index
+        real_run, real_index = dawa.experiments.run_mechanism, dawa.partition._WindowIndex
 
         def run(config, x, W, rng, shared):
             seen.append(shared)
@@ -181,7 +181,7 @@ class TestSharedWork:
             return real_index(values)
 
         monkeypatch.setattr(dawa.experiments, "run_mechanism", run)
-        monkeypatch.setattr(dawa.partition, "_window_index", index)
+        monkeypatch.setattr(dawa.partition, "_WindowIndex", index)
         run_experiment(self.config("all"))
         # one window index for the whole experiment, none per trial
         assert indexes == [200]

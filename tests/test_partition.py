@@ -29,9 +29,7 @@ from dawa.partition import (
     EXACT_COST_LIMIT,
     _TABLE_CAP,
     PartitionParams,
-    _RankTable,
-    _WaveletMatrix,
-    _window_index,
+    _WindowIndex,
     all_costs,
     candidate_lengths,
     check_stage1_size,
@@ -247,12 +245,17 @@ def kernel_values(draw):
     return values
 
 
-def build(structure, values):
-    return structure(values, *np.unique(values, return_inverse=True))
+def index_with_rows(rows, values):
+    """The window index over values with _TABLE_CAP set to hold `rows` rank rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("dawa.partition._TABLE_CAP", rows * (values.size + 1))
+        return _WindowIndex(values)
 
 
-class TestWaveletMatrix:
-    """The wavelet matrix and the rank table answer the same window queries."""
+class TestWindowIndex:
+    """One index answers stage 1's window queries: rank rows for the
+    R = min(D, _TABLE_CAP // (n + 1)) lowest ranks, and the wavelet matrix
+    only past them, with the same bits at every R."""
 
     @settings(max_examples=200, deadline=None)
     @given(kernel_values(), st.data())
@@ -268,14 +271,43 @@ class TestWaveletMatrix:
                 starts.append(a)
                 stops.append(b)
                 thresholds.append(t)
-        for structure in (_WaveletMatrix, _RankTable):
-            count, total = build(structure, values).count_sum_at_least(
+        distinct = np.unique(values).size
+        for rows in sorted({0, 1, distinct - 1, distinct}):
+            index = index_with_rows(rows, values)
+            assert index.rows == rows and bool(index.levels) == (rows < distinct)
+            count, total = index.count_sum_at_least(
                 np.array(starts), np.array(stops), np.array(thresholds, dtype=np.int64)
             )
             for a, b, t, c, s in zip(starts, stops, thresholds, count.tolist(), total.tolist()):
                 window = values[a:b]
                 reached = window[window >= t]
-                assert (c, s) == (reached.size, int(reached.sum())), structure.__name__
+                assert (c, s) == (reached.size, int(reached.sum())), rows
+
+    def test_stage1_all_shape_takes_the_table(self):
+        # n = 1024 piecewise constant with D = 6, as the stage1-all benchmark:
+        # rows for every rank and no wavelet matrix
+        values = np.repeat(np.array([4, 0, 17, 9, 0, 2, 31, 4]), 128)
+        index = _WindowIndex(values)
+        assert index.rows == np.unique(values).size == 6 and not index.levels
+        assert index.counts.size == 6150
+
+    def test_spatial_g7_size_takes_the_wavelet(self):
+        # n = 2^14 cells with D = 281 distinct counts: rows for the 3 lowest
+        # ranks, 3 * 16,385 entries, and 9 levels for the rest
+        values = np.arange(16_384) % 281 * 7
+        index = _WindowIndex(values)
+        assert index.rows == 3 and len(index.levels) == 9
+        assert index.counts.size == 3 * 16_385 <= _TABLE_CAP
+        # the same points at g = 8: 2^16 cells, D = 175, no rows at all
+        index = _WindowIndex(np.arange(65_536) % 175 * 7)
+        assert index.rows == 0 and index.counts.size == 0 and len(index.levels) == 8
+
+    def test_benchmark_data_keeps_every_rank_in_rows(self):
+        # the 1D benchmark data: piecewise constant with 8 runs, total 10n
+        for n in (1024, 2048, 4096):
+            x = gen_synthetic_data("piecewise_constant", n, 2014, segments=8, total=10.0 * n)
+            index = _WindowIndex(x.counts)
+            assert index.rows == np.unique(x.counts).size and not index.levels
 
     def test_levels_follow_distinct_counts_not_the_largest(self):
         # a spike near the exact-cost limit needs 43 value bits but adds one rank
@@ -283,45 +315,32 @@ class TestWaveletMatrix:
         values = rng.integers(0, 6, size=1024)
         values[17] = EXACT_COST_LIMIT // values.size
         distinct = np.unique(values).size
-        levels = build(_WaveletMatrix, values).levels
+        levels = index_with_rows(0, values).levels
         assert len(levels) == (distinct - 1).bit_length() == 3
         assert int(values.max()).bit_length() == 43
-        assert len(build(_WaveletMatrix, np.zeros(5, dtype=np.int64)).levels) == 1
-
-
-class TestWindowIndex:
-    """`all_costs` takes the rank table while its D * (n + 1) entries fit in
-    _TABLE_CAP and the wavelet matrix beyond, with the same bits either way."""
-
-    def test_stage1_all_shape_takes_the_table(self):
-        # n = 1024 piecewise constant with D = 6, as the stage1-all benchmark
-        values = np.repeat(np.array([4, 0, 17, 9, 0, 2, 31, 4]), 128)
-        assert np.unique(values).size * (values.size + 1) == 6150
-        assert isinstance(_window_index(values), _RankTable)
+        assert len(index_with_rows(0, np.zeros(5, dtype=np.int64)).levels) == 1
 
     def test_cap_is_inclusive(self):
         # D = 1: n + 1 entries
         assert _TABLE_CAP == 65_536
-        assert isinstance(_window_index(np.full(65_535, 3)), _RankTable)
-        assert isinstance(_window_index(np.full(65_536, 3)), _WaveletMatrix)
+        assert _WindowIndex(np.full(65_535, 3)).rows == 1
+        assert _WindowIndex(np.full(65_536, 3)).rows == 0
 
-    def test_spatial_g7_size_takes_the_wavelet(self):
-        # n = 2^14 cells with D = 281 distinct counts: 4.6M entries
-        values = np.arange(16_384) % 281 * 7
-        assert isinstance(_window_index(values), _WaveletMatrix)
-
-    # 20,100 candidates in 3 slices, and 19,964 in 3
+    # 20,100 candidates in 3 slices at R = D by default, and 19,964 in 3 at
+    # R = 32 of D = 40
     @pytest.mark.parametrize("n, mode", [(200, "all"), (2000, "pow2")])
     def test_both_structures_give_the_same_costs(self, monkeypatch, n, mode):
         x = DataVector(np.random.default_rng(n).integers(0, 40, size=n))
         scale = 2.0 * BUCKET_COST_SENSITIVITY / 0.25
         costs = []
-        for structure in (_RankTable, _WaveletMatrix):
-            monkeypatch.setattr("dawa.partition._window_index", lambda values, s=structure: build(s, values))
-            assert len(all_costs(x, 0.75, mode)) > 2 * _CHUNK
+        # R = 0, 1, 20 and 40, then the default cap
+        for cap in [rows * (n + 1) for rows in (0, 1, 20, 40)] + [_TABLE_CAP]:
+            monkeypatch.setattr("dawa.partition._TABLE_CAP", cap)
             costs.append([all_costs(x, 0.75, mode).costs.tobytes(),
                           all_costs(x, 0.75, mode, (scale, RngStream(4))).costs.tobytes()])
-        assert costs[0] == costs[1]
+        assert _WindowIndex(x.counts).rows == (40 if mode == "all" else 32)
+        assert len(all_costs(x, 0.75, mode)) > 2 * _CHUNK
+        assert all(c == costs[0] for c in costs)
 
 
 class TestPerturb:
@@ -530,6 +549,42 @@ class TestOverflowFromParameters:
         # one count among zeros deviates from its bucket's mean by 2 * total * (1 - 1/L)
         x = DataVector(np.array([0] * 99 + [50]))
         assert deviation_table(x, "all").costs.max() == 2.0 * 50 * (1 - 1 / 100)
+
+
+class TestRefusedReleaseChargesNothing:
+    """A release that stage 1 refuses records no draws in the ledger and
+    builds no window index."""
+
+    @pytest.mark.parametrize("eps1, eps2, counts, match", [
+        # 1/eps2 overflows
+        (0.25, 1e-310, None, "a larger eps1 or eps2 is needed"),
+        # 4/eps1 overflows: the sampler's refusal comes first
+        (1e-310, 1e-310, None, "scale must be positive and finite"),
+        # 2**52 + 1 = 17 * 264917625139441
+        (0.25, 0.75, [264917625139441 - 16] + [1] * 16, "2\\*\\*52"),
+    ])
+    def test_parameters(self, window_index_calls, eps1, eps2, counts, match):
+        x = DataVector(counts) if counts else gen_synthetic_data("piecewise_constant", 4096, seed=1)
+        ledger = []
+        with pytest.raises(ParameterError, match=match):
+            private_partition(x, PartitionParams(eps1, eps2, "all"), RngStream(0, ledger=ledger))
+        assert ledger == [] and window_index_calls == []
+
+    def test_memory(self, monkeypatch, window_index_calls):
+        monkeypatch.setattr("dawa.partition._physical_memory", lambda: 2.0**20)
+        x = gen_synthetic_data("piecewise_constant", 4096, seed=1)
+        ledger = []
+        with pytest.raises(ParameterError, match="stage 1 needs about"):
+            private_partition(x, PartitionParams(0.25, 0.75, "all"), RngStream(0, ledger=ledger))
+        assert ledger == [] and window_index_calls == []
+
+    def test_deviations_of_other_data(self):
+        x = gen_synthetic_data("piecewise_constant", 64, seed=1)
+        ledger = []
+        with pytest.raises(ParameterError, match="deviations of n = 64"):
+            private_partition(x, PartitionParams(0.25, 0.75, "pow2"), RngStream(0, ledger=ledger),
+                              deviation_table(x, "all"))
+        assert ledger == []
 
 
 def random_table(rng, n, mode, kind):

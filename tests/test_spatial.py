@@ -30,7 +30,7 @@ from dawa.spatial import (
 )
 
 from .memory import peak_bytes
-from .reference import hilbert_cell, hilbert_index, xy_to_d
+from .reference import grid_cell, hilbert_cell, hilbert_index, xy_to_d
 
 
 def brute_ranges(rect, map_):
@@ -241,15 +241,31 @@ class TestDiscretize:
             np.column_stack([-1.0 + 4.0 * along, np.full(along.size, ey)]) for ey in edge_y
         ])
         pts = np.concatenate([inside, edges])
-        cx = spatial._cells_of(pts[:, 0], spec.xmin, spec.cell_width, spec.side)
-        cy = spatial._cells_of(pts[:, 1], spec.ymin, spec.cell_height, spec.side)
         want = np.zeros((spec.side, spec.side), dtype=np.int64)
-        np.add.at(want, (cx, cy), 1)
+        for px, py in pts.tolist():
+            want[grid_cell(spec, px, py)] += 1
         got = grid_discretize(pts, spec)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
         for line in (want[0], want[-1], want[:, 0], want[:, -1]):
             assert line.sum() > 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_outside_points_clamp_to_the_near_edge(self):
+        # ceil(u / width) passes 2^63 here, so it must be clipped before the
+        # cast to int64 or it wraps into the far cell
+        spec = GridSpec(g=3)
+        far = [-1e300, -2e18, 2e18, 1e300]
+        pts = np.array([[c, 0.5] for c in far] + [[0.5, c] for c in far])
+        grid = grid_discretize(pts, spec)
+        want = np.zeros((8, 8), dtype=np.int64)
+        for px, py in pts.tolist():
+            want[grid_cell(spec, px, py)] += 1
+        np.testing.assert_array_equal(grid, want)
+        assert grid[0, 3] == grid[7, 3] == grid[3, 0] == grid[3, 7] == 2
+        # an offset that overflows to inf clips the same way
+        tiny = GridSpec(g=3, xmin=-1e308, xmax=-1e308 + 1e293, ymin=0.0, ymax=1.0)
+        assert grid_discretize(np.array([[1e308, 0.5], [-1.7e308, 0.5]]), tiny)[[7, 0], 3].tolist() == [1, 1]
 
 
 class TestLinearize:
