@@ -236,9 +236,7 @@ class PrivacyBudget:
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "eps1", "eps2"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be positive and finite, got {v}")
+            check_epsilon(name, getattr(self, name))
         if abs((self.eps1 + self.eps2) - self.epsilon) > 1e-12:
             raise ParameterError(
                 f"stage budgets must sum to the total: {self.eps1} + {self.eps2} != {self.epsilon}"
@@ -294,8 +292,8 @@ class RngStream:
         return self._gen
 
 
-def laplace_sample(scale: float, rng: RngStream, size: int | None = None):
-    """Zero-mean Laplace draws via the inverse CDF.
+def laplace_sample(scale: float, rng: RngStream, size: int) -> np.ndarray:
+    """`size` zero-mean Laplace draws via the inverse CDF.
 
     The inverse-CDF form keeps the consumed uniform stream in lockstep with
     the number of requested draws, which is what makes runs reproducible.
@@ -306,23 +304,23 @@ def laplace_sample(scale: float, rng: RngStream, size: int | None = None):
     tell neighbouring inputs apart.  The epsilon-DP claims hold for
     real-valued Laplace noise; this sampler does not snap its outputs.
     Stage 2's sensitivity is the largest sum of node weights covering one
-    bucket (`leaf_cover_sums`).  Greedy scaling keeps it at 1 up to
-    rounding; at the 1 + 1e-9 the acceptance check allows, stage 2 spends
-    up to eps2 * (1 + 1e-9), not eps2.
+    bucket (`leaf_cover_sums`), and `write_scalings` makes every such sum
+    exactly 1.0, so stage 2 charges exactly eps2, by construction.  That
+    sum is added in float64, and its own rounding, about 1e-16, falls under
+    the caveat above.
     """
-    count = 1 if size is None else int(size)
-    u = laplace_draws(scale, rng, count)(count)
-    return float(u[0]) if size is None else u
+    return laplace_draws(scale, rng, int(size))(int(size))
 
 
-def check_laplace_scale(scale: float) -> None:
-    if not (np.isfinite(scale) and scale > 0):
-        raise ParameterError(f"scale must be positive and finite, got {scale}")
+def check_epsilon(name: str, value: float) -> None:
+    """Refuse a privacy parameter, an epsilon or a noise scale, that is not positive and finite."""
+    if not (np.isfinite(value) and value > 0):
+        raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
 def laplace_draws(scale: float, rng: RngStream, count: int):
     """Record `count` Laplace(scale) draws as one ledger entry; `draw(size)` takes the next `size`."""
-    check_laplace_scale(scale)
+    check_epsilon("scale", scale)
     if rng.ledger is not None:
         rng.ledger.append((float(scale), count))
 

@@ -3,8 +3,10 @@
 Bucket counts are measured through a hierarchy of interval sums, each
 scaled by a weight chosen greedily to suit the (transformed) workload, then
 reconciled by least squares.  Weights obey a unit-sensitivity constraint:
-the scalings covering any single bucket sum to at most 1, so each noisy
-answer costs Laplace(1/eps2) regardless of how many are taken.
+`write_scalings` sets every tree's scalings root first, so that those
+covering any single bucket sum to exactly 1.0, and stage 2 charges exactly
+eps2, by construction, however many answers with Laplace(1/eps2) noise it
+takes.
 
 The tree is implicit in (k, t): a node is its index in level order, its
 interval follows from its level and position, and the only per-node state
@@ -36,6 +38,7 @@ from .core import (
     RngStream,
     SingularStrategyError,
     Workload,
+    check_epsilon,
     laplace_sample,
 )
 from .transform import TransformedWorkload, transform_workload
@@ -118,6 +121,23 @@ def leaf_cover_sums(tree: QueryTree) -> np.ndarray:
     for d, level in enumerate(_level_slices(tree)):
         cover += np.repeat(tree.scalings[level], tree.t ** (height - d))[: tree.k]
     return cover
+
+
+def write_scalings(tree: QueryTree, fractions: "list[np.ndarray] | list[float]") -> QueryTree:
+    """Set every node's scaling root first, in place, from the cover of its
+    ancestors: a node on internal level d takes `fractions[d]` (one float or
+    one per node) of 1 - cover, and a leaf takes all of 1 - cover.  The cover
+    is added in `leaf_cover_sums`' order, and c + fl(1 - c) is exactly 1.0
+    for any c in [0, 1], so every leaf's cover sum is exactly 1.0."""
+    height = len(tree.level_sizes) - 1
+    cover = np.zeros(1)
+    for d, level in enumerate(_level_slices(tree)):
+        scaling = tree.scalings[level]
+        np.subtract(1.0, cover, out=scaling)
+        if d < height:
+            scaling *= fractions[d]
+            cover = np.repeat(cover + scaling, tree.t)[: tree.level_sizes[d + 1]]
+    return tree
 
 
 def _objective(sums: np.ndarray, mu: float, lam) -> np.ndarray:
@@ -214,13 +234,13 @@ def greedy_scale(What: TransformedWorkload, tree: QueryTree) -> QueryTree:
 
     Each internal node with two or more children picks the weight lam
     minimizing its objective, all nodes of a level searched together.  A
-    node's scaling is its weight (1 at a leaf) times 1 - lam of every
-    ancestor, applied nearest ancestor first, which keeps the cover sum of
-    every position at 1.  A node's workload image is What applied to its
-    leaf weights: the products of the 1/denom factors of the nodes below it,
-    kept for all leaves in one length-k array v, while each node's v-sum
-    goes up the tree as a fourth summary row.  Writes tree.scalings in place
-    and returns the tree.
+    node's scaling is lam times what its ancestors leave, and a leaf's is
+    all they leave (`write_scalings`), so every cover sum is exactly 1.0 and
+    stage 2 charges exactly eps2, by construction.  A node's workload image
+    is What applied to its leaf weights: the products of the 1/denom factors
+    of the nodes below it, kept for all leaves in one length-k array v,
+    while each node's v-sum goes up the tree as a fourth summary row.
+    Writes tree.scalings in place and returns the tree.
     """
     if What.partition.k != tree.k:
         raise DimensionError(f"workload over {What.partition.k} buckets does not match k={tree.k}")
@@ -244,14 +264,7 @@ def greedy_scale(What: TransformedWorkload, tree: QueryTree) -> QueryTree:
         summaries = np.stack([_objective(sums, 1.0, lam), quad_sum / denom, image2 / (denom * denom),
                               totals / denom])
         v /= np.repeat(denom, span)[: tree.k]
-    for depth, level in enumerate(_level_slices(tree)):
-        scaling = tree.scalings[level]
-        scaling[:] = lams[depth] if depth < len(lams) else 1.0
-        up = np.arange(len(scaling))
-        for anc in range(depth - 1, -1, -1):
-            up //= t
-            scaling *= 1.0 - lams[anc][up]
-    return tree
+    return write_scalings(tree, lams)
 
 
 def measure(bucket_counts: np.ndarray, tree: QueryTree, eps2: float, rng: RngStream) -> np.ndarray:
@@ -263,8 +276,7 @@ def measure(bucket_counts: np.ndarray, tree: QueryTree, eps2: float, rng: RngStr
     counts = np.asarray(bucket_counts, dtype=np.float64)
     if counts.shape != (tree.k,):
         raise DimensionError(f"expected {tree.k} bucket counts, got shape {counts.shape}")
-    if eps2 <= 0:
-        raise ParameterError(f"eps2 must be positive, got {eps2}")
+    check_epsilon("eps2", eps2)
     prefix = np.concatenate(([0.0], np.cumsum(counts)))
     active = tree.scalings > 0.0
     noise = laplace_sample(1.0 / eps2, rng, size=int(np.count_nonzero(active)))

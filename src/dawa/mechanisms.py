@@ -19,10 +19,12 @@ from .core import (
     PrivacyBudget,
     RngStream,
     Workload,
+    check_epsilon,
     laplace_sample,
     uniform_expand,
 )
-from .estimation import QueryTree, build_query_tree, check_branching, estimate_buckets, measure, ols_infer
+from .estimation import (QueryTree, build_query_tree, check_branching, estimate_buckets, measure, ols_infer,
+                         write_scalings)
 from .partition import CostTable, PartitionParams, check_mode, private_partition
 
 MECHANISM_NAMES = (
@@ -81,8 +83,7 @@ def run_dawa(
 
 def run_identity(x: DataVector, eps: float, rng: RngStream) -> EstimateVector:
     """Laplace noise on every count; the data- and workload-oblivious baseline."""
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    check_epsilon("eps", eps)
     noise = laplace_sample(1.0 / eps, rng, size=x.n)
     return EstimateVector(x.counts.astype(np.float64) + noise)
 
@@ -101,49 +102,31 @@ def run_partition_laplace(
     return uniform_expand(Histogram(partition=buckets, stats=stats), x.n)
 
 
-def _level_weights(raw: "list[float]") -> list[float]:
-    """Normalize per-level weights so a top-down column sum is exactly 1.
-
-    All levels but the deepest get their normalized weight; the leaf level
-    absorbs the float rounding so that accumulating the levels in order ends
-    exactly at 1.0.
-    """
-    total = sum(raw)
-    weights = [r / total for r in raw[:-1]]
-    partial = 0.0
-    for w in weights:
-        partial += w
-    weights.append(1.0 - partial)
-    return weights
-
-
-def _run_hierarchical(x: DataVector, eps: float, t: int, rng: RngStream, raw_weights) -> EstimateVector:
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+def _run_hierarchical(x: DataVector, eps: float, t: int, rng: RngStream, ratio: float) -> EstimateVector:
+    """Hierarchy over the raw domain whose level weights grow by `ratio` per
+    level toward the leaves, normalized top-down by `write_scalings`."""
+    check_epsilon("eps", eps)
     tree = build_query_tree(x.n, t)
-    weights = _level_weights(raw_weights(len(tree.level_sizes), t))
-    tree.scalings[:] = np.repeat(weights, tree.level_sizes)
+    height = len(tree.level_sizes) - 1
+    raw = [ratio ** (d - height) for d in range(height + 1)]
+    write_scalings(tree, [r / sum(raw[d:]) for d, r in enumerate(raw)])
     measurements = measure(x.counts.astype(np.float64), tree, eps, rng)
     return EstimateVector(ols_infer(tree, measurements))
 
 
 def run_hier_uniform(x: DataVector, eps: float, rng: RngStream, t: int = 2) -> EstimateVector:
     """Hierarchy over the raw domain with the same scaling at every level."""
-    return _run_hierarchical(x, eps, t, rng, lambda L, _t: [1.0] * L)
+    return _run_hierarchical(x, eps, t, rng, 1.0)
 
 
 def run_hier_geometric(x: DataVector, eps: float, rng: RngStream, t: int = 2) -> EstimateVector:
     """Hierarchy with scalings decreasing geometrically from leaves to root.
 
     Adjacent levels differ by a factor t**(1/3), an approximation of the
-    usual leaf-heavy tuning; level weights are normalized to a unit column
-    sum like the uniform variant.
+    usual leaf-heavy tuning; every leaf's cover sum is exactly 1.0, like
+    the uniform variant's.
     """
-    ratio = float(t) ** (1.0 / 3.0)
-    return _run_hierarchical(
-        x, eps, t, rng,
-        lambda L, _t: [ratio ** -(L - 1 - d) for d in range(L)],
-    )
+    return _run_hierarchical(x, eps, t, rng, float(t) ** (1.0 / 3.0))
 
 
 def run_greedy_no_partition(
@@ -155,8 +138,7 @@ def run_greedy_no_partition(
     tree: QueryTree | None = None,
 ) -> EstimateVector:
     """Stage 2 alone on unit buckets, spending the whole budget there."""
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    check_epsilon("eps", eps)
     buckets = Partition.unit(x.n)
     hist = estimate_buckets(buckets, W, x, eps, t, rng, tree)
     return uniform_expand(hist, x.n)

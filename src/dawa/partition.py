@@ -27,7 +27,7 @@ from .core import (
     ParameterError,
     Partition,
     RngStream,
-    check_laplace_scale,
+    check_epsilon,
     laplace_draws,
     laplace_sample,
 )
@@ -68,9 +68,7 @@ class PartitionParams:
 
     def __post_init__(self) -> None:
         for name in ("eps1", "eps2"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be positive and finite, got {v}")
+            check_epsilon(name, getattr(self, name))
         check_mode(self.mode)
 
     @property
@@ -229,11 +227,11 @@ def all_costs(x: DataVector, eps2: float, mode: str = "pow2", noise: tuple | Non
     stay cache-resident; each slice's deviations are computed, or read from
     `deviations` (x's `deviation_table`), then priced and noised in place.
     """
-    if eps2 <= 0:
+    if not eps2 > 0:  # inf prices nothing, for `deviation_table`; nan is refused
         raise ParameterError(f"eps2 must be positive, got {eps2}")
     n = x.n
     if noise:  # the sampler refuses a bad scale before the overflow check reads it
-        check_laplace_scale(noise[0])
+        check_epsilon("scale", noise[0])
     candidates = check_stage1_size(n, x.total(), mode, eps2=eps2, noise_scale=noise[0] if noise else 0.0)
     if deviations is not None and (deviations.n, deviations.mode) != (n, mode):
         raise ParameterError(f"deviations of n = {deviations.n}, mode {deviations.mode!r} "
@@ -289,8 +287,7 @@ def perturb_costs(
     The factor 2 on the sensitivity pays for reusing each count in the
     costs of overlapping candidate buckets.
     """
-    if eps1 <= 0:
-        raise ParameterError(f"eps1 must be positive, got {eps1}")
+    check_epsilon("eps1", eps1)
     noise = laplace_sample(2.0 * delta_bcost / eps1, rng, size=len(table))
     return replace(table, costs=np.add(noise, table.costs, out=noise))
 
@@ -367,6 +364,5 @@ def utility_bound(n: int, num_candidates: int, delta: float, eps1: float) -> flo
         raise ParameterError("n and num_candidates must be >= 1")
     if not 0 < delta < 1:
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    if eps1 <= 0:
-        raise ParameterError(f"eps1 must be positive, got {eps1}")
+    check_epsilon("eps1", eps1)
     return 4.0 * BUCKET_COST_SENSITIVITY * n * math.log(num_candidates / delta) / eps1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from dawa import partition
+from dawa import estimation, mechanisms, partition
 from dawa.core import DataVector, Interval, Partition, PrivacyBudget, Workload
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -58,3 +58,19 @@ def window_index_calls(monkeypatch):
 
     monkeypatch.setattr(partition, "_WindowIndex", spy)
     return calls
+
+
+@pytest.fixture
+def measured_trees(monkeypatch):
+    """The query trees given to `measure`, by stage 2 and by the hier_*
+    baselines alike, in call order."""
+    trees = []
+    measure = estimation.measure
+
+    def spy(counts, tree, eps, rng):
+        trees.append(tree)
+        return measure(counts, tree, eps, rng)
+
+    monkeypatch.setattr(estimation, "measure", spy)
+    monkeypatch.setattr(mechanisms, "measure", spy)
+    return trees

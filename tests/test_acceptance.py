@@ -268,8 +268,8 @@ def test_a07_leaf_cover_sums_bounded():
                                       What.partition)
         tree = greedy_scale(What, build_query_tree(k, t))
         worst = max(worst, float(leaf_cover_sums(tree).max()))
-    assert worst <= 1.0 + 1e-9
-    _ok(f"per-position scaling sums stay within budget on 100 workloads (max {worst:.9f})")
+    assert worst == 1.0
+    _ok(f"per-position scaling sums are exactly 1 on 100 workloads (max {worst!r})")
 
 
 def test_a08_ols_recovery_and_unbiasedness():

@@ -348,7 +348,7 @@ class TestSeedsAndRng:
         ledger = []
         rng = RngStream(0, ledger=ledger)
         laplace_sample(2.5, rng, size=4)
-        laplace_sample(0.5, rng)
+        laplace_sample(0.5, rng, size=1)
         assert ledger == [(2.5, 4), (0.5, 1)]
 
     def test_ledger_propagates_through_split(self):
@@ -361,8 +361,8 @@ class TestSeedsAndRng:
 class TestLaplace:
     def test_scalar_and_vector_forms(self):
         rng = RngStream(1)
-        v = laplace_sample(1.0, rng)
-        assert isinstance(v, float)
+        v = laplace_sample(1.0, rng, size=1)
+        assert v.shape == (1,)
         a = laplace_sample(1.0, rng, size=5)
         assert a.shape == (5,)
 
@@ -386,11 +386,11 @@ class TestLaplace:
         assert abs(float(np.var(draws)) - 2 * b * b) / (2 * b * b) < 0.05
 
     def test_scalar_draw_is_the_size_one_draw(self):
+        # 200 draws of size 1 are the slices of one draw of 200
         for seed, scale in ((0, 1.0), (3, 0.37)):
             scalar, array = RngStream(seed), RngStream(seed)
-            for _ in range(200):
-                x = laplace_sample(scale, scalar)
-                assert type(x) is float and x == laplace_sample(scale, array, size=1)[0]
+            ones = np.concatenate([laplace_sample(scale, scalar, size=1) for _ in range(200)])
+            assert ones.tobytes() == laplace_sample(scale, array, size=200).tobytes()
             assert scalar.generator.random() == array.generator.random()
 
     def test_one_log_matches_two_branch_reference(self):
@@ -423,9 +423,9 @@ class TestLaplace:
 
     def test_invalid_scale(self):
         with pytest.raises(ParameterError):
-            laplace_sample(0.0, RngStream(0))
+            laplace_sample(0.0, RngStream(0), size=1)
         with pytest.raises(ParameterError):
-            laplace_sample(-1.0, RngStream(0))
+            laplace_sample(-1.0, RngStream(0), size=1)
 
 
 class TestEvaluation:

@@ -32,6 +32,7 @@ from dawa.estimation import (
     measure,
     ols_infer,
 )
+from dawa.mechanisms import run_hier_geometric, run_hier_uniform
 from dawa.transform import transform_workload
 
 from .memory import peak_bytes
@@ -326,7 +327,7 @@ class TestGreedyScale:
             k = int(rng.integers(1, 40))
             What = random_transformed_workload(rng, k, int(rng.integers(1, 10)))
             tree = greedy_scale(What, build_query_tree(k, int(rng.choice([2, 3]))))
-            assert np.max(leaf_cover_sums(tree)) <= 1.0 + 1e-9
+            assert np.max(leaf_cover_sums(tree)) <= 1.0
 
     def test_never_worse_than_leaves_only(self):
         rng = np.random.default_rng(9)
@@ -357,7 +358,8 @@ class TestGreedyScale:
         # the level-batched pass must reproduce the per-node pass: the same
         # zero weights exactly, and the rest to rounding, since the per-node
         # image norms are dense dot products that round differently in the
-        # last bit and a continuous weight carries that bit through
+        # last bit and a continuous weight carries that bit through; a leaf
+        # is 1 - cover, so its error is absolute, at the cover's rounding
         rng = np.random.default_rng(46)
         for trial in range(60):
             k = int(rng.integers(1, 48))
@@ -378,13 +380,59 @@ class TestGreedyScale:
             want = build_query_tree(k, t)
             node_by_node_greedy(dense(What), want)
             assert np.array_equal(got.scalings == 0.0, want.scalings == 0.0)
-            np.testing.assert_allclose(got.scalings, want.scalings, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(got.scalings, want.scalings, rtol=1e-14, atol=1e-14)
 
     def test_rejects_bad_matrix(self):
         # a workload over five buckets cannot scale a four-leaf tree
         tree = build_query_tree(4, 2)
         with pytest.raises(DimensionError):
             greedy_scale(random_transformed_workload(np.random.default_rng(0), 5, 2), tree)
+
+
+class TestExactCharge:
+    """Stage 2 charges exactly eps2: every tree that reaches `measure` covers
+    each leaf with scalings that sum to exactly 1.0."""
+
+    def test_every_measured_leaf_has_cover_sum_one(self, measured_trees):
+        rng = np.random.default_rng(24)
+        for trial in range(120):
+            k, t = int(rng.integers(1, 40)), [2, 3, 4][trial % 3]
+            part = random_transformed_workload(rng, k, 1).partition
+            m, n = int(rng.integers(1, 10)), part.n
+            los = rng.integers(1, n + 1, size=m)
+            if trial % 4 == 0:  # random intervals
+                W = Workload(los, rng.integers(los, n + 1))
+            elif trial % 4 == 1:  # short runs
+                W = Workload(los, np.minimum(n, los + rng.geometric(0.3, size=m) - 1))
+            elif trial % 4 == 2:  # one interval, repeated, and the whole domain
+                W = Workload([los[0]] * 5 + [1], [n] * 6)
+            else:  # the whole domain, once or many times
+                W = Workload([1] * (1 + trial % 7), [n] * (1 + trial % 7))
+            x = DataVector(rng.integers(0, 9, size=n))
+            estimate_buckets(part, W, x, 1.0, t, RngStream(0))
+        for n in (1, 2, 5, 17, 64, 100, 399):
+            x = DataVector(np.arange(n) % 7)
+            for t in (2, 3, 4):
+                run_hier_uniform(x, 1.0, RngStream(0), t=t)
+                run_hier_geometric(x, 1.0, RngStream(0), t=t)
+        assert len(measured_trees) == 120 + 7 * 3 * 2
+        for tree in measured_trees:
+            assert np.all(leaf_cover_sums(tree) == 1.0)
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 5, 16, 33, 100])
+    def test_saturating_workloads_keep_every_leaf(self, k, t):
+        # a leaf reaches 0 only if its ancestors' cover rounds to 1.0, which
+        # takes about three nested weights at LAMBDA_CAP; the first node of
+        # every level gives nested intervals [1, span]
+        shape = build_query_tree(k, t)
+        los, his = shape.bounds()
+        firsts = np.cumsum((0,) + shape.level_sizes)[:-1]
+        for c in (1, 5, 100, 1000):
+            for W in (Workload([1] * c, [k] * c), Workload(np.repeat(los[firsts], c), np.repeat(his[firsts], c))):
+                tree = greedy_scale(transform_workload(W, Partition.unit(k)), build_query_tree(k, t))
+                assert tree.scalings[-k:].min() > 0.0
+                assert np.all(leaf_cover_sums(tree) == 1.0)
 
 
 class TestMeasure:
@@ -617,7 +665,7 @@ class TestComplexitySmoke:
         tree = build_query_tree(k, 2)
         peak, _ = peak_bytes(greedy_scale, What, tree)
         assert peak < 60e6
-        assert np.max(leaf_cover_sums(tree)) <= 1.0 + 1e-9
+        assert np.max(leaf_cover_sums(tree)) <= 1.0
 
     def test_doubling_k_stays_subquartic(self):
         # greedy is O(m + k) per level plus a per-level search, so doubling

@@ -1,8 +1,11 @@
 """End-to-end mechanisms: budget accounting, baselines, dispatch."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from dawa import estimation
 from dawa.core import (
     DataVector,
     ParameterError,
@@ -11,12 +14,11 @@ from dawa.core import (
     Workload,
     evaluate_workload,
 )
-from dawa.estimation import build_query_tree, leaf_cover_sums
+from dawa.estimation import build_query_tree, leaf_cover_sums, measure
 from dawa.generators import gen_synthetic_data, gen_workload
 from dawa.mechanisms import (
     MECHANISM_NAMES,
     MechanismConfig,
-    _level_weights,
     run_dawa,
     run_greedy_no_partition,
     run_hier_geometric,
@@ -25,7 +27,7 @@ from dawa.mechanisms import (
     run_mechanism,
     run_partition_laplace,
 )
-from dawa.partition import all_costs
+from dawa.partition import PartitionParams, all_costs, deviation_table, perturb_costs, utility_bound
 
 from .memory import peak_bytes
 
@@ -65,20 +67,20 @@ class TestHierBaselines:
         assert np.max(np.abs(got.values - x.counts)) < 1e-5
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 37, 64])
-    def test_cover_sums_exactly_one(self, n):
-        # the per-level weights must make every leaf column sum to 1.0
-        # exactly, not within float tolerance: that is the privacy budget
-        tree = build_query_tree(n, 2)
-        L = len(tree.level_sizes)
-        for raw in ([1.0] * L, [2.0 ** (-(L - 1 - d) / 3.0) for d in range(L)]):
-            weights = _level_weights(raw)
-            assert sum(w for w in weights) <= 1.0 + 0.0  # no overshoot
-            tree.scalings[:] = np.repeat(weights, tree.level_sizes)
-            cover = leaf_cover_sums(tree)
-            assert np.all(cover == 1.0)
+    def test_cover_sums_exactly_one(self, n, measured_trees):
+        # every leaf column must sum to 1.0 exactly, not within float
+        # tolerance: that is the privacy budget
+        x = DataVector(np.ones(n, dtype=np.int64))
+        run_hier_uniform(x, 1.0, RngStream(0))
+        run_hier_geometric(x, 1.0, RngStream(0))
+        assert len(measured_trees) == 2
+        for tree in measured_trees:
+            assert np.all(leaf_cover_sums(tree) == 1.0)
 
-    def test_geometric_weights_leaf_heavy(self):
-        weights = _level_weights([2.0 ** (-(3 - d) / 3.0) for d in range(4)])
+    def test_geometric_weights_leaf_heavy(self, measured_trees):
+        run_hier_geometric(DataVector(np.ones(8, dtype=np.int64)), 1.0, RngStream(0))
+        (tree,) = measured_trees
+        weights = [tree.scalings[sum(tree.level_sizes[:d])] for d in range(len(tree.level_sizes))]
         assert weights[-1] == max(weights)
         assert all(a < b for a, b in zip(weights, weights[1:]))
 
@@ -235,6 +237,35 @@ def test_dawa_refuses_costs_that_overflow(window_index_calls):
     with pytest.raises(ParameterError, match="a larger eps1 or eps2 is needed"):
         run_dawa(x, W, PrivacyBudget.split(1e-306), RngStream(1))
     assert window_index_calls == []
+
+
+def _epsilon_entries():
+    x = gen_synthetic_data("piecewise_constant", 16, seed=2, segments=2)
+    W = gen_workload("uniform", 16, seed=3, num_queries=5)
+    return {
+        "all_costs": ("eps2", lambda eps: all_costs(x, eps)),
+        "perturb_costs": ("eps1", lambda eps: perturb_costs(deviation_table(x), eps, RngStream(0))),
+        "utility_bound": ("eps1", lambda eps: utility_bound(16, 100, 0.1, eps)),
+        "measure": ("eps2", lambda eps: measure(x.counts, build_query_tree(16), eps, RngStream(0))),
+        "run_identity": ("eps", lambda eps: run_identity(x, eps, RngStream(0))),
+        "run_hier_uniform": ("eps", lambda eps: run_hier_uniform(x, eps, RngStream(0))),
+        "run_hier_geometric": ("eps", lambda eps: run_hier_geometric(x, eps, RngStream(0))),
+        "run_greedy_no_partition": ("eps", lambda eps: run_greedy_no_partition(x, W, eps, RngStream(0))),
+        "PrivacyBudget": ("eps1", lambda eps: PrivacyBudget(1.0, eps, 1.0 - eps)),
+        "PartitionParams": ("eps2", lambda eps: PartitionParams(0.25, eps)),
+    }
+
+
+# all_costs takes eps2 = inf, which prices nothing, for deviation_table
+@pytest.mark.parametrize("entry, eps", [(entry, eps) for entry in _epsilon_entries()
+                                        for eps in (np.nan, np.inf, 0.0, -1.0)
+                                        if not (entry == "all_costs" and eps == np.inf)])
+def test_bad_epsilon_is_refused_by_name_before_any_work(entry, eps):
+    name, call = _epsilon_entries()[entry]
+    with mock.patch.object(estimation, "greedy_scale", wraps=estimation.greedy_scale) as spy:
+        with pytest.raises(ParameterError, match=rf"^{name} must be positive"):
+            call(eps)
+    spy.assert_not_called()
 
 
 class TestRegimeSmoke:
