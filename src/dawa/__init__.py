@@ -45,7 +45,6 @@ from .partition import (
     least_cost_partition,
     perturb_costs,
     private_partition,
-    utility_bound,
 )
 from .transform import TransformedWorkload, transform_workload
 

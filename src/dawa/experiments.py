@@ -66,10 +66,13 @@ class ExperimentConfig:
             if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
                 raise ParameterError(f"config {name!r} must be {what}, got {value!r}")
         eps_ok = all(isinstance(e, reals) and not isinstance(e, bool) and 0 < e < np.inf for e in self.epsilons)
+        # a repeat would run the same trials again and count them as new ones
         for name, ok, what in (
-            ("mechanisms", self.mechanisms and all(m in MECHANISM_NAMES for m in self.mechanisms),
-             f"a nonempty list from {MECHANISM_NAMES}"),
-            ("epsilons", self.epsilons and eps_ok, "a nonempty list of positive finite numbers"),
+            ("mechanisms", self.mechanisms and all(m in MECHANISM_NAMES for m in self.mechanisms)
+             and len(set(self.mechanisms)) == len(self.mechanisms),
+             f"a nonempty list from {MECHANISM_NAMES} without repeats"),
+            ("epsilons", self.epsilons and eps_ok and len({float(e) for e in self.epsilons}) == len(self.epsilons),
+             "a nonempty list of positive finite numbers without repeats"),
             ("num_workloads", self.num_workloads >= 1, "at least 1"), ("trials", self.trials >= 1, "at least 1"),
             ("mode", self.mode in MODES, "'all' or 'pow2'"), ("branching", self.branching >= 2, "at least 2"),
             ("stage1_fraction", 0 < self.stage1_fraction < 1, "in (0, 1)"),
@@ -157,8 +160,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     Trial seeds depend only on (master_seed, workload_id, trial), never on
     the mechanism or epsilon, so extending the grid leaves existing rows
     unchanged.  Stage 1's deviations are made once per experiment and each
-    workload's greedy_no_partition tree before that workload's first trial;
-    a trial's wall_ms leaves out this shared work.
+    workload's greedy_no_partition tree before that workload's first trial.
+    The same seed and epsilon give dawa and partition_laplace the same
+    private partition, so the first of them to reach an (epsilon, trial)
+    makes it and the other reuses it, held until the workload ends.  A
+    trial's wall_ms leaves out this shared work.
     """
     x = _load_data(cfg)
     deviations = None
@@ -174,7 +180,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     for wid in range(cfg.num_workloads):
         W = gen_workload(cfg.workload["kind"], x.n, derive_seed(cfg.master_seed, "workload", wid), **wparams)
         tree = scaled_tree(Partition.unit(x.n), W, cfg.branching) if "greedy_no_partition" in cfg.mechanisms else None
-        shared = SharedWork(deviations, tree)
+        shared = SharedWork(deviations, tree, {})
         for name in cfg.mechanisms:
             for eps in cfg.epsilons:
                 budget = PrivacyBudget.split(eps, cfg.stage1_fraction)

@@ -20,12 +20,13 @@ from .core import (
     RngStream,
     Workload,
     check_epsilon,
+    laplace_draws,
     laplace_sample,
     uniform_expand,
 )
 from .estimation import (QueryTree, build_query_tree, check_branching, estimate_buckets, measure, ols_infer,
                          write_scalings)
-from .partition import CostTable, PartitionParams, check_mode, private_partition
+from .partition import CostTable, PartitionParams, candidate_count, check_mode, private_partition
 
 MECHANISM_NAMES = (
     "dawa",
@@ -53,12 +54,37 @@ class MechanismConfig:
 
 @dataclass(frozen=True)
 class SharedWork:
-    """Work that depends on neither epsilon nor the noise, made once and read by
-    releases on the same data and workload: the data's `deviation_table` for
-    dawa and partition_laplace, the workload's unit-bucket `scaled_tree`."""
+    """Work made once and read by releases on the same data and workload:
+    the data's `deviation_table` for dawa and partition_laplace, the
+    workload's unit-bucket `scaled_tree` and, if a dict, `partitions`.
+
+    `partitions` maps (eps1, eps2, seed) to stage 1's private partition and
+    its stream's state after stage 1, for dawa and partition_laplace to
+    share.  An entry may be reused only by a stream in the state that made
+    it: a fresh `RngStream(seed)` on the same data and mode, as each trial
+    of `run_experiment` is.
+    """
 
     deviations: CostTable | None = None
     unit_tree: QueryTree | None = None
+    partitions: dict | None = None
+
+
+def _stage1(x: DataVector, budget: PrivacyBudget, rng: RngStream, mode: str, shared: SharedWork) -> Partition:
+    """`private_partition` on budget.eps1, or the partition `shared` holds for
+    this stream, with the same ledger entry and the stream where stage 1 leaves it."""
+    params = PartitionParams(eps1=budget.eps1, eps2=budget.eps2, mode=mode)
+    if shared.partitions is None:
+        return private_partition(x, params, rng, shared.deviations)
+    key = (params.eps1, params.eps2, rng.seed)
+    if key in shared.partitions:
+        buckets, state = shared.partitions[key]
+        laplace_draws(params.noise_scale, rng, candidate_count(x.n, mode))
+        rng.generator.bit_generator.state = state
+    else:
+        buckets = private_partition(x, params, rng, shared.deviations)
+        shared.partitions[key] = buckets, rng.generator.bit_generator.state
+    return buckets
 
 
 def run_dawa(
@@ -68,15 +94,14 @@ def run_dawa(
     rng: RngStream,
     mode: str = "pow2",
     t: int = 2,
-    deviations: CostTable | None = None,
+    shared: SharedWork = SharedWork(),
 ) -> EstimateVector:
     """Two-stage mechanism: private partition on eps1, bucket estimation on eps2.
 
     Sequential composition of the stages spends exactly the total budget.
     """
     check_branching(t)  # before stage 1, which dominates a release's time and memory
-    params = PartitionParams(eps1=budget.eps1, eps2=budget.eps2, mode=mode)
-    buckets = private_partition(x, params, rng, deviations)
+    buckets = _stage1(x, budget, rng, mode, shared)
     hist = estimate_buckets(buckets, W, x, budget.eps2, t, rng)
     return uniform_expand(hist, x.n)
 
@@ -93,11 +118,10 @@ def run_partition_laplace(
     budget: PrivacyBudget,
     rng: RngStream,
     mode: str = "pow2",
-    deviations: CostTable | None = None,
+    shared: SharedWork = SharedWork(),
 ) -> EstimateVector:
     """Private partition, then plain Laplace on each bucket count."""
-    params = PartitionParams(eps1=budget.eps1, eps2=budget.eps2, mode=mode)
-    buckets = private_partition(x, params, rng, deviations)
+    buckets = _stage1(x, budget, rng, mode, shared)
     stats = buckets.bucket_totals(x.counts) + laplace_sample(1.0 / budget.eps2, rng, size=buckets.k)
     return uniform_expand(Histogram(partition=buckets, stats=stats), x.n)
 
@@ -150,11 +174,11 @@ def run_mechanism(config: MechanismConfig, x: DataVector, W: Workload, rng: RngS
     With `shared` work for x, W and the config, the estimate has the same bits."""
     name = config.name
     if name == "dawa":
-        return run_dawa(x, W, config.budget, rng, config.mode, config.branching, shared.deviations)
+        return run_dawa(x, W, config.budget, rng, config.mode, config.branching, shared)
     if name == "identity":
         return run_identity(x, config.budget.epsilon, rng)
     if name == "partition_laplace":
-        return run_partition_laplace(x, config.budget, rng, config.mode, shared.deviations)
+        return run_partition_laplace(x, config.budget, rng, config.mode, shared)
     if name == "hier_uniform":
         return run_hier_uniform(x, config.budget.epsilon, rng, t=config.branching)
     if name == "hier_geometric":

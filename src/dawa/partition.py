@@ -356,13 +356,3 @@ def private_partition(x: DataVector, params: PartitionParams, rng: RngStream,
     """
     return least_cost_partition(all_costs(x, params.eps2, params.mode, (params.noise_scale, rng), deviations), x.n)
 
-
-def utility_bound(n: int, num_candidates: int, delta: float, eps1: float) -> float:
-    """Additive gap to the optimal partition cost, holding except with
-    probability delta."""
-    if n < 1 or num_candidates < 1:
-        raise ParameterError("n and num_candidates must be >= 1")
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    check_epsilon("eps1", eps1)
-    return 4.0 * BUCKET_COST_SENSITIVITY * n * math.log(num_candidates / delta) / eps1

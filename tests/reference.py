@@ -2,8 +2,9 @@
 against: per-bucket stage-1 costs, cost-table and Hilbert-curve lookups,
 the grid cell of a point, brute-force partitions, dense stage-2 matrices,
 the least-cost dynamic program, the level-batched greedy scaling and the
-workload generators; and the two forms that faster ones replaced, the
-per-level walk of the Hilbert curve and the two-branch Laplace sampler."""
+workload generators; the private partition's utility bound; and the two
+forms that faster ones replaced, the per-level walk of the Hilbert curve
+and the two-branch Laplace sampler."""
 
 import math
 from functools import cache
@@ -11,9 +12,9 @@ from functools import cache
 import numpy as np
 
 from dawa.core import (DataVector, EstimateVector, Interval, InvalidIntervalError, ParameterError, Partition,
-                       RngStream, SingularStrategyError, Workload, _values_of)
+                       RngStream, SingularStrategyError, Workload, _values_of, check_epsilon)
 from dawa.estimation import QueryTree, _objective, _search_lambda, decay_factor
-from dawa.partition import CostTable
+from dawa.partition import BUCKET_COST_SENSITIVITY, CostTable
 from dawa.spatial import GridSpec, HilbertMap
 
 BRUTE_FORCE_MAX_N = 12
@@ -148,6 +149,17 @@ def oracle_brute_partition(x: DataVector, eps2: float) -> tuple[Partition, float
             best_cost = total
             best = his
     return Partition(np.array(best)), float(best_cost)
+
+
+def utility_bound(n: int, num_candidates: int, delta: float, eps1: float) -> float:
+    """Additive gap to the optimal partition cost, holding except with
+    probability delta."""
+    if n < 1 or num_candidates < 1:
+        raise ParameterError("n and num_candidates must be >= 1")
+    if not 0 < delta < 1:
+        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+    check_epsilon("eps1", eps1)
+    return 4.0 * BUCKET_COST_SENSITIVITY * n * math.log(num_candidates / delta) / eps1
 
 
 def strategy_matrix(tree: QueryTree) -> np.ndarray:

@@ -42,7 +42,6 @@ from dawa.partition import (
     candidate_lengths,
     least_cost_partition,
     private_partition,
-    utility_bound,
 )
 from dawa.spatial import (
     GridSpec,
@@ -55,7 +54,7 @@ from dawa.transform import transform_workload
 
 from .reference import (bucket_cost, bucket_dev, cost_at, dense_scaling_objective, dense_transform, evaluate_query,
                         hilbert_cell, hilbert_index, node_by_node_greedy, oracle_brute_partition, partition_cost,
-                        rows_of, strategy_matrix, undo_root_discount)
+                        rows_of, strategy_matrix, undo_root_discount, utility_bound)
 from .strategies import random_transformed_workload
 
 EXAMPLE_COUNTS = [2, 3, 8, 1, 0, 2, 0, 4, 2, 4]

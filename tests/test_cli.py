@@ -222,6 +222,7 @@ class TestRunCmd:
         ("epsilons", "12"), ("mechanisms", "dawa"),
         ("stage1_fraction", "x"), ("stage1_fraction", 1.0), ("record_timing", "false"),
         ("mode", "pow3"), ("branching", 1), ("epsilons", [0.5, float("inf")]), ("epsilons", ["0.5"]),
+        ("mechanisms", ["identity", "identity"]), ("epsilons", [1, 1.0]),
     ])
     def test_malformed_config_is_clean_error(self, tmp_path, capsys, field, value):
         cfg = {

@@ -60,6 +60,10 @@ class TestConfig:
             small_config(trials=0)
         with pytest.raises(ParameterError):
             small_config(epsilons=())
+        # a repeat would count one trial's seed as several trials; 1 and 1.0 are one epsilon
+        for field, value in (("mechanisms", ["dawa", "dawa"]), ("epsilons", [1, 1.0])):
+            with pytest.raises(ParameterError, match=rf"^config '{field}' must be .* without repeats, got \["):
+                small_config(**{field: value})
 
 
 class TestSeedDiscipline:
@@ -148,7 +152,9 @@ class TestReportFile:
 class TestSharedWork:
     """Stage 1's deviations and greedy_no_partition's tree depend on neither
     epsilon nor the noise: an experiment makes them once and its trials
-    only read them, with the bits of a release that makes its own."""
+    only read them, with the bits of a release that makes its own.  The
+    private partition of an (epsilon, trial) is made once too and serves
+    both dawa and partition_laplace."""
 
     @staticmethod
     def config(mode):
@@ -167,6 +173,36 @@ class TestSharedWork:
             config = MechanismConfig(row.mechanism, PrivacyBudget.split(row.epsilon), mode=mode)
             xhat = run_mechanism(config, x, workloads[row.workload_id], RngStream(row.seed))
             assert row.avg_l1_error == average_workload_error(workloads[row.workload_id], x, xhat)
+
+    @pytest.mark.parametrize("mode", ["all", "pow2"])
+    def test_one_private_partition_per_epsilon_and_trial(self, monkeypatch, mode):
+        # dawa and partition_laplace draw the same stage-1 noise from the same seed
+        calls = []
+        real = dawa.partition.least_cost_partition
+
+        def spy(table, n):
+            calls.append(n)
+            return real(table, n)
+
+        monkeypatch.setattr(dawa.partition, "least_cost_partition", spy)
+        cfg = self.config(mode)
+        run_experiment(cfg)
+        assert len(calls) == cfg.num_workloads * len(cfg.epsilons) * cfg.trials == 8
+
+    @staticmethod
+    def rows(cfg, mechanism=None):
+        return {(r.mechanism, r.epsilon, r.workload_id, r.trial): r for r in run_experiment(cfg).results
+                if mechanism in (None, r.mechanism)}
+
+    def test_rows_do_not_depend_on_which_mechanism_makes_the_partition(self):
+        cfg = self.config("pow2")
+        swapped = ("partition_laplace",) + tuple(m for m in MECHANISM_NAMES if m != "partition_laplace")
+        assert self.rows(cfg) == self.rows(small_config(**{**cfg.to_dict(), "mechanisms": swapped}))
+
+    def test_partition_laplace_alone_has_its_rows_in_the_full_grid(self):
+        cfg = self.config("all")
+        alone = self.rows(small_config(**{**cfg.to_dict(), "mechanisms": ["partition_laplace"]}))
+        assert len(alone) == 8 and alone == self.rows(cfg, "partition_laplace")
 
     def test_made_once_and_read_only(self, monkeypatch):
         seen, indexes = [], []

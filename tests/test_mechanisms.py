@@ -27,7 +27,7 @@ from dawa.mechanisms import (
     run_mechanism,
     run_partition_laplace,
 )
-from dawa.partition import PartitionParams, all_costs, deviation_table, perturb_costs, utility_bound
+from dawa.partition import PartitionParams, all_costs, deviation_table, perturb_costs
 
 from .memory import peak_bytes
 
@@ -245,7 +245,6 @@ def _epsilon_entries():
     return {
         "all_costs": ("eps2", lambda eps: all_costs(x, eps)),
         "perturb_costs": ("eps1", lambda eps: perturb_costs(deviation_table(x), eps, RngStream(0))),
-        "utility_bound": ("eps1", lambda eps: utility_bound(16, 100, 0.1, eps)),
         "measure": ("eps2", lambda eps: measure(x.counts, build_query_tree(16), eps, RngStream(0))),
         "run_identity": ("eps", lambda eps: run_identity(x, eps, RngStream(0))),
         "run_hier_uniform": ("eps", lambda eps: run_hier_uniform(x, eps, RngStream(0))),

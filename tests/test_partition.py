@@ -38,12 +38,11 @@ from dawa.partition import (
     least_cost_partition,
     perturb_costs,
     private_partition,
-    utility_bound,
 )
 
 from .memory import peak_bytes
 from .reference import (BRUTE_FORCE_MAX_N, bucket_cost, bucket_dev, cost_at, oracle_brute_partition, partition_cost,
-                        reference_least_cost_partition)
+                        reference_least_cost_partition, utility_bound)
 from .strategies import data_vectors, data_with_partition
 
 
