@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from dawa.core import RngStream
+from dawa.core import ParameterError, RngStream
 from dawa.generators import gen_synthetic_data
 from dawa.partition import MODES, PartitionParams, all_costs, least_cost_partition, private_partition
 
@@ -29,6 +29,24 @@ def priced(table, p):
     return sum(table.costs[table.offsets[np.searchsorted(table.lengths, p.lengths())] + p.los - 1].tolist())
 
 
+def show(args) -> None:
+    """Print the exact partition, then the private one at each eps1, with its exact cost."""
+    params = [PartitionParams(eps1=eps1, eps2=args.eps2, mode=args.mode) for eps1 in args.eps1]
+    x = gen_synthetic_data("piecewise_constant", args.n, args.seed, segments=args.segments)
+    table = all_costs(x, args.eps2, args.mode)
+    exact = least_cost_partition(table, x.n)
+    opt_cost = priced(table, exact)
+    print(f"n = {args.n}, eps2 = {args.eps2}, mode = {args.mode}")
+    print(f"exact:      cost {opt_cost:9.3f}  k = {exact.k:<4d} {fmt_buckets(exact)}")
+
+    for p in params:
+        chosen = private_partition(x, p, RngStream(args.seed + 1))
+        cost = priced(table, chosen)
+        print(
+            f"eps1 {p.eps1:<6g} cost {cost:9.3f}  k = {chosen.k:<4d} {fmt_buckets(chosen)}"
+        )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=256)
@@ -41,21 +59,10 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", default="pow2", choices=MODES)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-
-    x = gen_synthetic_data("piecewise_constant", args.n, args.seed, segments=args.segments)
-    table = all_costs(x, args.eps2, args.mode)
-    exact = least_cost_partition(table, x.n)
-    opt_cost = priced(table, exact)
-    print(f"n = {args.n}, eps2 = {args.eps2}, mode = {args.mode}")
-    print(f"exact:      cost {opt_cost:9.3f}  k = {exact.k:<4d} {fmt_buckets(exact)}")
-
-    for eps1 in args.eps1:
-        params = PartitionParams(eps1=eps1, eps2=args.eps2, mode=args.mode)
-        chosen = private_partition(x, params, RngStream(args.seed + 1))
-        cost = priced(table, chosen)
-        print(
-            f"eps1 {eps1:<6g} cost {cost:9.3f}  k = {chosen.k:<4d} {fmt_buckets(chosen)}"
-        )
+    try:
+        show(args)
+    except ParameterError as exc:
+        parser.error(str(exc))
     return 0
 
 

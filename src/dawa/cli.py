@@ -33,7 +33,7 @@ def _cmd_run(args) -> int:
         print(
             f"{agg['mechanism']:>20s}  eps={agg['epsilon']:<8g} "
             f"mean_error={agg['mean_error']:.6g}  std={agg['std_error']:.6g}  "
-            f"trials={agg['num_trials']}"
+            f"trials={agg['num_trials']}  ms={agg['mean_wall_ms']:.1f}"
         )
     print(f"report written to {args.out}")
     return 0

@@ -341,6 +341,7 @@ def least_cost_partition(table: CostTable, n: int) -> Partition:
 
 def exact_partition(x: DataVector, eps2: float, mode: str = "pow2") -> Partition:
     """Noise-free least-cost partition; not private, for `dawa partition --exact` and tests."""
+    check_epsilon("eps2", eps2)
     table = all_costs(x, eps2, mode)
     return least_cost_partition(table, x.n)
 

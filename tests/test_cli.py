@@ -89,6 +89,13 @@ class TestPartitionCmd:
         main(["partition", "--data", str(data_file), "--eps1", "0.25", "--eps2", "0.75", "--exact"])
         assert capsys.readouterr().out == out and out.startswith("lo,hi\n")
 
+    def test_exact_refuses_infinite_eps2(self, data_file, capsys):
+        rc = main(["partition", "--data", str(data_file), "--eps2", "inf", "--exact"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == "dawa: error: eps2 must be positive and finite, got inf"
+        assert captured.out == ""
+
     def test_private_without_eps1_is_clean_error(self, data_file, capsys):
         rc = main(["partition", "--data", str(data_file), "--eps2", "0.75"])
         assert rc == 1
@@ -216,6 +223,24 @@ class TestRunCmd:
         assert len(doc["results"]) == 4
         printed = capsys.readouterr().out
         assert "identity" in printed and "dawa" in printed
+        lines = printed.splitlines()[:-1]
+        assert len(lines) == 2 and all(line.endswith("  ms=0.0") for line in lines)
+
+    def test_summary_prints_mean_wall_ms(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "mechanisms": ["identity", "dawa"], "epsilons": [0.5],
+            "workload": {"kind": "uniform", "num_queries": 20},
+            "data": {"kind": "piecewise_constant", "segments": 4},
+            "n": 64, "num_workloads": 1, "trials": 2, "record_timing": True,
+        }))
+        out_path = tmp_path / "report.json"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        aggregates = json.loads(out_path.read_text())["aggregates"]
+        assert [line.split()[0] for line in lines] == [agg["mechanism"] for agg in aggregates]
+        for line, agg in zip(lines, aggregates):
+            assert line.split()[-1] == f"ms={agg['mean_wall_ms']:.1f}"
 
     @pytest.mark.parametrize("field, value", [
         ("trials", 2.5), ("num_workloads", "3"), ("n", 16.5), ("workload", "kind"),

@@ -649,6 +649,11 @@ class TestExactPartition:
         part = exact_partition(x, 0.02, "all")
         assert part.k == 1
 
+    def test_refuses_infinite_eps2(self):
+        # all_costs takes eps2 = inf for deviation_table; a partition needs a finite price
+        with pytest.raises(ParameterError, match="^eps2 must be positive and finite, got inf$"):
+            exact_partition(DataVector([7] * 6 + [6] * 6), math.inf)
+
 
 class TestPrivatePartition:
     def test_deterministic(self, example_x):

@@ -2,8 +2,10 @@
 
 import dataclasses
 import importlib.util
-import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,14 +42,23 @@ def test_partition_demo(capsys):
         assert (cost, int(k)) == (f"{partition_cost(x, p, 0.75):.3f}", p.k)
 
 
-def test_regime_sweep(tmp_path, capsys):
-    out = tmp_path / "sweep.json"
-    rc = load_script("regime_sweep").main(
-        ["--n", "32", "--queries", "10", "--workloads", "1", "--trials", "1", "--out", str(out)])
-    assert rc == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
-    assert len(rows) == len(MECHANISM_NAMES) * 3  # every mechanism at the default epsilons
-    assert json.loads(out.read_text())["aggregates"]
+# one bad argument per script, and the message it must print; a new script needs an entry
+BAD_ARGUMENTS = {
+    "partition_demo.py": (["--eps1", "-1"], "error: eps1 must be positive and finite, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
+def test_bad_argument_is_clean_error(script):
+    args, message = BAD_ARGUMENTS[script.name]
+    src = str(SCRIPTS.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode != 0
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("config", sorted((SCRIPTS / "configs").glob("*.json")), ids=lambda p: p.name)
