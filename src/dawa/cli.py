@@ -63,8 +63,8 @@ def _cmd_partition(args) -> int:
         raise ParameterError("--eps1 is required unless --exact is given")
     x = read_data_file(args.data)
     if args.exact:
-        print("warning: --exact skips the privacy noise; output is NOT private", file=sys.stderr)
         buckets = exact_partition(x, args.eps2, mode=args.mode)
+        print("warning: --exact skips the privacy noise; output is NOT private", file=sys.stderr)
     else:
         params = PartitionParams(eps1=args.eps1, eps2=args.eps2, mode=args.mode)
         buckets = private_partition(x, params, RngStream(args.seed))

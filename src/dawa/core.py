@@ -320,6 +320,15 @@ def check_epsilon(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
+def laplace_scale(sensitivity: float, name: str, eps: float) -> float:
+    """Laplace scale sensitivity/eps; refuses eps by `name` if it is bad or the scale overflows."""
+    check_epsilon(name, eps)
+    scale = sensitivity / eps
+    if not np.isfinite(scale):
+        raise ParameterError(f"{name} = {eps} is too small: the Laplace scale {sensitivity:g}/{name} overflows")
+    return scale
+
+
 def laplace_draws(scale: float, rng: RngStream, count: int):
     """Record `count` Laplace(scale) draws as one ledger entry; `draw(size)` takes the next `size`."""
     check_epsilon("scale", scale)

@@ -38,8 +38,8 @@ from .core import (
     RngStream,
     SingularStrategyError,
     Workload,
-    check_epsilon,
     laplace_sample,
+    laplace_scale,
 )
 from .transform import TransformedWorkload, transform_workload
 
@@ -276,10 +276,10 @@ def measure(bucket_counts: np.ndarray, tree: QueryTree, eps2: float, rng: RngStr
     counts = np.asarray(bucket_counts, dtype=np.float64)
     if counts.shape != (tree.k,):
         raise DimensionError(f"expected {tree.k} bucket counts, got shape {counts.shape}")
-    check_epsilon("eps2", eps2)
+    scale = laplace_scale(1.0, "eps2", eps2)
     prefix = np.concatenate(([0.0], np.cumsum(counts)))
     active = tree.scalings > 0.0
-    noise = laplace_sample(1.0 / eps2, rng, size=int(np.count_nonzero(active)))
+    noise = laplace_sample(scale, rng, size=int(np.count_nonzero(active)))
     los, his = (bound[active] for bound in tree.bounds())
     return tree.scalings[active] * (prefix[his] - prefix[los - 1]) + noise
 

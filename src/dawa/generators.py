@@ -59,6 +59,8 @@ def gen_workload(kind: str, n: int, seed: int, **params) -> Workload:
         raise ParameterError(f"need n >= 1, got {n}")
     rng = RngStream(seed)
     if kind == "identity":
+        if params:
+            raise ParameterError(f"unknown params for identity workload: {sorted(params)}")
         return Workload(np.arange(1, n + 1), np.arange(1, n + 1))
     if kind == "uniform":
         num_queries = _at_least_one("num_queries", params.pop("num_queries", 2000))

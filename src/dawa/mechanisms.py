@@ -19,9 +19,9 @@ from .core import (
     PrivacyBudget,
     RngStream,
     Workload,
-    check_epsilon,
     laplace_draws,
     laplace_sample,
+    laplace_scale,
     uniform_expand,
 )
 from .estimation import (QueryTree, build_query_tree, check_branching, estimate_buckets, measure, ols_infer,
@@ -108,8 +108,7 @@ def run_dawa(
 
 def run_identity(x: DataVector, eps: float, rng: RngStream) -> EstimateVector:
     """Laplace noise on every count; the data- and workload-oblivious baseline."""
-    check_epsilon("eps", eps)
-    noise = laplace_sample(1.0 / eps, rng, size=x.n)
+    noise = laplace_sample(laplace_scale(1.0, "eps", eps), rng, size=x.n)
     return EstimateVector(x.counts.astype(np.float64) + noise)
 
 
@@ -122,14 +121,15 @@ def run_partition_laplace(
 ) -> EstimateVector:
     """Private partition, then plain Laplace on each bucket count."""
     buckets = _stage1(x, budget, rng, mode, shared)
-    stats = buckets.bucket_totals(x.counts) + laplace_sample(1.0 / budget.eps2, rng, size=buckets.k)
+    noise = laplace_sample(laplace_scale(1.0, "eps2", budget.eps2), rng, size=buckets.k)
+    stats = buckets.bucket_totals(x.counts) + noise
     return uniform_expand(Histogram(partition=buckets, stats=stats), x.n)
 
 
 def _run_hierarchical(x: DataVector, eps: float, t: int, rng: RngStream, ratio: float) -> EstimateVector:
     """Hierarchy over the raw domain whose level weights grow by `ratio` per
     level toward the leaves, normalized top-down by `write_scalings`."""
-    check_epsilon("eps", eps)
+    laplace_scale(1.0, "eps", eps)  # refuses eps by name before any work
     tree = build_query_tree(x.n, t)
     height = len(tree.level_sizes) - 1
     raw = [ratio ** (d - height) for d in range(height + 1)]
@@ -162,7 +162,7 @@ def run_greedy_no_partition(
     tree: QueryTree | None = None,
 ) -> EstimateVector:
     """Stage 2 alone on unit buckets, spending the whole budget there."""
-    check_epsilon("eps", eps)
+    laplace_scale(1.0, "eps", eps)  # refuses eps by name before any work
     buckets = Partition.unit(x.n)
     hist = estimate_buckets(buckets, W, x, eps, t, rng, tree)
     return uniform_expand(hist, x.n)

@@ -10,7 +10,7 @@ as many as _TABLE_CAP entries hold, one lookup per candidate, and a wavelet
 matrix for the ranks past them, log D levels per candidate.  Each cost is
 one float division away from the exact value and matches the direct
 per-bucket computation bit for bit.  The costs live in one flat array,
-noised slice by slice on the private path, and the dynamic program gathers
+which a release prices and noises in place, and the dynamic program gathers
 the candidates ending at each endpoint as one row of it.
 """
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .core import (
     RngStream,
     check_epsilon,
     laplace_draws,
-    laplace_sample,
+    laplace_scale,
 )
 
 # One count added or removed changes a bucket's deviation by at most 2.
@@ -67,14 +67,14 @@ class PartitionParams:
     delta_bcost: ClassVar[float] = BUCKET_COST_SENSITIVITY
 
     def __post_init__(self) -> None:
-        for name in ("eps1", "eps2"):
-            check_epsilon(name, getattr(self, name))
+        self.noise_scale  # refuses eps1 by name, also when its scale overflows
+        check_epsilon("eps2", self.eps2)
         check_mode(self.mode)
 
     @property
     def noise_scale(self) -> float:
         """Laplace scale of the cost noise: twice the per-entry sensitivity over eps1."""
-        return 2.0 * self.delta_bcost / self.eps1
+        return laplace_scale(2.0 * self.delta_bcost, "eps1", self.eps1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,77 +219,65 @@ def check_stage1_size(n: int, total: int, mode: str, tables: int = 1,
     return candidates
 
 
-def all_costs(x: DataVector, eps2: float, mode: str = "pow2", noise: tuple | None = None,
-              deviations: "CostTable | None" = None) -> CostTable:
-    """Costs of every candidate bucket, plus Laplace(scale) noise if `noise` is (scale, rng).
-
-    Candidates are processed in slices of _CHUNK so the per-query arrays
-    stay cache-resident; each slice's deviations are computed, or read from
-    `deviations` (x's `deviation_table`), then priced and noised in place.
-    """
-    if not eps2 > 0:  # inf prices nothing, for `deviation_table`; nan is refused
-        raise ParameterError(f"eps2 must be positive, got {eps2}")
-    n = x.n
-    if noise:  # the sampler refuses a bad scale before the overflow check reads it
-        check_epsilon("scale", noise[0])
-    candidates = check_stage1_size(n, x.total(), mode, eps2=eps2, noise_scale=noise[0] if noise else 0.0)
-    if deviations is not None and (deviations.n, deviations.mode) != (n, mode):
-        raise ParameterError(f"deviations of n = {deviations.n}, mode {deviations.mode!r} "
-                             f"for n = {n}, mode {mode!r}")
-    # recorded once every check has passed, so a refused release charges nothing
-    draw = laplace_draws(*noise, candidates) if noise else None
-    lengths = np.asarray(candidate_lengths(n, mode), dtype=np.int64)
-    sizes = n - lengths + 1
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
+def _deviations(x: DataVector, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lengths, offsets and every candidate's exact deviation 2N/L in a fresh array, computed
+    in slices of _CHUNK so the per-query arrays stay cache-resident; callers check the size first."""
+    lengths = np.asarray(candidate_lengths(x.n, mode), dtype=np.int64)
+    bounds = np.concatenate(([0], np.cumsum(x.n - lengths + 1)))
     offsets = bounds[:-1]
-    if deviations is None:
-        prefix = np.concatenate(([0], np.cumsum(x.counts)))
-        index = _WindowIndex(x.counts)
-    costs = np.empty(candidates)
-    for at in range(0, candidates, _CHUNK):
-        stop = min(at + _CHUNK, candidates)
-        cost = costs[at:stop]
-        if deviations is None:
-            first, last = np.searchsorted(bounds, (at, stop - 1), side="right") - 1
-            extents = np.diff(np.clip(bounds[first : last + 2], at, stop))
-            group = np.repeat(np.arange(first, last + 1), extents)
-            length = lengths[group]
-            start = np.arange(at, stop) - offsets[group]
-            window_total = prefix[start + length] - prefix[start]
-            # the ceiling of the window mean never exceeds the window's largest value
-            at_least = -(-window_total // length)
-            count, total = index.count_sum_at_least(start, start + length, at_least)
-            num = length * total - window_total * count
-            np.divide(2 * num, length, out=cost)
-        else:
-            cost[:] = deviations.costs[at:stop]
-        cost += 1.0 / eps2
-        if draw:
-            cost += draw(stop - at)
-    return CostTable(n=n, mode=mode, lengths=lengths, offsets=offsets, costs=costs)
+    prefix = np.concatenate(([0], np.cumsum(x.counts)))
+    index = _WindowIndex(x.counts)
+    costs = np.empty(bounds[-1])
+    for at in range(0, costs.size, _CHUNK):
+        stop = min(at + _CHUNK, costs.size)
+        first, last = np.searchsorted(bounds, (at, stop - 1), side="right") - 1
+        extents = np.diff(np.clip(bounds[first : last + 2], at, stop))
+        group = np.repeat(np.arange(first, last + 1), extents)
+        length = lengths[group]
+        start = np.arange(at, stop) - offsets[group]
+        window_total = prefix[start + length] - prefix[start]
+        # the ceiling of the window mean never exceeds the window's largest value
+        at_least = -(-window_total // length)
+        count, total = index.count_sum_at_least(start, start + length, at_least)
+        np.divide(2 * (length * total - window_total * count), length, out=costs[at:stop])
+    return lengths, offsets, costs
+
+
+def all_costs(x: DataVector, eps2: float, mode: str = "pow2") -> CostTable:
+    """Costs of every candidate bucket: its exact deviation plus the 1/eps2 price."""
+    check_epsilon("eps2", eps2)
+    check_stage1_size(x.n, x.total(), mode, eps2=eps2)
+    lengths, offsets, costs = _deviations(x, mode)
+    costs += 1.0 / eps2
+    return CostTable(n=x.n, mode=mode, lengths=lengths, offsets=offsets, costs=costs)
 
 
 def deviation_table(x: DataVector, mode: str = "pow2") -> CostTable:
     """Every candidate's exact deviation 2N/L, which depends on x and mode
-    alone; `all_costs` prices and noises it with the bits of a fresh table.
-    Its caller checks that it fits beside the tables of costs read from it."""
-    return all_costs(x, math.inf, mode)  # 1/inf adds exactly 0.0
+    alone; a release prices and noises a copy of it with the bits of a fresh
+    table.  Its caller checks that it fits beside the tables read from it."""
+    check_stage1_size(x.n, x.total(), mode)
+    return CostTable(x.n, mode, *_deviations(x, mode))
 
 
-def perturb_costs(
-    table: CostTable,
-    eps1: float,
-    rng: RngStream,
-    delta_bcost: float = BUCKET_COST_SENSITIVITY,
-) -> CostTable:
-    """Add Laplace(2*delta_bcost/eps1) noise to every cost entry.
+def _add_noise(costs: np.ndarray, scale: float, rng: RngStream) -> None:
+    """Add Laplace(scale) to `costs` in place, _CHUNK at a time, as one ledger entry."""
+    draw = laplace_draws(scale, rng, costs.size)
+    for at in range(0, costs.size, _CHUNK):
+        costs[at : at + _CHUNK] += draw(min(_CHUNK, costs.size - at))
+
+
+def perturb_costs(table: CostTable, eps1: float, rng: RngStream,
+                  delta_bcost: float = BUCKET_COST_SENSITIVITY) -> CostTable:
+    """A copy of the table with Laplace(2*delta_bcost/eps1) noise on every
+    cost entry, drawn as a release draws it.
 
     The factor 2 on the sensitivity pays for reusing each count in the
     costs of overlapping candidate buckets.
     """
-    check_epsilon("eps1", eps1)
-    noise = laplace_sample(2.0 * delta_bcost / eps1, rng, size=len(table))
-    return replace(table, costs=np.add(noise, table.costs, out=noise))
+    costs = table.costs.copy()
+    _add_noise(costs, laplace_scale(2.0 * delta_bcost, "eps1", eps1), rng)
+    return replace(table, costs=costs)
 
 
 def least_cost_partition(table: CostTable, n: int) -> Partition:
@@ -341,19 +329,26 @@ def least_cost_partition(table: CostTable, n: int) -> Partition:
 
 def exact_partition(x: DataVector, eps2: float, mode: str = "pow2") -> Partition:
     """Noise-free least-cost partition; not private, for `dawa partition --exact` and tests."""
-    check_epsilon("eps2", eps2)
-    table = all_costs(x, eps2, mode)
-    return least_cost_partition(table, x.n)
+    return least_cost_partition(all_costs(x, eps2, mode), x.n)
 
 
 def private_partition(x: DataVector, params: PartitionParams, rng: RngStream,
                       deviations: "CostTable | None" = None) -> Partition:
     """Choose a partition under eps1-differential privacy.
 
-    Adds Laplace noise, scaled to twice the per-entry sensitivity, to each
-    slice of costs as it is computed, then solves the least-cost dynamic
-    program.  Same bits as `perturb_costs` on the exact table, except that a
-    zero uniform (chance 2^-53 per draw) is redrawn inside its slice.
+    Prices x's deviations at 1/eps2, fresh or a copy of `deviations` (x's
+    `deviation_table`), noises them in place with `perturb_costs`' sampler,
+    scaled to twice the per-entry sensitivity, then solves the least-cost
+    dynamic program: the bits of `perturb_costs(all_costs(...))`, in one table.
     """
-    return least_cost_partition(all_costs(x, params.eps2, params.mode, (params.noise_scale, rng), deviations), x.n)
-
+    n, mode = x.n, params.mode
+    check_stage1_size(n, x.total(), mode, eps2=params.eps2, noise_scale=params.noise_scale)
+    if deviations is None:
+        lengths, offsets, costs = _deviations(x, mode)
+    elif (deviations.n, deviations.mode) == (n, mode):
+        lengths, offsets, costs = deviations.lengths, deviations.offsets, deviations.costs.copy()
+    else:
+        raise ParameterError(f"deviations of n = {deviations.n}, mode {deviations.mode!r} for n = {n}, mode {mode!r}")
+    costs += 1.0 / params.eps2
+    _add_noise(costs, params.noise_scale, rng)
+    return least_cost_partition(CostTable(n=n, mode=mode, lengths=lengths, offsets=offsets, costs=costs), n)

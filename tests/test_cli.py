@@ -54,6 +54,13 @@ class TestWorkloadCmd:
         W = read_workload_file(p)
         assert W.m == 17
 
+    def test_identity_refuses_num_queries(self, capsys):
+        rc = main(["workload", "--kind", "identity", "--n", "3", "--num-queries", "5"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "dawa: error: unknown params for identity workload: ['num_queries']\n"
+        assert captured.out == ""
+
     def test_stdout_csv(self, capsys):
         rc = main(["workload", "--kind", "identity", "--n", "3", "--seed", "0"])
         assert rc == 0
@@ -95,6 +102,13 @@ class TestPartitionCmd:
         captured = capsys.readouterr()
         assert captured.err.splitlines()[-1] == "dawa: error: eps2 must be positive and finite, got inf"
         assert captured.out == ""
+        assert captured.err == "dawa: error: eps2 must be positive and finite, got inf\n"  # no warning first
+
+    def test_overflowing_noise_scale_names_eps1(self, data_file, capsys):
+        rc = main(["partition", "--data", str(data_file), "--eps1", "1e-310", "--eps2", "0.75"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "dawa: error: eps1 = 1e-310 is too small: the Laplace scale 4/eps1 overflows\n"
 
     def test_private_without_eps1_is_clean_error(self, data_file, capsys):
         rc = main(["partition", "--data", str(data_file), "--eps2", "0.75"])

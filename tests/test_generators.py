@@ -62,6 +62,10 @@ class TestWorkloads:
         with pytest.raises(ParameterError):
             gen_workload("uniform", 10, seed=0, shape=3)
 
+    def test_identity_refuses_every_param(self):
+        with pytest.raises(ParameterError, match=r"^unknown params for identity workload: \['bogus', 'num_queries'\]$"):
+            gen_workload("identity", 4, 0, num_queries=7, bogus=1)
+
     @pytest.mark.parametrize("kind, params, name", [
         ("clustered", {"sigma": np.nan}, "sigma"),
         ("large_clustered", {"sigma": np.inf}, "sigma"),

@@ -1,5 +1,6 @@
 """End-to-end mechanisms: budget accounting, baselines, dispatch."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -212,15 +213,18 @@ class TestDispatch:
     @pytest.mark.parametrize("n", [8, 64])
     def test_tiny_epsilon(self, name, n):
         # at 1e-300 every noise scale is finite and so are the estimates; at
-        # 1e-310 (subnormal) 1/eps overflows and the sampler rejects the scale
+        # 1e-310 (subnormal) 1/eps overflows, refused by the budget it divides
         x = gen_synthetic_data("piecewise_constant", n, seed=2, segments=4)
         W = gen_workload("uniform", n, seed=3, num_queries=20)
         got = run_mechanism(MechanismConfig(name=name, budget=PrivacyBudget.split(1e-300)),
                             x, W, RngStream(0))
         assert np.all(np.isfinite(got.values))
-        with pytest.raises(ParameterError, match="scale must be positive and finite"):
-            run_mechanism(MechanismConfig(name=name, budget=PrivacyBudget.split(1e-310)),
-                          x, W, RngStream(0))
+        budget = PrivacyBudget.split(1e-310)
+        # stage 1's scale is 2 * 2 / eps1; every other scale is 1 / eps
+        who, eps, scale = ("eps1", budget.eps1, 4) if name in ("dawa", "partition_laplace") else ("eps", 1e-310, 1)
+        message = f"{who} = {eps} is too small: the Laplace scale {scale}/{who} overflows"
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+            run_mechanism(MechanismConfig(name=name, budget=budget), x, W, RngStream(0))
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -255,10 +259,8 @@ def _epsilon_entries():
     }
 
 
-# all_costs takes eps2 = inf, which prices nothing, for deviation_table
 @pytest.mark.parametrize("entry, eps", [(entry, eps) for entry in _epsilon_entries()
-                                        for eps in (np.nan, np.inf, 0.0, -1.0)
-                                        if not (entry == "all_costs" and eps == np.inf)])
+                                        for eps in (np.nan, np.inf, 0.0, -1.0)])
 def test_bad_epsilon_is_refused_by_name_before_any_work(entry, eps):
     name, call = _epsilon_entries()[entry]
     with mock.patch.object(estimation, "greedy_scale", wraps=estimation.greedy_scale) as spy:

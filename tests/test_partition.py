@@ -4,6 +4,7 @@ empirical audit of stage 1's privacy claim."""
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta
 
+from dawa import partition
 from dawa.core import (
     DataVector,
     Interval,
@@ -138,6 +140,13 @@ class TestBucketAndPartitionCost:
     def test_invalid_eps(self, example_x):
         with pytest.raises(ParameterError):
             bucket_cost(example_x, Interval(1, 2), 0.0)
+
+
+def release_table(x, params, rng, deviations=None):
+    """The noisy table a `private_partition` release hands its dynamic program."""
+    with mock.patch.object(partition, "least_cost_partition", wraps=partition.least_cost_partition) as spy:
+        private_partition(x, params, rng, deviations)
+    return spy.call_args.args[0]
 
 
 def candidates(n: int, mode: str):
@@ -330,13 +339,12 @@ class TestWindowIndex:
     @pytest.mark.parametrize("n, mode", [(200, "all"), (2000, "pow2")])
     def test_both_structures_give_the_same_costs(self, monkeypatch, n, mode):
         x = DataVector(np.random.default_rng(n).integers(0, 40, size=n))
-        scale = 2.0 * BUCKET_COST_SENSITIVITY / 0.25
         costs = []
         # R = 0, 1, 20 and 40, then the default cap
         for cap in [rows * (n + 1) for rows in (0, 1, 20, 40)] + [_TABLE_CAP]:
             monkeypatch.setattr("dawa.partition._TABLE_CAP", cap)
-            costs.append([all_costs(x, 0.75, mode).costs.tobytes(),
-                          all_costs(x, 0.75, mode, (scale, RngStream(4))).costs.tobytes()])
+            released = release_table(x, PartitionParams(0.25, 0.75, mode), RngStream(4))
+            costs.append([all_costs(x, 0.75, mode).costs.tobytes(), released.costs.tobytes()])
         assert _WindowIndex(x.counts).rows == (40 if mode == "all" else 32)
         assert len(all_costs(x, 0.75, mode)) > 2 * _CHUNK
         assert all(c == costs[0] for c in costs)
@@ -376,9 +384,10 @@ class TestPerturb:
 
 
 class TestNoiseInSlices:
-    """On the private path `all_costs` adds each slice's noise as it goes;
-    the privacy audit and the benchmark's traced rebuild perturb the exact
-    table in one draw instead, so the two must give the same bits."""
+    """A release prices its deviations and noises them in place, a slice of
+    _CHUNK at a time, with the sampler of `perturb_costs`, which the privacy
+    audit and the benchmark's traced rebuild call on the exact table; the
+    two must give the same bits, and the slices those of one draw."""
 
     # 20,100 candidates in 3 slices, and 98,319 in 13
     CASES = [(200, "all"), (8192, "pow2")]
@@ -390,12 +399,40 @@ class TestNoiseInSlices:
     @pytest.mark.parametrize("n, mode", CASES)
     def test_slices_match_one_draw(self, n, mode):
         x = self.data(n)
-        assert len(all_costs(x, 0.75, mode)) > 2 * _CHUNK
+        exact = all_costs(x, 0.75, mode)
+        assert len(exact) > 2 * _CHUNK
         scale = 2.0 * BUCKET_COST_SENSITIVITY / 0.25
         for seed in (1, 2):
-            fused = all_costs(x, 0.75, mode, (scale, RngStream(seed)))
-            two_step = perturb_costs(all_costs(x, 0.75, mode), 0.25, RngStream(seed))
-            assert fused.costs.tobytes() == two_step.costs.tobytes()
+            released = release_table(x, PartitionParams(0.25, 0.75, mode), RngStream(seed))
+            two_step = perturb_costs(exact, 0.25, RngStream(seed))
+            one_draw = exact.costs + laplace_sample(scale, RngStream(seed), size=len(exact))
+            assert released.costs.tobytes() == two_step.costs.tobytes() == one_draw.tobytes()
+
+    def test_zero_uniform_is_redrawn_alike(self):
+        # a uniform of exactly 0 is redrawn inside its slice, by a release and
+        # by perturb_costs alike; draw 10,000 lies in the second of 3 slices
+        x = self.data(200)
+
+        def stream():
+            rng = RngStream(1)
+            gen, seen = rng.generator, [0]
+
+            def random(size):
+                u = gen.random(size)
+                if seen[0] <= 10_000 < seen[0] + size:
+                    u[10_000 - seen[0]] = 0.0
+                seen[0] += size
+                return u
+
+            rng._gen = mock.Mock(random=random)
+            return rng, seen
+
+        rng, seen = stream()
+        released = release_table(x, PartitionParams(0.25, 0.75, "all"), rng)
+        assert seen == [len(released) + 1]  # the zero was drawn and redrawn
+        rng, _ = stream()
+        two_step = perturb_costs(all_costs(x, 0.75, "all"), 0.25, rng)
+        assert released.costs.tobytes() == two_step.costs.tobytes()
 
     @pytest.mark.parametrize("n, mode", CASES)
     def test_private_partition_matches_two_step(self, n, mode):
@@ -426,21 +463,23 @@ class TestNoiseInSlices:
         assert len(deviations) > 2 * _CHUNK
         scale = 2.0 * BUCKET_COST_SENSITIVITY / 0.25
         for eps2 in (0.75, 0.3):
-            shared = all_costs(x, eps2, mode, deviations=deviations)
-            assert shared.costs.tobytes() == all_costs(x, eps2, mode).costs.tobytes()
+            priced = deviations.costs + 1.0 / eps2
+            assert priced.tobytes() == all_costs(x, eps2, mode).costs.tobytes()
+            params = PartitionParams(0.25, eps2, mode)
             for seed in (1, 2):
                 ledger = []
-                shared = all_costs(x, eps2, mode, (scale, RngStream(seed, ledger=ledger)), deviations)
-                fresh = all_costs(x, eps2, mode, (scale, RngStream(seed)))
+                shared = release_table(x, params, RngStream(seed, ledger=ledger), deviations)
+                fresh = release_table(x, params, RngStream(seed))
                 assert shared.costs.tobytes() == fresh.costs.tobytes()
                 assert ledger == [(scale, len(deviations))]
 
     def test_deviations_of_other_data_are_refused(self):
         x = self.data(200)
         with pytest.raises(ParameterError, match="deviations of n = 200, mode 'all' for n = 200, mode 'pow2'"):
-            all_costs(x, 0.75, "pow2", deviations=deviation_table(x, "all"))
+            private_partition(x, PartitionParams(0.25, 0.75, "pow2"), RngStream(0), deviation_table(x, "all"))
         with pytest.raises(ParameterError, match="for n = 199"):
-            all_costs(self.data(199), 0.75, "all", deviations=deviation_table(x, "all"))
+            private_partition(self.data(199), PartitionParams(0.25, 0.75, "all"), RngStream(0),
+                              deviation_table(x, "all"))
 
     def test_shared_deviations_charge_a_second_table(self, monkeypatch):
         # n = 16384 in mode all: 1.0 GiB per float64 table of 134,225,920 candidates
@@ -557,8 +596,8 @@ class TestRefusedReleaseChargesNothing:
     @pytest.mark.parametrize("eps1, eps2, counts, match", [
         # 1/eps2 overflows
         (0.25, 1e-310, None, "a larger eps1 or eps2 is needed"),
-        # 4/eps1 overflows: the sampler's refusal comes first
-        (1e-310, 1e-310, None, "scale must be positive and finite"),
+        # 4/eps1 overflows: refused by name when the parameters are built
+        (1e-310, 1e-310, None, "^eps1 = 1e-310 is too small: the Laplace scale 4/eps1 overflows$"),
         # 2**52 + 1 = 17 * 264917625139441
         (0.25, 0.75, [264917625139441 - 16] + [1] * 16, "2\\*\\*52"),
     ])
@@ -650,7 +689,7 @@ class TestExactPartition:
         assert part.k == 1
 
     def test_refuses_infinite_eps2(self):
-        # all_costs takes eps2 = inf for deviation_table; a partition needs a finite price
+        # a partition needs a finite price; all_costs refuses inf like every entry point
         with pytest.raises(ParameterError, match="^eps2 must be positive and finite, got inf$"):
             exact_partition(DataVector([7] * 6 + [6] * 6), math.inf)
 
