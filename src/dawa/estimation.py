@@ -16,16 +16,26 @@ per child and the squared norm of each node's workload image, kept as
 arrays for one level at a time while the greedy pass searches the tree
 bottom-up; each weight is the least of three candidates in closed form,
 for all nodes of a level at once.
-The image norms come from one length-k array of leaf weights and the
-workload's end buckets in O(m + k) per level; no Gram matrix, its inverse
-or any m-by-k workload matrix is formed.  Least squares runs in the
-eliminated form of Hay et al. (VLDB 2010) with unequal per-node variances
-(Qardaji, Yang & Li, VLDB 2013), linear in the tree size, for every scaled
-tree including the fixed hierarchies of the hier_* baselines.
+The image norms come from one array of leaf weights and the workload's end
+buckets in O(m + k) per level; no Gram matrix, its inverse or any m-by-k
+workload matrix is formed.  One greedy pass scales several (workload, tree)
+pairs at once: their leaves are packed side by side, each tree in a block
+of t**H leaves for the largest height H, with zero-weight phantom leaves
+between, so one weight search, one image-norm pass and one summary update
+serve every tree at a height, and each tree gets the bits it would get
+alone.  A single tree is a forest of one.
+Least squares runs in the eliminated form of Hay et al. (VLDB 2010) with
+unequal per-node variances (Qardaji, Yang & Li, VLDB 2013), linear in the
+tree size, for every scaled tree including the fixed hierarchies of the
+hier_* baselines.  Its half that reads only the tree (which nodes answer,
+their intervals, each level's weights, variances and shares, and whether
+the answers determine the buckets) is a plan, made once and kept on a tree
+whose scalings are read-only, so trials that share a tree only add noise
+and solve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +57,9 @@ from .transform import TransformedWorkload, transform_workload
 # effective scalings vanish and the Gram loses rank.
 LAMBDA_CAP = 1.0 - 1e-6
 
+# The most leaves one greedy pass packs; a tree larger than this is a pass of its own.
+_FOREST_LEAVES = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class QueryTree:
@@ -57,13 +70,15 @@ class QueryTree:
     min((i+1)*t**h, k)], so node i's children are nodes t*i .. t*i + t - 1
     of the level below and only the last node of a level may hold fewer
     than t.  Nodes are numbered in level order, root first, left to right;
-    scalings holds one weight per node in that order.
+    scalings holds one weight per node in that order.  `_plan` keeps the
+    tree's `_Plan` while its scalings are read-only (`_plan_of`).
     """
 
     k: int
     t: int
     level_sizes: tuple[int, ...]
     scalings: np.ndarray
+    _plan: "_Plan | None" = field(default=None, init=False, repr=False)
 
     def num_nodes(self) -> int:
         return len(self.scalings)
@@ -155,37 +170,67 @@ def _objective(sums: np.ndarray, mu: float, lam) -> np.ndarray:
     return np.square(1.0 + u) * (a * u2 + trace_sum) / (quad_sum * u2 + 1.0)
 
 
-def _image_norms2(What: TransformedWorkload, v: np.ndarray, totals: np.ndarray, span: int) -> np.ndarray:
-    """Per node of the level whose nodes cover `span` buckets, the squared
-    workload image norm sum over queries q of (What_q . v_node)^2, where
-    v_node is v on the node's buckets and 0 elsewhere.
+@dataclass(frozen=True, eq=False)
+class _PackedQueries:
+    """The queries of one packed pass, each offset to its tree's block of
+    leaves: query i has coefficient first_frac[i] on leaf first[i],
+    last_frac[i] on leaf last[i] and 1 on every leaf between.  Its leaves of
+    coefficient 1 run from ones_lo[i] up to ones_end[i] + 1, and to_end[i]
+    says that run reaches its tree's last real leaf."""
 
-    A node whose every bucket has coefficient 1 in a query adds its v-sum
+    first: np.ndarray
+    last: np.ndarray
+    first_frac: np.ndarray
+    last_frac: np.ndarray
+    ones_lo: np.ndarray
+    ones_end: np.ndarray
+    to_end: np.ndarray
+
+    @classmethod
+    def pack(cls, workloads: "list[TransformedWorkload]", block: int) -> "_PackedQueries":
+        """The workloads' queries, workload i's offset by i * block leaves."""
+        first = np.concatenate([What.first + i * block for i, What in enumerate(workloads)])
+        last = np.concatenate([What.last + i * block for i, What in enumerate(workloads)])
+        first_frac = np.concatenate([What.first_frac for What in workloads])
+        last_frac = np.concatenate([What.last_frac for What in workloads])
+        real_end = np.concatenate([np.full(len(What.last), i * block + What.partition.k - 1)
+                                   for i, What in enumerate(workloads)])
+        ones_end = np.where(last_frac == 1.0, last, last - 1)
+        return cls(first, last, first_frac, last_frac, np.where(first_frac == 1.0, first, first + 1), ones_end,
+                   ones_end == real_end)
+
+
+def _image_norms2(queries: _PackedQueries, v: np.ndarray, totals: np.ndarray, span: int) -> np.ndarray:
+    """Per node of the level whose nodes cover `span` leaves, the squared
+    workload image norm sum over queries q of (What_q . v_node)^2, where
+    v_node is v on the node's leaves and 0 elsewhere.
+
+    A node whose every leaf has coefficient 1 in a query adds its v-sum
     (totals, added up child by child) squared once per such query, counted
     by a +1/-1 difference array over node indices.  A query's (at most two)
     partly covered end nodes add its dot with them, from node-local prefix
-    sums of v.
+    sums of v.  Each node's terms are added in query order.
     """
-    k, nodes = len(v), len(totals)
+    leaves, nodes = len(v), len(totals)
     local = np.zeros((nodes, span))
-    local.reshape(-1)[:k] = v
+    local.reshape(-1)[:leaves] = v
     np.cumsum(local, axis=1, out=local)
     prefix = local.reshape(-1)
-    first, last = What.first, What.last
+    first, last = queries.first, queries.last
     f_node, l_node = first // span, last // span
-    # [lo, hi): the nodes covered with coefficient 1 throughout
-    lo = -(-np.where(What.first_frac == 1.0, first, first + 1) // span)
-    ones_end = np.where(What.last_frac == 1.0, last, last - 1)
-    hi = np.maximum(lo, np.where(ones_end == k - 1, nodes, (ones_end + 1) // span))
+    # [lo, hi): the nodes covered with coefficient 1 throughout; a run to its
+    # tree's last leaf covers that leaf's node, however few leaves it holds
+    lo = -(-queries.ones_lo // span)
+    hi = np.maximum(lo, (queries.ones_end + np.where(queries.to_end, span, 1)) // span)
     cover = np.cumsum(np.bincount(lo, minlength=nodes + 1) - np.bincount(hi, minlength=nodes + 1))[:nodes]
     apart = f_node < l_node
     before_last = np.where(last % span > 0, prefix[last - 1], 0.0)
-    last_term = What.last_frac * v[last]
-    # the dot with first's node: the first bucket, then the v-sum after it
+    last_term = queries.last_frac * v[last]
+    # the dot with first's node: the first leaf, then the v-sum after it
     # up to the node's end, or up to last and last's own term
     after_first = np.where(apart, local[f_node, -1], before_last) - prefix[first]
     rest = after_first + np.where(apart, 0.0, last_term)
-    near = What.first_frac * v[first] + np.where(first < last, rest, 0.0)
+    near = queries.first_frac * v[first] + np.where(first < last, rest, 0.0)
     near[(lo == f_node) & (f_node < hi)] = 0.0
     # the dot with last's node, when that is another partly covered node
     far = np.where(apart & (hi <= l_node), before_last + last_term, 0.0)
@@ -203,8 +248,9 @@ def _sum_children(values: np.ndarray, t: int) -> np.ndarray:
     return total
 
 
-def _search_lambda(sums: np.ndarray, mu: float) -> np.ndarray:
-    """Minimize the objective over [0, LAMBDA_CAP] for every column of sums.
+def _search_lambda(sums: np.ndarray, mu: "float | np.ndarray") -> np.ndarray:
+    """Minimize the objective over [0, LAMBDA_CAP] for every column of sums,
+    at one decay mu or at one per column.
 
     In _objective's terms f'(u) has the sign of p(u) = A Q u^4 + 2 A u^2 -
     B u + T, with p(0) = T >= 0.  If A <= 0, p only falls and the least
@@ -230,41 +276,163 @@ def _search_lambda(sums: np.ndarray, mu: float) -> np.ndarray:
 
 
 def greedy_scale(What: TransformedWorkload, tree: QueryTree) -> QueryTree:
-    """Choose node scalings for the workload, bottom-up, one level at a time.
+    """`greedy_scale_forest` on the one pair; writes tree.scalings in place
+    and returns the tree."""
+    greedy_scale_forest([(What, tree)])
+    return tree
 
-    Each internal node with two or more children picks the weight lam
-    minimizing its objective, all nodes of a level searched together.  A
-    node's scaling is lam times what its ancestors leave, and a leaf's is
-    all they leave (`write_scalings`), so every cover sum is exactly 1.0 and
-    stage 2 charges exactly eps2, by construction.  A node's workload image
-    is What applied to its leaf weights: the products of the 1/denom factors
-    of the nodes below it, kept for all leaves in one length-k array v,
-    while each node's v-sum goes up the tree as a fourth summary row.
-    Writes tree.scalings in place and returns the tree.
+
+def greedy_scale_forest(pairs: "list[tuple[TransformedWorkload, QueryTree]]") -> None:
+    """Choose every tree's node scalings for its workload, in place.
+
+    Trees of one branching are packed side by side, at most
+    `_FOREST_LEAVES` leaves to a pass, and each pass scales all its trees
+    together (`_scale_pass`); a tree gets the bits it would get alone.
     """
-    if What.partition.k != tree.k:
-        raise DimensionError(f"workload over {What.partition.k} buckets does not match k={tree.k}")
-    t = tree.t
-    v = np.ones(tree.k)
-    norms = _image_norms2(What, v, v, 1)
+    for What, tree in pairs:
+        if What.partition.k != tree.k:
+            raise DimensionError(f"workload over {What.partition.k} buckets does not match k={tree.k}")
+    passes: list[list] = []
+    for pair in pairs:
+        if (passes and passes[-1][0][1].t == pair[1].t
+                and _packed_leaves([tree for _, tree in passes[-1] + [pair]]) <= _FOREST_LEAVES):
+            passes[-1].append(pair)
+        else:
+            passes.append([pair])
+    for members in passes:
+        _scale_pass(members)
+
+
+def _packed_leaves(trees: "list[QueryTree]") -> int:
+    """Leaves of a pass over the trees: a block of t**H per tree but the last,
+    which keeps its own k, for the trees' largest height H."""
+    block = trees[0].t ** max(len(tree.level_sizes) - 1 for tree in trees)
+    return block * (len(trees) - 1) + trees[-1].k
+
+
+def _scale_pass(pairs: "list[tuple[TransformedWorkload, QueryTree]]") -> None:
+    """Greedy scalings for trees of one branching t, bottom-up, one height
+    at a time across all of them.
+
+    Tree i's leaves start at i * t**H for the largest height H, so at every
+    height its nodes are one run of the packed level; the leaves between
+    trees are phantoms with v = 0 and all-zero summaries, so every real sum
+    gains only + 0.0.  Each internal node with two or more real children
+    picks the weight lam minimizing its objective, all such nodes of a
+    height searched together, each with the decay of its depth in its own
+    tree.  A node with at most one real child (a lone last child, a phantom
+    or an ancestor above a shorter tree's root) keeps lam = 0 and passes
+    its summaries up unchanged.  A node's scaling is lam times what its
+    ancestors leave, and a leaf's is all they leave (`write_scalings`), so
+    every cover sum is exactly 1.0 and stage 2 charges exactly eps2, by
+    construction.  A node's workload image is its tree's workload applied to
+    its leaf weights: the products of the 1/denom factors of the nodes below
+    it, kept for all leaves in one array v, while each node's v-sum goes up
+    the tree as a fourth summary row.
+    """
+    trees = [tree for _, tree in pairs]
+    t = trees[0].t
+    heights = [len(tree.level_sizes) - 1 for tree in trees]
+    top = max(heights)
+    block = t ** top
+    queries = _PackedQueries.pack([What for What, _ in pairs], block)
+    v = np.zeros(_packed_leaves(trees))
+    for i, tree in enumerate(trees):
+        v[i * block : i * block + tree.k] = 1.0
+    norms = _image_norms2(queries, v, v, 1)
     summaries = np.stack([norms, v, norms, v])
-    lams = [np.zeros(size) for size in tree.level_sizes[:-1]]
-    for depth in range(len(lams) - 1, -1, -1):
-        span = t ** (len(lams) - depth)
+    real = [tree.k for tree in trees]  # each tree's real nodes on the level below
+    lams = [None]  # lams[h]: the weights of the nodes at height h
+    for height in range(1, top + 1):
+        span = t ** height
         trace_sum, quad_sum, norm2_sum, totals = _sum_children(summaries, t)
-        image2 = _image_norms2(What, v, totals, span)
-        # A lone (last) child passes its summaries up unchanged at weight 0.
-        lone = t * np.arange(len(image2)) + 1 == summaries.shape[1]
+        image2 = _image_norms2(queries, v, totals, span)
+        # each tree's first parents have two or more real children; the rest are lone
+        searched = [(r + t - 2) // t for r in real]
+        lone = np.ones(len(image2), dtype=bool)
+        for i, count in enumerate(searched):
+            lone[i * (block // span) : i * (block // span) + count] = False
+        real = [-(-r // t) for r in real]
         image2[lone] = norm2_sum[lone]
-        lam = lams[depth]
+        lam = np.zeros(len(image2))
         sums = np.stack([trace_sum, quad_sum, image2, norm2_sum])
-        lam[~lone] = _search_lambda(sums[:, ~lone], decay_factor(t, depth))
+        mu = np.repeat([decay_factor(t, h - height) for h in heights], searched)
+        lam[~lone] = _search_lambda(sums[:, ~lone], mu)
+        lams.append(lam)
         # Rank-one update of the subtree summaries; exact identity at lam = 0.
         denom = np.square(1.0 - lam) + np.square(lam) * quad_sum
         summaries = np.stack([_objective(sums, 1.0, lam), quad_sum / denom, image2 / (denom * denom),
                               totals / denom])
-        v /= np.repeat(denom, span)[: tree.k]
-    return write_scalings(tree, lams)
+        v /= np.repeat(denom, span)[: len(v)]
+    for i, (tree, h) in enumerate(zip(trees, heights)):
+        # the tree's depth d is height h - d, where its nodes start at i * t**(top - h + d)
+        fractions = [lams[h - d][i * t ** (top - h + d):][:size] for d, size in enumerate(tree.level_sizes[:-1])]
+        write_scalings(tree, fractions)
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """The half of `measure` and `ols_infer` that reads only the tree.
+
+    `active` marks the nodes with positive scaling, `los`/`his` bound their
+    intervals as prefix-sum indices and `scalings` holds their scalings.
+    Bottom-up, per level: its slice, each node's weight (own squared scaling
+    plus its children's inverse summed variance) and the children's part
+    (None at the leaves).  Top-down, per level below the root: each node's
+    parent and its share of the parent's residual.  `singular` is the reason
+    the answers cannot be reconciled, or None.
+    """
+
+    active: np.ndarray
+    los: np.ndarray
+    his: np.ndarray
+    scalings: np.ndarray
+    levels: list
+    weights: list
+    child_weights: list
+    parents: list
+    shares: list
+    singular: "str | None"
+
+    @classmethod
+    def of(cls, tree: QueryTree) -> "_Plan":
+        t, scalings = tree.t, tree.scalings
+        active = scalings > 0.0
+        los, his = (bound[active] for bound in tree.bounds())
+        weight = np.where(active, scalings * scalings, 0.0)
+        levels = _level_slices(tree)[::-1]
+        weights, child_weights, variances = [], [], []
+        parents, shares, singular = [], [], None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for at in levels:
+                w, child_weight = weight[at], None
+                if variances:
+                    child_weight = 1.0 / _sum_children(variances[-1], t)
+                    w = w + child_weight
+                weights.append(w)
+                child_weights.append(child_weight)
+                variances.append(1.0 / w)
+            if np.isinf(variances[-1][0]):
+                singular = "the answers do not determine the total"
+            for var in variances[-2::-1]:
+                free = np.isinf(var)
+                if singular is None and _sum_children(free.astype(np.int64), t).max() > 1:
+                    singular = "two sibling subtrees are both undetermined"
+                parents.append(np.arange(len(var)) // t)
+                shares.append(np.where(free, 1.0, var / _sum_children(var, t)[parents[-1]]))
+        return cls(active, los - 1, his, scalings[active], levels, weights, child_weights, parents, shares,
+                   singular)
+
+
+def _plan_of(tree: QueryTree) -> _Plan:
+    """The tree's plan, made once and kept while its scalings are read-only;
+    a tree whose scalings may still change gets a fresh one each call."""
+    if tree.scalings.flags.writeable:
+        object.__setattr__(tree, "_plan", None)
+        return _Plan.of(tree)
+    if tree._plan is None:
+        object.__setattr__(tree, "_plan", _Plan.of(tree))
+    return tree._plan
 
 
 def measure(bucket_counts: np.ndarray, tree: QueryTree, eps2: float, rng: RngStream) -> np.ndarray:
@@ -277,11 +445,10 @@ def measure(bucket_counts: np.ndarray, tree: QueryTree, eps2: float, rng: RngStr
     if counts.shape != (tree.k,):
         raise DimensionError(f"expected {tree.k} bucket counts, got shape {counts.shape}")
     scale = laplace_scale(1.0, "eps2", eps2)
+    plan = _plan_of(tree)
     prefix = np.concatenate(([0.0], np.cumsum(counts)))
-    active = tree.scalings > 0.0
-    noise = laplace_sample(scale, rng, size=int(np.count_nonzero(active)))
-    los, his = (bound[active] for bound in tree.bounds())
-    return tree.scalings[active] * (prefix[his] - prefix[los - 1]) + noise
+    noise = laplace_sample(scale, rng, size=len(plan.scalings))
+    return plan.scalings * (prefix[plan.his] - prefix[plan.los]) + noise
 
 
 def ols_infer(tree: QueryTree, measurements: np.ndarray) -> np.ndarray:
@@ -295,43 +462,42 @@ def ols_infer(tree: QueryTree, measurements: np.ndarray) -> np.ndarray:
     them in proportion to their variances, so a child of infinite variance
     (nothing answered on some path below it) takes the whole share.
     """
+    plan = _plan_of(tree)
+    if len(plan.scalings) != len(measurements):
+        raise DimensionError(f"{len(measurements)} measurements for {len(plan.scalings)} scaled nodes")
+    if plan.singular is not None:
+        raise SingularStrategyError(plan.singular)
     t = tree.t
-    scalings = tree.scalings
-    answered = scalings > 0.0
-    if np.count_nonzero(answered) != len(measurements):
-        raise DimensionError(f"{len(measurements)} measurements for {np.count_nonzero(answered)} scaled nodes")
-    weight = np.where(answered, scalings * scalings, 0.0)
-    num = np.zeros(len(scalings))
-    num[answered] = scalings[answered] * np.asarray(measurements, dtype=np.float64)
-    levels = _level_slices(tree)
-    est, var = np.zeros(len(scalings)), np.zeros(len(scalings))
+    num = np.zeros(len(tree.scalings))
+    num[plan.active] = plan.scalings * np.asarray(measurements, dtype=np.float64)
+    ests, child_sums = [], []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for at, below in zip(levels[::-1], [None] + levels[:0:-1]):
-            w, z, fallback = weight[at], num[at], 0.0
-            if below is not None:
-                fallback = _sum_children(est[below], t)
-                child_weight = 1.0 / _sum_children(var[below], t)
-                w, z = w + child_weight, z + fallback * child_weight
-            est[at] = np.where(w > 0.0, z / w, fallback)
-            var[at] = 1.0 / w
-        if np.isinf(var[0]):
-            raise SingularStrategyError("the answers do not determine the total")
-        final = est[:1]
-        for at in levels[1:]:
-            free = np.isinf(var[at])
-            if _sum_children(free.astype(np.int64), t).max() > 1:
-                raise SingularStrategyError("two sibling subtrees are both undetermined")
-            parent = np.arange(at.stop - at.start) // t
-            share = np.where(free, 1.0, var[at] / _sum_children(var[at], t)[parent])
-            final = est[at] + (final - _sum_children(est[at], t))[parent] * share
+        for at, w, child_weight in zip(plan.levels, plan.weights, plan.child_weights):
+            z, fallback = num[at], 0.0
+            if child_weight is not None:
+                fallback = _sum_children(ests[-1], t)
+                z = z + fallback * child_weight
+            child_sums.append(fallback)
+            ests.append(np.where(w > 0.0, z / w, fallback))
+        final = ests[-1]
+        for est, child_sum, parent, share in zip(ests[-2::-1], child_sums[:0:-1], plan.parents, plan.shares):
+            final = est + (final - child_sum)[parent] * share
     return final
 
 
+def scaled_trees(partitions: "list[Partition]", W: Workload, t: int) -> list[QueryTree]:
+    """Per partition, the query tree over its buckets scaled greedily for W,
+    all in packed passes; their scalings are read-only."""
+    trees = [build_query_tree(partition.k, t) for partition in partitions]
+    greedy_scale_forest([(transform_workload(W, partition), tree) for partition, tree in zip(partitions, trees)])
+    for tree in trees:
+        tree.scalings.setflags(write=False)
+    return trees
+
+
 def scaled_tree(partition: Partition, W: Workload, t: int) -> QueryTree:
-    """The query tree over the partition's buckets, scaled greedily for W; its scalings are read-only."""
-    tree = greedy_scale(transform_workload(W, partition), build_query_tree(partition.k, t))
-    tree.scalings.setflags(write=False)
-    return tree
+    """`scaled_trees` of the one partition."""
+    return scaled_trees([partition], W, t)[0]
 
 
 def estimate_buckets(

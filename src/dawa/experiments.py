@@ -19,15 +19,12 @@ from .core import (
     ParameterError,
     PrivacyBudget,
     RngStream,
-    Partition,
-    Workload,
     average_workload_error,
     derive_seed,
     read_data_file,
 )
-from .estimation import scaled_tree
 from .generators import gen_synthetic_data, gen_workload
-from .mechanisms import MECHANISM_NAMES, MechanismConfig, SharedWork, run_mechanism
+from .mechanisms import MECHANISM_NAMES, MechanismConfig, SharedWork, hier_tree, prepare_shared, run_mechanism
 from .partition import MODES, PartitionParams, check_stage1_size, deviation_table
 
 
@@ -159,34 +156,35 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     Trial seeds depend only on (master_seed, workload_id, trial), never on
     the mechanism or epsilon, so extending the grid leaves existing rows
-    unchanged.  Stage 1's deviations are made once per experiment and each
-    workload's greedy_no_partition tree before that workload's first trial.
-    The same seed and epsilon give dawa and partition_laplace the same
-    private partition, so the first of them to reach an (epsilon, trial)
-    makes it and the other reuses it, held until the workload ends.  A
-    trial's wall_ms leaves out this shared work.
+    unchanged.  The work trials share is made before they start: stage 1's
+    deviations and the hier_* trees once per experiment, and per workload
+    (`prepare_shared`) every (epsilon, trial)'s private partition, which
+    dawa and partition_laplace both read, then dawa's tree over each and
+    greedy_no_partition's, scaled together.  A trial's wall_ms leaves out
+    this shared work.
     """
     x = _load_data(cfg)
+    budgets = [PrivacyBudget.split(eps, cfg.stage1_fraction) for eps in cfg.epsilons]
     deviations = None
     if {"dawa", "partition_laplace"} & set(cfg.mechanisms):
         # refused before any trial unless the shared deviations fit beside one trial's noisy costs
         # and the costs at the smallest epsilon, which are the largest, cannot overflow
-        smallest = PrivacyBudget.split(min(cfg.epsilons), cfg.stage1_fraction)
-        params = PartitionParams(smallest.eps1, smallest.eps2, cfg.mode)
+        params = PartitionParams.of_budget(PrivacyBudget.split(min(cfg.epsilons), cfg.stage1_fraction), cfg.mode)
         check_stage1_size(x.n, x.total(), cfg.mode, tables=2, eps2=params.eps2, noise_scale=params.noise_scale)
         deviations = deviation_table(x, cfg.mode)
+    hier_trees = {name: hier_tree(name, x.n, cfg.branching) for name in ("hier_uniform", "hier_geometric")
+                  if name in cfg.mechanisms}
     wparams = {k: v for k, v in cfg.workload.items() if k != "kind"}
     results = []
     for wid in range(cfg.num_workloads):
         W = gen_workload(cfg.workload["kind"], x.n, derive_seed(cfg.master_seed, "workload", wid), **wparams)
-        tree = scaled_tree(Partition.unit(x.n), W, cfg.branching) if "greedy_no_partition" in cfg.mechanisms else None
-        shared = SharedWork(deviations, tree, {})
+        seeds = [derive_seed(cfg.master_seed, "trial", wid, trial) for trial in range(cfg.trials)]
+        shared = SharedWork(deviations, dict(hier_trees), {})
+        prepare_shared(shared, x, W, cfg.mechanisms, budgets, seeds, cfg.mode, cfg.branching)
         for name in cfg.mechanisms:
-            for eps in cfg.epsilons:
-                budget = PrivacyBudget.split(eps, cfg.stage1_fraction)
+            for eps, budget in zip(cfg.epsilons, budgets):
                 config = MechanismConfig(name=name, budget=budget, mode=cfg.mode, branching=cfg.branching)
-                for trial in range(cfg.trials):
-                    seed = derive_seed(cfg.master_seed, "trial", wid, trial)
+                for trial, seed in enumerate(seeds):
                     rng = RngStream(seed)
                     start = time.perf_counter()
                     xhat = run_mechanism(config, x, W, rng, shared)

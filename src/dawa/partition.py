@@ -26,6 +26,7 @@ from .core import (
     DataVector,
     ParameterError,
     Partition,
+    PrivacyBudget,
     RngStream,
     check_epsilon,
     laplace_draws,
@@ -75,6 +76,17 @@ class PartitionParams:
     def noise_scale(self) -> float:
         """Laplace scale of the cost noise: twice the per-entry sensitivity over eps1."""
         return laplace_scale(2.0 * self.delta_bcost, "eps1", self.eps1)
+
+    @classmethod
+    def of_budget(cls, budget: PrivacyBudget, mode: str = "pow2") -> "PartitionParams":
+        """Stage 1's knobs for a two-stage budget.  A stage-1 share whose
+        Laplace scale overflows is refused under the total epsilon, the name
+        the caller gave."""
+        sensitivity = 2.0 * cls.delta_bcost
+        if not np.isfinite(sensitivity / budget.eps1):
+            raise ParameterError(f"epsilon = {budget.epsilon} is too small: its stage-1 share {budget.eps1} "
+                                 f"overflows the Laplace scale {sensitivity:g}/eps1")
+        return cls(budget.eps1, budget.eps2, mode)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dawa.cli import main
-from dawa.core import read_data_file, read_workload_file
+from dawa.core import PrivacyBudget, read_data_file, read_workload_file
 from dawa.generators import DATA_KINDS, WORKLOAD_KINDS, gen_synthetic_data, gen_workload
 
 from .memory import peak_bytes
@@ -300,6 +300,22 @@ class TestRunCmd:
         assert not (tmp_path / "r.json").exists()
         assert peak < 16 * 2**20
 
+    def test_budget_too_small_for_stage1_names_epsilon(self, tmp_path, capsys):
+        # the config names no eps1, so neither may the refusal, which stage 1
+        # makes: the budget itself is valid for a single-stage mechanism
+        cfg = {"mechanisms": ["identity", "dawa"], "epsilons": [1e-310],
+               "workload": {"kind": "uniform", "num_queries": 5},
+               "data": {"kind": "constant"}, "n": 8, "num_workloads": 1, "trials": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == (
+            "dawa: error: epsilon = 1e-310 is too small: its stage-1 share 2.5e-311 "
+            "overflows the Laplace scale 4/eps1\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+        assert PrivacyBudget.split(1e-310).eps1 == 2.5e-311
+
     def test_missing_config(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "r.json")])
@@ -322,6 +338,20 @@ class TestSpatialCmd:
         answers = [float(ln.rsplit(",", 1)[1]) for ln in lines[1:]]
         assert answers[0] == pytest.approx(1.0, abs=1e-4)
         assert answers[1] == pytest.approx(5.0, abs=1e-4)
+
+    def test_budget_too_small_for_stage1_names_epsilon(self, tmp_path, capsys):
+        # the command takes --epsilon, not eps1, so the refusal names the total
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n0.5,0.5\n1.5,2.5\n")
+        rects = tmp_path / "rects.csv"
+        rects.write_text("xlo,xhi,ylo,yhi\n0.0,2.0,0.0,2.0\n")
+        rc = main(["spatial", "--points", str(pts), "--rects", str(rects), "--epsilon", "1e-309", "--g", "2"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "dawa: error: epsilon = 1e-309 is too small: its stage-1 share 2.5e-310 "
+            "overflows the Laplace scale 4/eps1\n"
+        )
 
     def test_box_inferred_from_points(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"

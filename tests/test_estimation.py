@@ -21,6 +21,7 @@ from dawa.core import (
 )
 from dawa.estimation import (
     LAMBDA_CAP,
+    _PackedQueries,
     _image_norms2,
     _objective,
     _search_lambda,
@@ -28,6 +29,7 @@ from dawa.estimation import (
     decay_factor,
     estimate_buckets,
     greedy_scale,
+    greedy_scale_forest,
     leaf_cover_sums,
     measure,
     ols_infer,
@@ -77,11 +79,13 @@ def objective_at(sums, lam, mu):
 
 
 def searched_columns(What, t):
-    """Every (sums, mu) batch the greedy pass hands the weight search."""
+    """Every (sums, mu) batch the greedy pass hands the weight search, split
+    into one batch per decay mu."""
     seen = []
 
     def record(sums, mu):
-        seen.append((sums.copy(), mu))
+        for one in np.unique(mu):
+            seen.append((sums[:, mu == one].copy(), float(one)))
         return _search_lambda(sums, mu)
 
     with mock.patch.object(estimation, "_search_lambda", record):
@@ -389,6 +393,119 @@ class TestGreedyScale:
             greedy_scale(random_transformed_workload(np.random.default_rng(0), 5, 2), tree)
 
 
+class TestForest:
+    """One greedy pass over several packed (workload, tree) pairs gives each
+    tree the bits it gets alone."""
+
+    @given(st.sampled_from([2, 3, 4]), st.integers(1, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pass_equals_each_pair_alone(self, t, count, data):
+        # heights differ with k (k = 1 has none), and a workload may hold the whole domain
+        pairs, alone = [], []
+        for _ in range(count):
+            n = data.draw(st.integers(1, 40))
+            part = data.draw(partitions_of(n))
+            W = data.draw(workloads_over(n))
+            if data.draw(st.booleans()):
+                W = Workload(np.append(W.los, 1), np.append(W.his, n))
+            What = transform_workload(W, part)
+            pairs.append((What, build_query_tree(part.k, t)))
+            alone.append(greedy_scale(What, build_query_tree(part.k, t)).scalings)
+        greedy_scale_forest(pairs)
+        for (_, tree), want in zip(pairs, alone):
+            assert tree.scalings.tobytes() == want.tobytes()
+
+    def test_pass_over_the_leaf_cap_splits_and_keeps_the_bits(self, monkeypatch):
+        # at t = 2 and 40 leaves a pass: 16 + 16 + 3 leaves, then 16 + 16 + 7;
+        # k = 50 alone exceeds the cap and is a pass of its own, and a tree of
+        # another branching starts a new pass
+        rng = np.random.default_rng(5)
+        shapes = [(5, 2), (9, 2), (3, 2), (16, 2), (1, 2), (7, 2), (50, 2), (2, 2), (4, 3)]
+        whats = [random_transformed_workload(rng, k, 6) for k, _ in shapes]
+        alone = [greedy_scale(What, build_query_tree(k, t)).scalings for What, (k, t) in zip(whats, shapes)]
+        passes = []
+        real = estimation._scale_pass
+
+        def spy(pairs):
+            passes.append([tree.k for _, tree in pairs])
+            return real(pairs)
+
+        monkeypatch.setattr(estimation, "_FOREST_LEAVES", 40)
+        monkeypatch.setattr(estimation, "_scale_pass", spy)
+        pairs = [(What, build_query_tree(k, t)) for What, (k, t) in zip(whats, shapes)]
+        greedy_scale_forest(pairs)
+        assert passes == [[5, 9, 3], [16, 1, 7], [50], [2], [4]]
+        for (_, tree), want in zip(pairs, alone):
+            assert tree.scalings.tobytes() == want.tobytes()
+
+    def test_rejects_bad_matrix_before_any_pass(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_scale_pass", None)
+        rng = np.random.default_rng(0)
+        good = random_transformed_workload(rng, 4, 2)
+        with pytest.raises(DimensionError):
+            greedy_scale_forest([(good, build_query_tree(4, 2)),
+                                 (random_transformed_workload(rng, 5, 2), build_query_tree(4, 2))])
+
+
+class TestPlan:
+    """The tree-only half of measure and ols_infer is a plan, kept on a tree
+    whose scalings are read-only and made afresh for a writable one."""
+
+    @staticmethod
+    def outcome(tree, measurements):
+        try:
+            return ols_infer(tree, measurements).tobytes()
+        except SingularStrategyError as err:
+            return str(err)
+
+    @given(st.integers(1, 20), st.sampled_from([2, 3, 4]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_kept_plan_gives_the_bits_of_a_fresh_one(self, k, t, data):
+        # random scalings, zeros included, so many strategies are singular
+        writable = build_query_tree(k, t)
+        choices = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+        writable.scalings[:] = [data.draw(choices) for _ in range(writable.num_nodes())]
+        kept = build_query_tree(k, t)
+        kept.scalings[:] = writable.scalings
+        kept.scalings.setflags(write=False)
+        counts = np.arange(1.0, k + 1.0)
+        for seed in (0, 1):  # the second round reads the kept plan
+            fresh = measure(counts, writable, 1.0, RngStream(seed))
+            assert measure(counts, kept, 1.0, RngStream(seed)).tobytes() == fresh.tobytes()
+            assert self.outcome(kept, fresh) == self.outcome(writable, fresh)
+        assert kept._plan is not None and writable._plan is None
+
+    def test_singular_message_after_measure_draws(self, example_counts):
+        # one answer at the root leaves both halves undetermined
+        tree = build_query_tree(4, 2)
+        tree.scalings[:] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        tree.scalings.setflags(write=False)
+        ledger = []
+        ms = measure(example_counts, tree, 1.0, RngStream(3, ledger=ledger))
+        assert len(ms) == 1 and ledger == [(1.0, 1)]
+        with pytest.raises(SingularStrategyError, match="^two sibling subtrees are both undetermined$"):
+            ols_infer(tree, ms)
+
+    def test_changed_scalings_are_seen(self, example_counts):
+        tree = build_query_tree(4, 2)
+        leaves_only = ols_infer(tree, measure(example_counts, tree, 1e12, RngStream(0)))
+        np.testing.assert_allclose(leaves_only, example_counts, atol=1e-6)
+        # a writable tree changed after a call: the next call reads the change
+        tree.scalings[:] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        ms = measure(example_counts, tree, 1.0, RngStream(3))
+        assert len(ms) == 1
+        with pytest.raises(SingularStrategyError):
+            ols_infer(tree, ms)
+        # a read-only tree keeps its plan; made writable and changed, it drops it
+        tree.scalings.setflags(write=False)
+        assert len(measure(example_counts, tree, 1.0, RngStream(3))) == 1
+        tree.scalings.setflags(write=True)
+        tree.scalings[:] = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+        ms = measure(example_counts, tree, 1e12, RngStream(4))
+        assert len(ms) == 4
+        np.testing.assert_allclose(ols_infer(tree, ms), example_counts, atol=1e-6)
+
+
 class TestExactCharge:
     """Stage 2 charges exactly eps2: every tree that reaches `measure` covers
     each leaf with scalings that sum to exactly 1.0."""
@@ -620,7 +737,7 @@ class TestImageNorms:
         while True:
             nodes = -(-k // span)
             totals = np.array([v[node * span : (node + 1) * span].sum() for node in range(nodes)])
-            got = _image_norms2(What, v, totals, span)
+            got = _image_norms2(_PackedQueries.pack([What], 0), v, totals, span)
             assert got.shape == (nodes,)
             for node in range(nodes):
                 v_node = np.zeros(k)

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import dawa.estimation
 import dawa.experiments
+import dawa.mechanisms
 from dawa.core import ParameterError, PrivacyBudget, RngStream, average_workload_error, derive_seed
 from dawa.experiments import (
     ExperimentConfig,
@@ -199,35 +201,67 @@ class TestSharedWork:
         swapped = ("partition_laplace",) + tuple(m for m in MECHANISM_NAMES if m != "partition_laplace")
         assert self.rows(cfg) == self.rows(small_config(**{**cfg.to_dict(), "mechanisms": swapped}))
 
-    def test_partition_laplace_alone_has_its_rows_in_the_full_grid(self):
-        cfg = self.config("all")
-        alone = self.rows(small_config(**{**cfg.to_dict(), "mechanisms": ["partition_laplace"]}))
-        assert len(alone) == 8 and alone == self.rows(cfg, "partition_laplace")
+    @pytest.mark.parametrize("mode", ["all", "pow2"])
+    @pytest.mark.parametrize("mechanism", MECHANISM_NAMES)
+    def test_alone_has_its_rows_in_the_full_grid(self, mechanism, mode):
+        cfg = self.config(mode)
+        alone = self.rows(small_config(**{**cfg.to_dict(), "mechanisms": [mechanism]}))
+        assert len(alone) == 8 and alone == self.rows(cfg, mechanism)
 
     def test_made_once_and_read_only(self, monkeypatch):
-        seen, indexes = [], []
+        seen, indexes, built = [], [], []
         real_run, real_index = dawa.experiments.run_mechanism, dawa.partition._WindowIndex
+        real_build = dawa.estimation.build_query_tree
 
         def run(config, x, W, rng, shared):
-            seen.append(shared)
+            # the trees as this trial finds them: a dawa trial takes its own out
+            seen.append((config, rng.seed, shared, dict(shared.trees)))
             return real_run(config, x, W, rng, shared)
 
         def index(values):
             indexes.append(values.size)
             return real_index(values)
 
+        def build(k, t=2):
+            built.append(k)
+            return real_build(k, t)
+
         monkeypatch.setattr(dawa.experiments, "run_mechanism", run)
         monkeypatch.setattr(dawa.partition, "_WindowIndex", index)
-        run_experiment(self.config("all"))
+        monkeypatch.setattr(dawa.estimation, "build_query_tree", build)
+        monkeypatch.setattr(dawa.mechanisms, "build_query_tree", build)
+        cfg = self.config("all")
+        run_experiment(cfg)
         # one window index for the whole experiment, none per trial
         assert indexes == [200]
-        deviations = {id(shared.deviations) for shared in seen}
-        trees = {id(shared.unit_tree) for shared in seen}
-        assert len(seen) == 48 and len(deviations) == 1 and len(trees) == 2
-        for shared in seen:
+        assert len(seen) == 48 and len({id(shared.deviations) for _, _, shared, _ in seen}) == 1
+        # no trial builds a tree: two hier_* trees per experiment, then per
+        # workload one dawa tree per (epsilon, trial) and the unit tree
+        assert len(built) == 2 + cfg.num_workloads * (len(cfg.epsilons) * cfg.trials + 1)
+        for name, made in (("hier_uniform", 1), ("hier_geometric", 1), ("greedy_no_partition", 2)):
+            assert len({id(trees[name]) for _, _, _, trees in seen}) == made
+        for config, seed, shared, trees in seen:
+            key = (config.budget.eps1, config.budget.eps2, seed)
+            if config.name == "dawa":  # its tree is read by this trial alone
+                assert key in trees and key not in shared.trees
             assert not shared.deviations.costs.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                shared.unit_tree.scalings[0] = 1.0
+            for tree in trees.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    tree.scalings[0] = 1.0
+
+    def test_one_forest_pass_per_workload(self, monkeypatch):
+        # every dawa tree of a workload and its unit tree are scaled in one pass
+        passes = []
+        real = dawa.estimation._scale_pass
+
+        def spy(pairs):
+            passes.append(len(pairs))
+            return real(pairs)
+
+        monkeypatch.setattr(dawa.estimation, "_scale_pass", spy)
+        cfg = self.config("pow2")
+        run_experiment(cfg)
+        assert passes == [len(cfg.epsilons) * cfg.trials + 1] * cfg.num_workloads == [5, 5]
 
     def test_memory_check_charges_a_table_per_trial_process(self, monkeypatch):
         # 20,100 candidates of 8 B: the shared deviations and one trial's noisy costs

@@ -213,7 +213,8 @@ class TestDispatch:
     @pytest.mark.parametrize("n", [8, 64])
     def test_tiny_epsilon(self, name, n):
         # at 1e-300 every noise scale is finite and so are the estimates; at
-        # 1e-310 (subnormal) 1/eps overflows, refused by the budget it divides
+        # 1e-310 (subnormal) 1/eps overflows, refused by the budget it divides;
+        # a two-stage budget is refused by its total, the name the caller gave
         x = gen_synthetic_data("piecewise_constant", n, seed=2, segments=4)
         W = gen_workload("uniform", n, seed=3, num_queries=20)
         got = run_mechanism(MechanismConfig(name=name, budget=PrivacyBudget.split(1e-300)),
@@ -221,8 +222,10 @@ class TestDispatch:
         assert np.all(np.isfinite(got.values))
         budget = PrivacyBudget.split(1e-310)
         # stage 1's scale is 2 * 2 / eps1; every other scale is 1 / eps
-        who, eps, scale = ("eps1", budget.eps1, 4) if name in ("dawa", "partition_laplace") else ("eps", 1e-310, 1)
-        message = f"{who} = {eps} is too small: the Laplace scale {scale}/{who} overflows"
+        message = "eps = 1e-310 is too small: the Laplace scale 1/eps overflows"
+        if name in ("dawa", "partition_laplace"):
+            message = (f"epsilon = 1e-310 is too small: its stage-1 share {budget.eps1} "
+                       "overflows the Laplace scale 4/eps1")
         with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
             run_mechanism(MechanismConfig(name=name, budget=budget), x, W, RngStream(0))
 
