@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -306,10 +307,10 @@ def laplace_sample(scale: float, rng: RngStream, size: int) -> np.ndarray:
     tell neighbouring inputs apart.  The epsilon-DP claims hold for
     real-valued Laplace noise; this sampler does not snap its outputs.
     Stage 2's sensitivity is the largest sum of node weights covering one
-    bucket (`leaf_cover_sums`), and `write_scalings` makes every such sum
-    exactly 1.0, so stage 2 charges exactly eps2, by construction.  That
-    sum is added in float64, and its own rounding, about 1e-16, falls under
-    the caveat above.
+    bucket (`leaf_cover_sums`), and every measured tree makes each such sum
+    exactly 1.0 (`write_scalings`, or a `flat_tree`'s ones), so stage 2
+    charges exactly eps2, by construction.  That sum is added in float64,
+    and its own rounding, about 1e-16, falls under the caveat above.
     """
     return laplace_draws(scale, rng, int(size))(int(size))
 
@@ -320,13 +321,22 @@ def check_epsilon(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
+# The largest |draw| of `laplace_draws` over its scale: 1 - 2|u - 1/2| is at least 2**-52 on u's grid.
+LAPLACE_TAIL = 52 * math.log(2.0)
+
+
+def laplace_overflows(sensitivity: float, eps: float) -> bool:
+    """Whether the largest Laplace draw at scale sensitivity/eps overflows float64."""
+    return not math.isfinite(LAPLACE_TAIL * float(sensitivity / eps))
+
+
 def laplace_scale(sensitivity: float, name: str, eps: float) -> float:
-    """Laplace scale sensitivity/eps; refuses eps by `name` if it is bad or the scale overflows."""
+    """Laplace scale sensitivity/eps; refuses eps by `name` if it is bad or the
+    scale overflows, at its largest draw."""
     check_epsilon(name, eps)
-    scale = sensitivity / eps
-    if not np.isfinite(scale):
+    if laplace_overflows(sensitivity, eps):
         raise ParameterError(f"{name} = {eps} is too small: the Laplace scale {sensitivity:g}/{name} overflows")
-    return scale
+    return sensitivity / eps
 
 
 def laplace_draws(scale: float, rng: RngStream, count: int):

@@ -3,10 +3,10 @@
 Bucket counts are measured through a hierarchy of interval sums, each
 scaled by a weight chosen greedily to suit the (transformed) workload, then
 reconciled by least squares.  Weights obey a unit-sensitivity constraint:
-`write_scalings` sets every tree's scalings root first, so that those
-covering any single bucket sum to exactly 1.0, and stage 2 charges exactly
-eps2, by construction, however many answers with Laplace(1/eps2) noise it
-takes.
+`write_scalings` sets every hierarchy's scalings root first (a `flat_tree`'s
+are all 1), so that those covering any single bucket sum to exactly 1.0,
+and stage 2 charges exactly eps2, by construction, however many answers
+with Laplace(1/eps2) noise it takes.
 
 The tree is implicit in (k, t): a node is its index in level order, its
 interval follows from its level and position, and the only per-node state
@@ -69,9 +69,10 @@ class QueryTree:
     ceil(k / t**h) nodes, and its node i covers [i*t**h + 1,
     min((i+1)*t**h, k)], so node i's children are nodes t*i .. t*i + t - 1
     of the level below and only the last node of a level may hold fewer
-    than t.  Nodes are numbered in level order, root first, left to right;
-    scalings holds one weight per node in that order.  `_plan` keeps the
-    tree's `_Plan` while its scalings are read-only (`_plan_of`).
+    than t; a `flat_tree` has the leaf level alone.  Nodes are numbered in
+    level order, root first, left to right; scalings holds one weight per
+    node in that order.  `_plan` keeps the tree's `_Plan` while its
+    scalings are read-only (`_plan_of`).
     """
 
     k: int
@@ -121,6 +122,13 @@ def build_query_tree(k: int, t: int = 2) -> QueryTree:
     scalings = np.zeros(sum(sizes))
     scalings[-k:] = 1.0
     return QueryTree(k=k, t=t, level_sizes=tuple(sizes), scalings=scalings)
+
+
+def flat_tree(k: int) -> QueryTree:
+    """k read-only leaf scalings of 1 and no root: least squares returns the answers as they are."""
+    tree = QueryTree(k=k, t=2, level_sizes=(k,), scalings=np.ones(k))
+    tree.scalings.setflags(write=False)
+    return tree
 
 
 def decay_factor(t: int, depth: int) -> float:
@@ -495,11 +503,6 @@ def scaled_trees(partitions: "list[Partition]", W: Workload, t: int) -> list[Que
     return trees
 
 
-def scaled_tree(partition: Partition, W: Workload, t: int) -> QueryTree:
-    """`scaled_trees` of the one partition."""
-    return scaled_trees([partition], W, t)[0]
-
-
 def estimate_buckets(
     partition: Partition,
     W: Workload,
@@ -510,10 +513,10 @@ def estimate_buckets(
     tree: "QueryTree | None" = None,
 ) -> Histogram:
     """Full stage 2: transform, scale greedily, measure, reconcile; a `tree`
-    from `scaled_tree(partition, W, t)` skips the first two and is only read."""
+    from `scaled_trees([partition], W, t)` skips the first two and is only read."""
     if partition.n != x.n:
         raise DimensionError(f"partition covers [1, {partition.n}] but data has n={x.n}")
-    tree = scaled_tree(partition, W, t) if tree is None else tree
+    tree = scaled_trees([partition], W, t)[0] if tree is None else tree
     measurements = measure(partition.bucket_totals(x.counts), tree, eps2, rng)
     stats = ols_infer(tree, measurements)
     return Histogram(partition=partition, stats=stats)

@@ -196,12 +196,13 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
 
 def report_emit(report: Report, path: "str | Path") -> None:
-    """Write the report as JSON; floats round-trip exactly through json."""
+    """Write the report as JSON; floats round-trip exactly through json.  A
+    report holding a value JSON cannot carry, such as NaN, is not written."""
     doc = {
         "config": report.config,
         "results": [asdict(r) for r in report.results],
         "aggregates": list(report.aggregates),
     }
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -2,30 +2,28 @@
 
 run_dawa is the two-stage mechanism; the rest are ablations that drop or
 replace one stage, so every comparison isolates a single design choice.
+Each releases stage 2 through `_release`, so `estimation.measure` makes every
+stage-2 draw; identity and partition_laplace measure on a `flat_tree`.
 All return an unclamped EstimateVector over the full domain.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     DataVector,
     EstimateVector,
-    Histogram,
     ParameterError,
     Partition,
     PrivacyBudget,
     RngStream,
     Workload,
     laplace_draws,
-    laplace_sample,
     laplace_scale,
     uniform_expand,
 )
-from .estimation import (QueryTree, build_query_tree, check_branching, estimate_buckets, measure, ols_infer,
-                         scaled_trees, write_scalings)
+from .estimation import (QueryTree, build_query_tree, check_branching, estimate_buckets, flat_tree, scaled_trees,
+                         write_scalings)
 from .partition import CostTable, PartitionParams, candidate_count, check_mode, private_partition
 
 MECHANISM_NAMES = (
@@ -126,19 +124,23 @@ def run_dawa(
     """Two-stage mechanism: private partition on eps1, bucket estimation on eps2.
 
     Sequential composition of the stages spends exactly the total budget.
-    A `tree` from `scaled_tree` over stage 1's partition skips the greedy
+    A `tree` from `scaled_trees` over stage 1's partition skips the greedy
     scaling.
     """
     check_branching(t)  # before stage 1, which dominates a release's time and memory
-    buckets = _stage1(x, budget, rng, mode, shared)
-    hist = estimate_buckets(buckets, W, x, budget.eps2, t, rng, tree)
-    return uniform_expand(hist, x.n)
+    return _release(x, _stage1(x, budget, rng, mode, shared), W, budget.eps2, t, rng, tree)
+
+
+def _release(x: DataVector, buckets: Partition, W: "Workload | None", eps: float, t: int, rng: RngStream,
+             tree: "QueryTree | None") -> EstimateVector:
+    """Stage 2 on eps through `tree` (None: scaled for W), spread over each bucket."""
+    return uniform_expand(estimate_buckets(buckets, W, x, eps, t, rng, tree), x.n)
 
 
 def run_identity(x: DataVector, eps: float, rng: RngStream) -> EstimateVector:
-    """Laplace noise on every count; the data- and workload-oblivious baseline."""
-    noise = laplace_sample(laplace_scale(1.0, "eps", eps), rng, size=x.n)
-    return EstimateVector(x.counts.astype(np.float64) + noise)
+    """Laplace noise on every count (the unit buckets' flat tree); the oblivious baseline."""
+    laplace_scale(1.0, "eps", eps)  # refuses eps by name before any work
+    return _release(x, Partition.unit(x.n), None, eps, 2, rng, flat_tree(x.n))
 
 
 def run_partition_laplace(
@@ -148,11 +150,9 @@ def run_partition_laplace(
     mode: str = "pow2",
     shared: SharedWork = SharedWork(),
 ) -> EstimateVector:
-    """Private partition, then plain Laplace on each bucket count."""
+    """Private partition, then plain Laplace on each bucket count (its flat tree)."""
     buckets = _stage1(x, budget, rng, mode, shared)
-    noise = laplace_sample(laplace_scale(1.0, "eps2", budget.eps2), rng, size=buckets.k)
-    stats = buckets.bucket_totals(x.counts) + noise
-    return uniform_expand(Histogram(partition=buckets, stats=stats), x.n)
+    return _release(x, buckets, None, budget.eps2, 2, rng, flat_tree(buckets.k))
 
 
 # Per hier_* baseline, its level weights' growth per level toward the leaves.
@@ -176,8 +176,7 @@ def _run_hierarchical(name: str, x: DataVector, eps: float, t: int, rng: RngStre
                       tree: QueryTree | None) -> EstimateVector:
     laplace_scale(1.0, "eps", eps)  # refuses eps by name before any work
     tree = hier_tree(name, x.n, t) if tree is None else tree
-    measurements = measure(x.counts.astype(np.float64), tree, eps, rng)
-    return EstimateVector(ols_infer(tree, measurements))
+    return _release(x, Partition.unit(x.n), None, eps, t, rng, tree)
 
 
 def run_hier_uniform(x: DataVector, eps: float, rng: RngStream, t: int = 2,
@@ -208,9 +207,7 @@ def run_greedy_no_partition(
 ) -> EstimateVector:
     """Stage 2 alone on unit buckets, spending the whole budget there."""
     laplace_scale(1.0, "eps", eps)  # refuses eps by name before any work
-    buckets = Partition.unit(x.n)
-    hist = estimate_buckets(buckets, W, x, eps, t, rng, tree)
-    return uniform_expand(hist, x.n)
+    return _release(x, Partition.unit(x.n), W, eps, t, rng, tree)
 
 
 def run_mechanism(config: MechanismConfig, x: DataVector, W: Workload, rng: RngStream,
@@ -225,10 +222,8 @@ def run_mechanism(config: MechanismConfig, x: DataVector, W: Workload, rng: RngS
         return run_identity(x, config.budget.epsilon, rng)
     if name == "partition_laplace":
         return run_partition_laplace(x, config.budget, rng, config.mode, shared)
-    if name == "hier_uniform":
-        return run_hier_uniform(x, config.budget.epsilon, rng, config.branching, trees.get(name))
-    if name == "hier_geometric":
-        return run_hier_geometric(x, config.budget.epsilon, rng, config.branching, trees.get(name))
+    if name in _HIER_RATIOS:
+        return _run_hierarchical(name, x, config.budget.epsilon, config.branching, rng, trees.get(name))
     if name == "greedy_no_partition":
         return run_greedy_no_partition(x, W, config.budget.epsilon, rng, config.branching, trees.get(name))
     raise ParameterError(f"unknown mechanism {name!r}")

@@ -30,6 +30,7 @@ from .core import (
     RngStream,
     check_epsilon,
     laplace_draws,
+    laplace_overflows,
     laplace_scale,
 )
 
@@ -79,13 +80,19 @@ class PartitionParams:
 
     @classmethod
     def of_budget(cls, budget: PrivacyBudget, mode: str = "pow2") -> "PartitionParams":
-        """Stage 1's knobs for a two-stage budget.  A stage-1 share whose
-        Laplace scale overflows is refused under the total epsilon, the name
-        the caller gave."""
+        """Stage 1's knobs for a two-stage budget.  A budget is refused under
+        the total epsilon, the name the caller gave, if either stage's Laplace
+        scale overflows at its largest draw, or if a noisy stage-1 cost's
+        bound in `check_stage1_size` does before any deviation is added."""
         sensitivity = 2.0 * cls.delta_bcost
-        if not np.isfinite(sensitivity / budget.eps1):
-            raise ParameterError(f"epsilon = {budget.epsilon} is too small: its stage-1 share {budget.eps1} "
-                                 f"overflows the Laplace scale {sensitivity:g}/eps1")
+        for stage, share, s, name in ((1, budget.eps1, sensitivity, "eps1"), (2, budget.eps2, 1.0, "eps2")):
+            if laplace_overflows(s, share):
+                raise ParameterError(f"epsilon = {budget.epsilon} is too small: its stage-{stage} share {share} "
+                                     f"overflows the Laplace scale {s:g}/{name}")
+        if not math.isfinite(_largest_cost(0, budget.eps2, sensitivity / budget.eps1)):
+            raise ParameterError(f"epsilon = {budget.epsilon} is too small: its stage shares {budget.eps1} and "
+                                 f"{budget.eps2} let a noisy stage-1 cost, up to 1/eps2 + 37 * {sensitivity:g}/eps1, "
+                                 "overflow")
         return cls(budget.eps1, budget.eps2, mode)
 
 
@@ -212,6 +219,11 @@ def _check_sums_finite(largest: float, n: int) -> None:
                              "overflow float64, so a larger eps1 or eps2 is needed")
 
 
+def _largest_cost(total: int, eps2: float, noise_scale: float) -> float:
+    # a deviation is at most 2 * total, and a Laplace draw at most 52 ln 2 < 37 times its scale
+    return 2.0 * total + 1.0 / eps2 + 37.0 * noise_scale
+
+
 def check_stage1_size(n: int, total: int, mode: str, tables: int = 1,
                       eps2: float = math.inf, noise_scale: float = 0.0) -> int:
     """Stage 1's candidate count, from its parameters alone so that nothing
@@ -221,8 +233,7 @@ def check_stage1_size(n: int, total: int, mode: str, tables: int = 1,
     candidates = candidate_count(n, mode)
     if n * total > EXACT_COST_LIMIT:
         raise ParameterError(f"n * total = {n * total} exceeds 2**52; stage-1 costs would not be exact")
-    # a deviation is at most 2 * total, and a Laplace draw at most 52 ln 2 < 37 times its scale
-    _check_sums_finite(2.0 * total + 1.0 / eps2 + 37.0 * noise_scale, n)
+    _check_sums_finite(_largest_cost(total, eps2, noise_scale), n)
     # a release holds its costs, noisy on the private path; releases sharing deviations hold those too
     need, have = 8 * tables * candidates, _physical_memory()
     if need > have:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from dawa import estimation, mechanisms, partition
+from dawa import estimation, partition
 from dawa.core import DataVector, Interval, Partition, PrivacyBudget, Workload
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -62,8 +62,7 @@ def window_index_calls(monkeypatch):
 
 @pytest.fixture
 def measured_trees(monkeypatch):
-    """The query trees given to `measure`, by stage 2 and by the hier_*
-    baselines alike, in call order."""
+    """The query trees given to `measure`, by every mechanism's stage 2, in call order."""
     trees = []
     measure = estimation.measure
 
@@ -72,5 +71,4 @@ def measured_trees(monkeypatch):
         return measure(counts, tree, eps, rng)
 
     monkeypatch.setattr(estimation, "measure", spy)
-    monkeypatch.setattr(mechanisms, "measure", spy)
     return trees

@@ -2,19 +2,21 @@
 against: per-bucket stage-1 costs, cost-table and Hilbert-curve lookups,
 the grid cell of a point, brute-force partitions, dense stage-2 matrices,
 the least-cost dynamic program, the level-batched greedy scaling and the
-workload generators; the private partition's utility bound; and the two
-forms that faster ones replaced, the per-level walk of the Hilbert curve
-and the two-branch Laplace sampler."""
+workload generators; the private partition's utility bound; the two
+direct baselines, identity and partition_laplace, that now release
+through the flat query tree; and the two forms that faster ones replaced,
+the per-level walk of the Hilbert curve and the two-branch Laplace sampler."""
 
 import math
 from functools import cache
 
 import numpy as np
 
-from dawa.core import (DataVector, EstimateVector, Interval, InvalidIntervalError, ParameterError, Partition,
-                       RngStream, SingularStrategyError, Workload, _values_of, check_epsilon)
+from dawa.core import (DataVector, EstimateVector, Histogram, Interval, InvalidIntervalError, ParameterError,
+                       Partition, RngStream, SingularStrategyError, Workload, _values_of, check_epsilon,
+                       laplace_sample, uniform_expand)
 from dawa.estimation import QueryTree, _objective, _search_lambda, decay_factor
-from dawa.partition import BUCKET_COST_SENSITIVITY, CostTable
+from dawa.partition import BUCKET_COST_SENSITIVITY, CostTable, PartitionParams, private_partition
 from dawa.spatial import GridSpec, HilbertMap
 
 BRUTE_FORCE_MAX_N = 12
@@ -344,6 +346,19 @@ def reference_laplace_sample(scale, rng, size):
     of 2u below one half and of 2(1 - u) above it."""
     u = rng.uniform_open(size)
     return np.where(u < 0.5, scale * np.log(2.0 * u), -scale * np.log(2.0 * (1.0 - u)))
+
+
+def reference_identity(x, eps, rng):
+    """Every count plus one Laplace(1/eps) draw, position by position."""
+    return EstimateVector(x.counts.astype(np.float64) + laplace_sample(1.0 / eps, rng, size=x.n))
+
+
+def reference_partition_laplace(x, budget, rng, mode, deviations=None):
+    """Stage 1's private partition, then every bucket total plus one
+    Laplace(1/eps2) draw, spread uniformly over its bucket."""
+    buckets = private_partition(x, PartitionParams.of_budget(budget, mode), rng, deviations)
+    stats = buckets.bucket_totals(x.counts) + laplace_sample(1.0 / budget.eps2, rng, size=buckets.k)
+    return uniform_expand(Histogram(partition=buckets, stats=stats), x.n)
 
 
 def reference_gen_workload(kind, n, seed, num_queries=2000, num_clusters=5,

@@ -316,6 +316,19 @@ class TestRunCmd:
         assert not (tmp_path / "r.json").exists()
         assert PrivacyBudget.split(1e-310).eps1 == 2.5e-311
 
+    def test_noise_that_would_overflow_is_refused_without_a_report(self, tmp_path, capsys):
+        # 1/eps = 1e308 is finite, but its largest Laplace draw, 36.04 times it, is not
+        cfg = {"mechanisms": ["identity"], "epsilons": [1e-308], "n": 16,
+               "workload": {"kind": "uniform", "num_queries": 5},
+               "data": {"kind": "constant"}, "num_workloads": 1, "trials": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would escape main as an exception
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == "dawa: error: eps = 1e-308 is too small: the Laplace scale 1/eps overflows\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_config(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "r.json")])
@@ -352,6 +365,24 @@ class TestSpatialCmd:
             "dawa: error: epsilon = 1e-309 is too small: its stage-1 share 2.5e-310 "
             "overflows the Laplace scale 4/eps1\n"
         )
+
+    @pytest.mark.parametrize("epsilon, fraction, reason", [
+        ("3e-308", "0.9", "its stage-1 share 2.7e-308 overflows the Laplace scale 4/eps1"),
+        ("1e-306", "0.25", "its stage-1 share 2.5e-307 overflows the Laplace scale 4/eps1"),
+        ("1e-306", "0.99", f"its stage-2 share {PrivacyBudget.split(1e-306, 0.99).eps2} overflows the Laplace scale "
+                           "1/eps2"),
+    ])
+    def test_budget_whose_noise_overflows_names_epsilon(self, tmp_path, capsys, epsilon, fraction, reason):
+        # the command has neither --eps1 nor --eps2, so the refusal asks for neither
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n0.1,0.2\n0.5,0.5\n0.9,0.7\n")
+        rects = tmp_path / "rects.csv"
+        rects.write_text("xlo,xhi,ylo,yhi\n0,0.6,0,0.6\n")
+        rc = main(["spatial", "--points", str(pts), "--rects", str(rects), "--epsilon", epsilon,
+                   "--stage1-fraction", fraction, "--g", "2"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"dawa: error: epsilon = {epsilon} is too small: {reason}\n"
 
     def test_box_inferred_from_points(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"

@@ -21,9 +21,13 @@ from dawa.core import (
     RngStream,
     Workload,
     average_workload_error,
+    LAPLACE_TAIL,
     derive_seed,
     evaluate_workload,
+    laplace_draws,
+    laplace_overflows,
     laplace_sample,
+    laplace_scale,
     read_data_file,
     read_workload_file,
     uniform_expand,
@@ -428,6 +432,26 @@ class TestLaplace:
         # the uniforms, reused for the result, and the signs: 16 MB at most
         peak, _ = peak_bytes(laplace_sample, 1.0, RngStream(0), size=1_000_000)
         assert peak <= 2.2 * 8_000_000
+
+    def test_scale_is_refused_where_its_largest_draw_overflows(self, monkeypatch):
+        # the ends of the 2^-53 grid give the largest draws, 52 ln 2 = 36.04 scales
+        rng = RngStream(0)
+        monkeypatch.setattr(rng, "uniform_open", lambda size: np.array([2.0**-53, 1.0 - 2.0**-53]))
+        largest = np.finfo(np.float64).max / LAPLACE_TAIL  # the largest finite scale, within a step or two
+        while not laplace_overflows(np.nextafter(largest, np.inf), 1.0):
+            largest = np.nextafter(largest, np.inf)
+        while laplace_overflows(largest, 1.0):
+            largest = np.nextafter(largest, 0.0)
+        draws = laplace_draws(largest, rng, 2)(2)
+        assert np.all(np.isfinite(draws)) and np.abs(draws).max() == LAPLACE_TAIL * largest
+        above = np.nextafter(largest, np.inf)
+        assert laplace_overflows(above, 1.0)
+        with np.errstate(over="ignore"):
+            assert np.isinf(laplace_draws(above, rng, 2)(2)).any()
+        # 1/1e-307 is finite, but 36.04 times it is not
+        assert laplace_scale(1.0, "eps", 1e-306) == 1e306
+        with pytest.raises(ParameterError, match=r"^eps = 1e-307 is too small: the Laplace scale 1/eps overflows$"):
+            laplace_scale(1.0, "eps", 1e-307)
 
     def test_invalid_scale(self):
         with pytest.raises(ParameterError):

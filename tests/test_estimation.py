@@ -28,6 +28,7 @@ from dawa.estimation import (
     build_query_tree,
     decay_factor,
     estimate_buckets,
+    flat_tree,
     greedy_scale,
     greedy_scale_forest,
     leaf_cover_sums,
@@ -504,6 +505,31 @@ class TestPlan:
         ms = measure(example_counts, tree, 1e12, RngStream(4))
         assert len(ms) == 4
         np.testing.assert_allclose(ols_infer(tree, ms), example_counts, atol=1e-6)
+
+
+class TestFlatTree:
+    """k leaves at scaling 1 and no root: measure adds one draw per bucket
+    and least squares returns the answers as they are."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 1000])
+    def test_least_squares_returns_the_answers(self, k):
+        tree = flat_tree(k)
+        answers = laplace_sample(1e3, RngStream(k), size=k)
+        assert ols_infer(tree, answers).tobytes() == answers.tobytes()
+        assert np.all(leaf_cover_sums(tree) == 1.0)
+        assert estimation._plan_of(tree).singular is None
+        assert estimation._plan_of(tree) is estimation._plan_of(tree)  # kept: the scalings are read-only
+        assert not tree.scalings.flags.writeable
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 1000])
+    def test_shape_and_measure(self, k):
+        tree = flat_tree(k)
+        los, his = tree.bounds()
+        assert tree.level_sizes == (k,) and tree.num_nodes() == k
+        assert los.tolist() == his.tolist() == list(range(1, k + 1))
+        counts = np.arange(k, dtype=np.float64) % 9
+        want = counts + laplace_sample(2.0, RngStream(5), size=k)
+        assert measure(counts, tree, 0.5, RngStream(5)).tobytes() == want.tobytes()
 
 
 class TestExactCharge:

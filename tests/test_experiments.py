@@ -1,6 +1,8 @@
 """Experiment grid: config plumbing, seed discipline, report stability."""
 
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,6 +143,15 @@ class TestReportFile:
             "seed", "avg_l1_error", "wall_ms",
         }
 
+    def test_value_json_cannot_carry_is_not_written(self, tmp_path):
+        report = run_experiment(small_config(trials=1, num_workloads=1))
+        for bad in (float("nan"), float("inf")):
+            rows = (replace(report.results[0], avg_l1_error=bad),) + report.results[1:]
+            p = tmp_path / "r.json"
+            with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+                report_emit(replace(report, results=rows), p)
+            assert not p.exists()
+
     def test_data_from_file(self, tmp_path):
         data_path = tmp_path / "x.txt"
         data_path.write_text("\n".join(["4"] * 32) + "\n")
@@ -276,12 +287,13 @@ class TestSharedWork:
             run_experiment(self.config("all"))
 
     def test_overflow_at_smallest_epsilon_refused_before_any_trial(self, monkeypatch, window_index_calls):
-        # at eps 1e-306 stage 1's costs could overflow; at 1.0 they could not
+        # at eps 1e-306 stage 1's noise could overflow; at 1.0 it could not
         def run(*args):
             raise AssertionError("a trial started")
 
         monkeypatch.setattr(dawa.experiments, "run_mechanism", run)
-        with pytest.raises(ParameterError, match="a larger eps1 or eps2 is needed"):
+        message = "epsilon = 1e-306 is too small: its stage-1 share 2.5e-307 overflows the Laplace scale 4/eps1"
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
             run_experiment(small_config(epsilons=(1.0, 1e-306)))
         assert window_index_calls == []
 

@@ -20,6 +20,7 @@ from dawa.generators import gen_synthetic_data, gen_workload
 from dawa.mechanisms import (
     MECHANISM_NAMES,
     MechanismConfig,
+    SharedWork,
     run_dawa,
     run_greedy_no_partition,
     run_hier_geometric,
@@ -31,6 +32,7 @@ from dawa.mechanisms import (
 from dawa.partition import PartitionParams, all_costs, deviation_table, perturb_costs
 
 from .memory import peak_bytes
+from .reference import reference_identity, reference_partition_laplace
 
 
 @pytest.fixture
@@ -57,6 +59,42 @@ class TestIdentity:
     def test_converges(self, piecewise_x):
         got = run_identity(piecewise_x, 1e9, RngStream(1))
         assert np.max(np.abs(got.values - piecewise_x.counts)) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 2048])
+def test_flat_tree_baselines_keep_their_direct_bits(n):
+    # on the flat tree least squares returns each noisy count as it is, so
+    # identity and partition_laplace are their direct formulas bit for bit
+    x = DataVector(np.random.default_rng(n).integers(0, 50, size=n))
+    tables = {mode: deviation_table(x, mode) for mode in ("pow2", "all")}
+    for eps in (0.1, 1.0, 1e9):
+        budget = PrivacyBudget.split(eps)
+        for seed in range(3):
+            for mode, table in tables.items():
+                got_ledger, want_ledger = [], []
+                got = run_partition_laplace(x, budget, RngStream(seed, got_ledger), mode, SharedWork(table))
+                want = reference_partition_laplace(x, budget, RngStream(seed, want_ledger), mode, table)
+                assert got.values.tobytes() == want.values.tobytes()
+                assert got_ledger == want_ledger
+            got_ledger, want_ledger = [], []
+            got = run_identity(x, eps, RngStream(seed, got_ledger))
+            want = reference_identity(x, eps, RngStream(seed, want_ledger))
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got_ledger == want_ledger == [(1.0 / eps, n)]
+
+
+@pytest.mark.parametrize("name", MECHANISM_NAMES)
+def test_stage2_noise_is_drawn_once_in_measure(name, measured_trees, piecewise_x, uniform_W):
+    budget = PrivacyBudget(1.0, 0.25, 0.75)
+    ledger = []
+    run_mechanism(MechanismConfig(name=name, budget=budget), piecewise_x, uniform_W, RngStream(4, ledger=ledger))
+    (tree,) = measured_trees
+    two_stage = name in ("dawa", "partition_laplace")
+    # stage 1's one entry, if any, then measure's, one draw per scaled node
+    assert len(ledger) == 1 + two_stage
+    assert ledger[-1] == (1.0 / (budget.eps2 if two_stage else budget.epsilon), int(np.sum(tree.scalings > 0)))
+    if name in ("identity", "partition_laplace"):
+        assert tree.level_sizes == (tree.k,) and np.all(tree.scalings == 1.0)
 
 
 class TestHierBaselines:
@@ -237,12 +275,23 @@ class TestDispatch:
 
 
 def test_dawa_refuses_costs_that_overflow(window_index_calls):
-    # at eps = 1e-306 the noisy stage-1 costs near 1e308 overflow when summed;
-    # refused from the parameters, before any cost
+    # at eps = 1e-306 the largest stage-1 draw, 36.04 * 4/eps1 near 6e308,
+    # overflows; refused with the budget, before any cost
     x = gen_synthetic_data("piecewise_constant", 1024, seed=1)
     W = gen_workload("uniform", 1024, seed=2, num_queries=50)
-    with pytest.raises(ParameterError, match="a larger eps1 or eps2 is needed"):
+    message = "epsilon = 1e-306 is too small: its stage-1 share 2.5e-307 overflows the Laplace scale 4/eps1"
+    with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
         run_dawa(x, W, PrivacyBudget.split(1e-306), RngStream(1))
+    assert window_index_calls == []
+
+
+def test_dawa_refuses_cost_sums_that_overflow(window_index_calls):
+    # at eps = 1e-304 every draw is finite, but 2n costs near 6e306 overflow
+    # when summed; refused from the parameters, before any cost
+    x = gen_synthetic_data("piecewise_constant", 1024, seed=1)
+    W = gen_workload("uniform", 1024, seed=2, num_queries=50)
+    with pytest.raises(ParameterError, match=r"^stage-1 costs reach 5\.93333e\+306; summed over n = 1024 positions"):
+        run_dawa(x, W, PrivacyBudget.split(1e-304), RngStream(1))
     assert window_index_calls == []
 
 

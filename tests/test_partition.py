@@ -589,6 +589,33 @@ class TestOverflowFromParameters:
         assert deviation_table(x, "all").costs.max() == 2.0 * 50 * (1 - 1 / 100)
 
 
+class TestBudgetRefusals:
+    """A two-stage budget that overflows is refused under its total, the one
+    name every caller of `of_budget` has."""
+
+    @pytest.mark.parametrize("epsilon, fraction, stage", [
+        # the largest stage-1 draw, 36.04 * 4/eps1, overflows
+        (1e-306, 0.25, 1), (3e-308, 0.9, 1),
+        # 4/eps1 is fine, but 1/eps2 near 1e308 is not
+        (1e-306, 0.99, 2),
+    ])
+    def test_share_whose_noise_overflows(self, epsilon, fraction, stage):
+        budget = PrivacyBudget.split(epsilon, fraction)
+        share, scale = (budget.eps1, "4/eps1") if stage == 1 else (budget.eps2, "1/eps2")
+        message = f"epsilon = {epsilon} is too small: its stage-{stage} share {share} overflows the Laplace scale {scale}"
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+            PartitionParams.of_budget(budget)
+
+    def test_cost_bound_that_overflows(self):
+        # 4/eps1 = 1/eps2 = 4.9e306 draw finitely, but 1/eps2 + 37 * 4/eps1 does not fit
+        budget = PrivacyBudget.split(1.0204e-306, 0.8)
+        message = (f"epsilon = 1.0204e-306 is too small: its stage shares {budget.eps1} and {budget.eps2} "
+                   "let a noisy stage-1 cost, up to 1/eps2 + 37 * 4/eps1, overflow")
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+            PartitionParams.of_budget(budget)
+        assert PartitionParams.of_budget(PrivacyBudget.split(1.1e-306, 0.8)).eps1 == 0.8 * 1.1e-306
+
+
 class TestRefusedReleaseChargesNothing:
     """A release that stage 1 refuses records no draws in the ledger and
     builds no window index."""

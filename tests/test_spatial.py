@@ -447,7 +447,7 @@ class TestRunSpatial:
         monkeypatch.setattr(spatial, "grid_discretize", discretize)
         spec = GridSpec(g=3, xmin=0, xmax=8, ymin=0, ymax=8)
         pts = np.random.default_rng(6).uniform(0, 8, size=(100, 2))
-        with pytest.raises(ParameterError, match="a larger eps1 or eps2 is needed"):
+        with pytest.raises(ParameterError, match=r"^epsilon = 1e-306 is too small: its stage-1 share 2\.5e-307 "):
             run_spatial(pts, [RectangleQuery(2, 6, 0, 3)], spec, PrivacyBudget.split(1e-306), RngStream(0))
         assert window_index_calls == []
 
