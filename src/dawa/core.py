@@ -377,13 +377,13 @@ def uniform_expand(h: Histogram, n: int) -> EstimateVector:
 
 
 def average_workload_error(W: Workload, x: "DataVector | np.ndarray", xhat: "EstimateVector | np.ndarray") -> float:
-    """Mean absolute query error of xhat against x over the workload."""
+    """Mean absolute query error of xhat against x over the workload: inf or
+    NaN, without a warning, when a sum on the way leaves float64's range."""
     xv, ev = _values_of(x), _values_of(xhat)
     if xv.size != ev.size:
         raise DimensionError(f"domain sizes differ: {xv.size} vs {ev.size}")
-    true = evaluate_workload(W, xv)
-    est = evaluate_workload(W, ev)
-    return float(np.mean(np.abs(est - true)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite error keeps its bits
+        return float(np.mean(np.abs(evaluate_workload(W, ev) - evaluate_workload(W, xv))))
 
 
 def read_data_file(path: "str | Path") -> DataVector:

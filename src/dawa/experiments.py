@@ -3,7 +3,9 @@
 The default protocol draws several random workloads and runs several trials
 of each mechanism on each, recording the average per-query L1 error.  Every
 seed is derived from the master seed by a keyed hash and recorded in the
-report, so a report is reproducible from its config alone.
+report, so a report is reproducible from its config alone.  The work that
+trials share, stage 1's records and the query trees, is made here once and
+handed to each trial's `run_mechanism` call.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import numpy as np
 from .core import (
     DataVector,
     ParameterError,
+    Partition,
     PrivacyBudget,
     RngStream,
     average_workload_error,
@@ -24,7 +27,8 @@ from .core import (
     read_data_file,
 )
 from .generators import gen_synthetic_data, gen_workload
-from .mechanisms import MECHANISM_NAMES, MechanismConfig, SharedWork, hier_tree, prepare_shared, run_mechanism
+from .estimation import flat_tree, scaled_trees
+from .mechanisms import MECHANISM_NAMES, MechanismConfig, hier_tree, private_stage1, run_mechanism
 from .partition import MODES, PartitionParams, check_stage1_size, deviation_table
 
 
@@ -156,41 +160,58 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     Trial seeds depend only on (master_seed, workload_id, trial), never on
     the mechanism or epsilon, so extending the grid leaves existing rows
-    unchanged.  The work trials share is made before they start: stage 1's
-    deviations and the hier_* trees once per experiment, and per workload
-    (`prepare_shared`) every (epsilon, trial)'s private partition, which
-    dawa and partition_laplace both read, then dawa's tree over each and
-    greedy_no_partition's, scaled together.  A trial's wall_ms leaves out
-    this shared work.
+    unchanged.  The work trials share is made here, before they start, and
+    handed to each trial's `run_mechanism` call, which gives it the bits of
+    a release that makes its own: once per experiment stage 1's deviations,
+    the hier_* trees and identity's flat tree; per workload the
+    `private_stage1` record of every (epsilon, trial), on a fresh stream of
+    the trial's seed, which dawa and partition_laplace both take, then
+    dawa's tree over each record's partition and greedy_no_partition's,
+    scaled together.  A trial's wall_ms leaves out this shared work.  The
+    first trial whose error float64 cannot hold is refused, before the next.
     """
     x = _load_data(cfg)
+    two_stage = {"dawa", "partition_laplace"} & set(cfg.mechanisms)
     budgets = [PrivacyBudget.split(eps, cfg.stage1_fraction) for eps in cfg.epsilons]
     deviations = None
-    if {"dawa", "partition_laplace"} & set(cfg.mechanisms):
+    if two_stage:
         # refused before any trial unless the shared deviations fit beside one trial's noisy costs
         # and the costs at the smallest epsilon, which are the largest, cannot overflow
-        params = PartitionParams.of_budget(PrivacyBudget.split(min(cfg.epsilons), cfg.stage1_fraction), cfg.mode)
+        params = PartitionParams.of_budget(PrivacyBudget.split(min(cfg.epsilons), cfg.stage1_fraction), cfg.mode, x.n)
         check_stage1_size(x.n, x.total(), cfg.mode, tables=2, eps2=params.eps2, noise_scale=params.noise_scale)
         deviations = deviation_table(x, cfg.mode)
-    hier_trees = {name: hier_tree(name, x.n, cfg.branching) for name in ("hier_uniform", "hier_geometric")
-                  if name in cfg.mechanisms}
+    fixed_trees = {name: hier_tree(name, x.n, cfg.branching) for name in ("hier_uniform", "hier_geometric")
+                   if name in cfg.mechanisms}
+    if "identity" in cfg.mechanisms:
+        fixed_trees["identity"] = flat_tree(x.n)
     wparams = {k: v for k, v in cfg.workload.items() if k != "kind"}
     results = []
     for wid in range(cfg.num_workloads):
         W = gen_workload(cfg.workload["kind"], x.n, derive_seed(cfg.master_seed, "workload", wid), **wparams)
         seeds = [derive_seed(cfg.master_seed, "trial", wid, trial) for trial in range(cfg.trials)]
-        shared = SharedWork(deviations, dict(hier_trees), {})
-        prepare_shared(shared, x, W, cfg.mechanisms, budgets, seeds, cfg.mode, cfg.branching)
+        stage1 = {(eps, seed): private_stage1(x, budget, RngStream(seed), cfg.mode, deviations)
+                  for eps, budget in zip(cfg.epsilons, budgets) for seed in seeds} if two_stage else {}
+        keys = list(stage1) if "dawa" in cfg.mechanisms else []
+        partitions = [stage1[key].buckets for key in keys]
+        if "greedy_no_partition" in cfg.mechanisms:
+            keys.append("greedy_no_partition")
+            partitions.append(Partition.unit(x.n))
+        trees = {**fixed_trees, **dict(zip(keys, scaled_trees(partitions, W, cfg.branching)))}
         for name in cfg.mechanisms:
             for eps, budget in zip(cfg.epsilons, budgets):
                 config = MechanismConfig(name=name, budget=budget, mode=cfg.mode, branching=cfg.branching)
                 for trial, seed in enumerate(seeds):
+                    # a dawa tree is read by its own trial alone
+                    tree = trees.pop((eps, seed)) if name == "dawa" else trees.get(name)
                     rng = RngStream(seed)
                     start = time.perf_counter()
-                    xhat = run_mechanism(config, x, W, rng, shared)
+                    xhat = run_mechanism(config, x, W, rng, stage1.get((eps, seed)), tree)
                     wall_ms = (time.perf_counter() - start) * 1000.0 if cfg.record_timing else 0.0
-                    results.append(TrialResult(name, eps, wid, trial, seed,
-                                               average_workload_error(W, x, xhat), wall_ms))
+                    error = average_workload_error(W, x, xhat)
+                    if not np.isfinite(error):
+                        raise ParameterError(f"epsilon = {eps} is too small: mechanism {name!r} on workload {wid}, "
+                                             f"trial {trial} has an average error of {error}, past float64's range")
+                    results.append(TrialResult(name, eps, wid, trial, seed, error, wall_ms))
     results = tuple(results)
     return Report(config=cfg.to_dict(), results=results, aggregates=compute_aggregates(results))
 

@@ -79,20 +79,23 @@ class PartitionParams:
         return laplace_scale(2.0 * self.delta_bcost, "eps1", self.eps1)
 
     @classmethod
-    def of_budget(cls, budget: PrivacyBudget, mode: str = "pow2") -> "PartitionParams":
-        """Stage 1's knobs for a two-stage budget.  A budget is refused under
-        the total epsilon, the name the caller gave, if either stage's Laplace
-        scale overflows at its largest draw, or if a noisy stage-1 cost's
-        bound in `check_stage1_size` does before any deviation is added."""
+    def of_budget(cls, budget: PrivacyBudget, mode: str, n: int) -> "PartitionParams":
+        """Stage 1's knobs for a two-stage budget over n positions.  A budget
+        is refused under the total epsilon, the name the caller gave, if
+        either stage's Laplace scale overflows at its largest draw, or if the
+        DP's path sums could: 2n times a noisy cost's bound in
+        `check_stage1_size` before any deviation is added."""
         sensitivity = 2.0 * cls.delta_bcost
         for stage, share, s, name in ((1, budget.eps1, sensitivity, "eps1"), (2, budget.eps2, 1.0, "eps2")):
             if laplace_overflows(s, share):
                 raise ParameterError(f"epsilon = {budget.epsilon} is too small: its stage-{stage} share {share} "
                                      f"overflows the Laplace scale {s:g}/{name}")
-        if not math.isfinite(_largest_cost(0, budget.eps2, sensitivity / budget.eps1)):
+        # the deviations' share, 2 * total per cost, is left out: with n * total <= 2**52, as
+        # check_stage1_size demands, it is below half an ulp of any bound whose 2n-fold sum overflows
+        if not math.isfinite(2.0 * n * _largest_cost(0, budget.eps2, sensitivity / budget.eps1)):
             raise ParameterError(f"epsilon = {budget.epsilon} is too small: its stage shares {budget.eps1} and "
-                                 f"{budget.eps2} let a noisy stage-1 cost, up to 1/eps2 + 37 * {sensitivity:g}/eps1, "
-                                 "overflow")
+                                 f"{budget.eps2} let noisy stage-1 costs, each up to 1/eps2 + 37 * "
+                                 f"{sensitivity:g}/eps1, overflow when summed over n = {n} positions")
         return cls(budget.eps1, budget.eps2, mode)
 
 

@@ -245,8 +245,9 @@ def run_spatial(
     Returns the per-rectangle answers and the private linearized estimate.
     """
     # refuse what stage 1 cannot run before the grid and curve table exist
-    params = PartitionParams.of_budget(budget, mode)
-    check_stage1_size(spec.side * spec.side, len(points), mode, eps2=params.eps2, noise_scale=params.noise_scale)
+    n = spec.side * spec.side
+    params = PartitionParams.of_budget(budget, mode, n)
+    check_stage1_size(n, len(points), mode, eps2=params.eps2, noise_scale=params.noise_scale)
     map_ = HilbertMap(spec.g)
     grid = grid_discretize(points, spec)
     x = linearize(grid, map_)

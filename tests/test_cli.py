@@ -371,6 +371,10 @@ class TestSpatialCmd:
         ("1e-306", "0.25", "its stage-1 share 2.5e-307 overflows the Laplace scale 4/eps1"),
         ("1e-306", "0.99", f"its stage-2 share {PrivacyBudget.split(1e-306, 0.99).eps2} overflows the Laplace scale "
                            "1/eps2"),
+        # every draw is finite, but the sum of 2n = 32 noisy costs near 5.93e306 is not
+        ("1e-304", "0.25", "its stage shares {0.eps1} and {0.eps2} let noisy stage-1 costs, each up to "
+                           "1/eps2 + 37 * 4/eps1, overflow when summed over n = 16 positions"
+                           .format(PrivacyBudget.split(1e-304))),
     ])
     def test_budget_whose_noise_overflows_names_epsilon(self, tmp_path, capsys, epsilon, fraction, reason):
         # the command has neither --eps1 nor --eps2, so the refusal asks for neither

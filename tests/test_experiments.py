@@ -152,6 +152,25 @@ class TestReportFile:
                 report_emit(replace(report, results=rows), p)
             assert not p.exists()
 
+    def test_first_error_past_float64_is_refused(self, monkeypatch):
+        # every estimate and answer is finite, but errors near 1e307 overflow
+        # their mean; the first such trial is refused, before the next runs
+        trials = []
+        real = dawa.experiments.run_mechanism
+
+        def run(*args):
+            trials.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dawa.experiments, "run_mechanism", run)
+        cfg = small_config(mechanisms=["identity"], epsilons=[1e-306], n=4096, data={"kind": "constant"},
+                           workload={"kind": "uniform", "num_queries": 50}, num_workloads=1, master_seed=0)
+        message = ("epsilon = 1e-306 is too small: mechanism 'identity' on workload 0, trial 0 has an average "
+                   "error of inf, past float64's range")
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+            run_experiment(cfg)
+        assert len(trials) == 1
+
     def test_data_from_file(self, tmp_path):
         data_path = tmp_path / "x.txt"
         data_path.write_text("\n".join(["4"] * 32) + "\n")
@@ -220,14 +239,17 @@ class TestSharedWork:
         assert len(alone) == 8 and alone == self.rows(cfg, mechanism)
 
     def test_made_once_and_read_only(self, monkeypatch):
-        seen, indexes, built = [], [], []
+        seen, indexes, built, read = [], [], [], []
         real_run, real_index = dawa.experiments.run_mechanism, dawa.partition._WindowIndex
-        real_build = dawa.estimation.build_query_tree
+        real_build, real_stage1 = dawa.estimation.build_query_tree, dawa.experiments.private_stage1
 
-        def run(config, x, W, rng, shared):
-            # the trees as this trial finds them: a dawa trial takes its own out
-            seen.append((config, rng.seed, shared, dict(shared.trees)))
-            return real_run(config, x, W, rng, shared)
+        def run(config, x, W, rng, stage1, tree):
+            seen.append((config, rng.seed, stage1, tree))
+            return real_run(config, x, W, rng, stage1, tree)
+
+        def stage1(x, budget, rng, mode, deviations):
+            read.append(deviations)
+            return real_stage1(x, budget, rng, mode, deviations)
 
         def index(values):
             indexes.append(values.size)
@@ -238,27 +260,36 @@ class TestSharedWork:
             return real_build(k, t)
 
         monkeypatch.setattr(dawa.experiments, "run_mechanism", run)
+        monkeypatch.setattr(dawa.experiments, "private_stage1", stage1)
         monkeypatch.setattr(dawa.partition, "_WindowIndex", index)
         monkeypatch.setattr(dawa.estimation, "build_query_tree", build)
         monkeypatch.setattr(dawa.mechanisms, "build_query_tree", build)
         cfg = self.config("all")
         run_experiment(cfg)
-        # one window index for the whole experiment, none per trial
+        # one window index and one read-only deviation table for the whole
+        # experiment, read by every stage-1 record
         assert indexes == [200]
-        assert len(seen) == 48 and len({id(shared.deviations) for _, _, shared, _ in seen}) == 1
+        assert len(read) == cfg.num_workloads * len(cfg.epsilons) * cfg.trials == 8
+        assert len({id(deviations) for deviations in read}) == 1 and not read[0].costs.flags.writeable
         # no trial builds a tree: two hier_* trees per experiment, then per
         # workload one dawa tree per (epsilon, trial) and the unit tree
+        assert len(seen) == 48
         assert len(built) == 2 + cfg.num_workloads * (len(cfg.epsilons) * cfg.trials + 1)
-        for name, made in (("hier_uniform", 1), ("hier_geometric", 1), ("greedy_no_partition", 2)):
-            assert len({id(trees[name]) for _, _, _, trees in seen}) == made
-        for config, seed, shared, trees in seen:
-            key = (config.budget.eps1, config.budget.eps2, seed)
-            if config.name == "dawa":  # its tree is read by this trial alone
-                assert key in trees and key not in shared.trees
-            assert not shared.deviations.costs.flags.writeable
-            for tree in trees.values():
+        trees = {name: [tree for config, _, _, tree in seen if config.name == name] for name in MECHANISM_NAMES}
+        # each dawa tree is given to one trial; identity's flat tree is one per experiment
+        for name, made in (("dawa", 8), ("identity", 1), ("hier_uniform", 1), ("hier_geometric", 1),
+                           ("greedy_no_partition", 2)):
+            assert len({id(tree) for tree in trees[name]}) == made
+        assert len(trees["dawa"]) == 8 and trees["identity"][0].level_sizes == (200,)
+        assert trees["partition_laplace"] == [None] * 8
+        records = {}
+        for config, seed, record, tree in seen:
+            if config.name in ("dawa", "partition_laplace"):  # both read the (epsilon, trial)'s one record
+                assert records.setdefault((config.budget.epsilon, seed), record) is record is not None
+            if tree is not None:
                 with pytest.raises(ValueError, match="read-only"):
                     tree.scalings[0] = 1.0
+        assert len(records) == 8
 
     def test_one_forest_pass_per_workload(self, monkeypatch):
         # every dawa tree of a workload and its unit tree are scaled in one pass
@@ -298,18 +329,22 @@ class TestSharedWork:
         assert window_index_calls == []
 
     def test_one_stage1_ledger_entry_per_trial(self, monkeypatch):
+        # run_experiment makes the stage-1 records' streams too: read the trials' own
         ledgers = []
+        real = dawa.experiments.run_mechanism
 
-        def stream(seed):
-            ledgers.append([])
-            return RngStream(seed, ledger=ledgers[-1])
+        def run(config, x, W, rng, stage1, tree):
+            ledgers.append(rng.ledger)
+            return real(config, x, W, rng, stage1, tree)
 
-        monkeypatch.setattr(dawa.experiments, "RngStream", stream)
+        monkeypatch.setattr(dawa.experiments, "RngStream", lambda seed: RngStream(seed, ledger=[]))
+        monkeypatch.setattr(dawa.experiments, "run_mechanism", run)
         report = run_experiment(self.config("all"))
         assert len(ledgers) == len(report.results)
         for row, ledger in zip(report.results, ledgers):
+            budget = PrivacyBudget.split(row.epsilon)
             if row.mechanism in ("dawa", "partition_laplace"):
-                eps1 = PrivacyBudget.split(row.epsilon).eps1
-                assert len(ledger) == 2 and ledger[0] == (2.0 * 2.0 / eps1, 20_100)
+                assert len(ledger) == 2 and ledger[0] == (2.0 * 2.0 / budget.eps1, 20_100)
+                assert ledger[1][0] == 1.0 / budget.eps2
             else:
                 assert len(ledger) == 1

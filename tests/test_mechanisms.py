@@ -20,7 +20,7 @@ from dawa.generators import gen_synthetic_data, gen_workload
 from dawa.mechanisms import (
     MECHANISM_NAMES,
     MechanismConfig,
-    SharedWork,
+    private_stage1,
     run_dawa,
     run_greedy_no_partition,
     run_hier_geometric,
@@ -64,18 +64,31 @@ class TestIdentity:
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 2048])
 def test_flat_tree_baselines_keep_their_direct_bits(n):
     # on the flat tree least squares returns each noisy count as it is, so
-    # identity and partition_laplace are their direct formulas bit for bit
+    # identity and partition_laplace are their direct formulas bit for bit;
+    # and a two-stage release that takes a private_stage1 record, made
+    # without the shared deviations at even seeds and with them at odd ones,
+    # is the fresh release
     x = DataVector(np.random.default_rng(n).integers(0, 50, size=n))
+    W = gen_workload("uniform", n, seed=n, num_queries=20)
     tables = {mode: deviation_table(x, mode) for mode in ("pow2", "all")}
     for eps in (0.1, 1.0, 1e9):
         budget = PrivacyBudget.split(eps)
         for seed in range(3):
             for mode, table in tables.items():
-                got_ledger, want_ledger = [], []
-                got = run_partition_laplace(x, budget, RngStream(seed, got_ledger), mode, SharedWork(table))
+                ledgers = {"dawa": [], "partition_laplace": []}
+                fresh = {"dawa": run_dawa(x, W, budget, RngStream(seed, ledgers["dawa"]), mode),
+                         "partition_laplace": run_partition_laplace(
+                             x, budget, RngStream(seed, ledgers["partition_laplace"]), mode)}
+                want_ledger = []
                 want = reference_partition_laplace(x, budget, RngStream(seed, want_ledger), mode, table)
-                assert got.values.tobytes() == want.values.tobytes()
-                assert got_ledger == want_ledger
+                assert fresh["partition_laplace"].values.tobytes() == want.values.tobytes()
+                assert ledgers["partition_laplace"] == want_ledger
+                record = private_stage1(x, budget, RngStream(seed), mode, (None, table)[seed % 2])
+                for name, want in fresh.items():
+                    got_ledger = []
+                    got = run_mechanism(MechanismConfig(name, budget, mode), x, W, RngStream(seed, got_ledger), record)
+                    assert got.values.tobytes() == want.values.tobytes()
+                    assert got_ledger == ledgers[name]
             got_ledger, want_ledger = [], []
             got = run_identity(x, eps, RngStream(seed, got_ledger))
             want = reference_identity(x, eps, RngStream(seed, want_ledger))
@@ -287,11 +300,14 @@ def test_dawa_refuses_costs_that_overflow(window_index_calls):
 
 def test_dawa_refuses_cost_sums_that_overflow(window_index_calls):
     # at eps = 1e-304 every draw is finite, but 2n costs near 6e306 overflow
-    # when summed; refused from the parameters, before any cost
+    # when summed; refused under epsilon, the name the caller gave, before any cost
     x = gen_synthetic_data("piecewise_constant", 1024, seed=1)
     W = gen_workload("uniform", 1024, seed=2, num_queries=50)
-    with pytest.raises(ParameterError, match=r"^stage-1 costs reach 5\.93333e\+306; summed over n = 1024 positions"):
-        run_dawa(x, W, PrivacyBudget.split(1e-304), RngStream(1))
+    budget = PrivacyBudget.split(1e-304)
+    message = (f"epsilon = 1e-304 is too small: its stage shares {budget.eps1} and {budget.eps2} let noisy stage-1 "
+               "costs, each up to 1/eps2 + 37 * 4/eps1, overflow when summed over n = 1024 positions")
+    with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+        run_dawa(x, W, budget, RngStream(1))
     assert window_index_calls == []
 
 

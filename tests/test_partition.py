@@ -604,16 +604,21 @@ class TestBudgetRefusals:
         share, scale = (budget.eps1, "4/eps1") if stage == 1 else (budget.eps2, "1/eps2")
         message = f"epsilon = {epsilon} is too small: its stage-{stage} share {share} overflows the Laplace scale {scale}"
         with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
-            PartitionParams.of_budget(budget)
+            PartitionParams.of_budget(budget, "pow2", 1)
 
     def test_cost_bound_that_overflows(self):
-        # 4/eps1 = 1/eps2 = 4.9e306 draw finitely, but 1/eps2 + 37 * 4/eps1 does not fit
-        budget = PrivacyBudget.split(1.0204e-306, 0.8)
-        message = (f"epsilon = 1.0204e-306 is too small: its stage shares {budget.eps1} and {budget.eps2} "
-                   "let a noisy stage-1 cost, up to 1/eps2 + 37 * 4/eps1, overflow")
-        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
-            PartitionParams.of_budget(budget)
-        assert PartitionParams.of_budget(PrivacyBudget.split(1.1e-306, 0.8)).eps1 == 0.8 * 1.1e-306
+        for epsilon, fraction, n in (
+            # 4/eps1 = 1/eps2 = 4.9e306 draw finitely, but 1/eps2 + 37 * 4/eps1 does not fit
+            (1.0204e-306, 0.8, 1),
+            # a noisy cost reaches 5.93e306: 2n = 30 of them fit in float64, 32 do not
+            (1e-304, 0.25, 16),
+        ):
+            budget = PrivacyBudget.split(epsilon, fraction)
+            message = (f"epsilon = {epsilon} is too small: its stage shares {budget.eps1} and {budget.eps2} let noisy "
+                       f"stage-1 costs, each up to 1/eps2 + 37 * 4/eps1, overflow when summed over n = {n} positions")
+            with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+                PartitionParams.of_budget(budget, "all", n)
+        assert PartitionParams.of_budget(PrivacyBudget.split(1e-304), "all", 15).eps1 == 0.25 * 1e-304
 
 
 class TestRefusedReleaseChargesNothing:
