@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -247,10 +246,17 @@ class PrivacyBudget:
 
     @classmethod
     def split(cls, epsilon: float, stage1_fraction: float = 0.25) -> "PrivacyBudget":
+        """epsilon split into stage budgets; a share below EPSILON_FLOOR is
+        refused under `epsilon`, naming the share and the stage-1 fraction."""
         if not 0 < stage1_fraction < 1:
             raise ParameterError("stage1_fraction must lie strictly between 0 and 1")
         eps1 = epsilon * stage1_fraction
-        return cls(epsilon=epsilon, eps1=eps1, eps2=epsilon - eps1)
+        eps2 = epsilon - eps1
+        for stage, share in ((1, eps1), (2, eps2)):
+            if 0 < share < EPSILON_FLOOR:  # a share of 0, below 0 or NaN: the budget refuses epsilon
+                raise ParameterError(f"epsilon = {epsilon} is too small: its stage-{stage} share at stage1_fraction "
+                                     f"{stage1_fraction} is {share}, and {_FLOOR_RULE}")
+        return cls(epsilon=epsilon, eps1=eps1, eps2=eps2)
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -315,33 +321,42 @@ def laplace_sample(scale: float, rng: RngStream, size: int) -> np.ndarray:
     return laplace_draws(scale, rng, int(size))(int(size))
 
 
+# The least epsilon accepted, 2**-50 (about 8.9e-16), as in Google's differential-privacy
+# library; budgets in use are some 12 decades larger.  From it up, every value a release
+# computes stays far inside float64, so no stage has to predict an overflow:
+# - every Laplace scale is at most 4/eps <= 2**52, and a draw at most 52 ln 2 < 37 times its
+#   scale (u lies on the 2^-53 grid), so |draw| < 2**58;
+# - a stage-1 cost is a deviation of at most 2 * total, plus 1/eps2 and a draw: with
+#   n * total <= 2**52 (`check_stage1_size`) it is below 2**59, and a sum of n < 2**63 of
+#   them below 2**122;
+# - a stage-2 answer over a scaling of 0 (not measured) or at least 2**-53 estimates a sum of
+#   at most 2**63 within 2**53 * (2**63 + 2**58) < 2**117; least squares adds and splits such
+#   estimates over fewer than 2**63 leaves and 64 levels, so a bucket's is below 2**190, and a
+#   workload's answers, errors and their squares stay below 2**520, against float64's 2**1024.
+EPSILON_FLOOR = 2.0**-50
+_FLOOR_RULE = "the least epsilon accepted is 2**-50, about 8.9e-16"
+
+
 def check_epsilon(name: str, value: float) -> None:
-    """Refuse a privacy parameter, an epsilon or a noise scale, that is not positive and finite."""
+    """Refuse a privacy parameter that is not positive and finite, or that is
+    below EPSILON_FLOOR."""
     if not (np.isfinite(value) and value > 0):
         raise ParameterError(f"{name} must be positive and finite, got {value}")
-
-
-# The largest |draw| of `laplace_draws` over its scale: 1 - 2|u - 1/2| is at least 2**-52 on u's grid.
-LAPLACE_TAIL = 52 * math.log(2.0)
-
-
-def laplace_overflows(sensitivity: float, eps: float) -> bool:
-    """Whether the largest Laplace draw at scale sensitivity/eps overflows float64."""
-    return not math.isfinite(LAPLACE_TAIL * float(sensitivity / eps))
+    if value < EPSILON_FLOOR:
+        raise ParameterError(f"{name} = {value} is too small: {_FLOOR_RULE}")
 
 
 def laplace_scale(sensitivity: float, name: str, eps: float) -> float:
-    """Laplace scale sensitivity/eps; refuses eps by `name` if it is bad or the
-    scale overflows, at its largest draw."""
+    """Laplace scale sensitivity/eps; refuses eps by `name` if it is bad."""
     check_epsilon(name, eps)
-    if laplace_overflows(sensitivity, eps):
-        raise ParameterError(f"{name} = {eps} is too small: the Laplace scale {sensitivity:g}/{name} overflows")
     return sensitivity / eps
 
 
 def laplace_draws(scale: float, rng: RngStream, count: int):
-    """Record `count` Laplace(scale) draws as one ledger entry; `draw(size)` takes the next `size`."""
-    check_epsilon("scale", scale)
+    """Record `count` Laplace(scale) draws as one ledger entry; `draw(size)` takes the next `size`.
+    A scale is not an epsilon: any positive finite one is drawn."""
+    if not (np.isfinite(scale) and scale > 0):
+        raise ParameterError(f"scale must be positive and finite, got {scale}")
     if rng.ledger is not None:
         rng.ledger.append((float(scale), count))
 
@@ -377,13 +392,11 @@ def uniform_expand(h: Histogram, n: int) -> EstimateVector:
 
 
 def average_workload_error(W: Workload, x: "DataVector | np.ndarray", xhat: "EstimateVector | np.ndarray") -> float:
-    """Mean absolute query error of xhat against x over the workload: inf or
-    NaN, without a warning, when a sum on the way leaves float64's range."""
+    """Mean absolute query error of xhat against x over the workload."""
     xv, ev = _values_of(x), _values_of(xhat)
     if xv.size != ev.size:
         raise DimensionError(f"domain sizes differ: {xv.size} vs {ev.size}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a finite error keeps its bits
-        return float(np.mean(np.abs(evaluate_workload(W, ev) - evaluate_workload(W, xv))))
+    return float(np.mean(np.abs(evaluate_workload(W, ev) - evaluate_workload(W, xv))))
 
 
 def read_data_file(path: "str | Path") -> DataVector:
@@ -421,8 +434,9 @@ def write_data_file(path: "str | Path | None", x: DataVector) -> None:
     write_rows(path, zip(x.counts.tolist()))
 
 
-def read_csv_rows(path: "str | Path", header: tuple[str, ...], parse) -> list[tuple]:
-    """Rows of a CSV file whose header reads `header`, fields converted by `parse`.
+def read_csv_rows(path: "str | Path", header: tuple[str, ...], parse) -> Iterator[tuple[str, tuple]]:
+    """Rows of a CSV file whose header reads `header`, fields converted by
+    `parse`, each with its `path:line` for the caller's own checks.
 
     Whitespace around header names and values is allowed and blank lines
     are skipped.  A row with missing or extra fields, a field `parse`
@@ -433,7 +447,6 @@ def read_csv_rows(path: "str | Path", header: tuple[str, ...], parse) -> list[tu
         names = next(reader, None)
         if names is None or [f.strip() for f in names] != list(header):
             raise ParameterError(f"{path}: expected header {','.join(header)!r}, got {names}")
-        rows = []
         for row in reader:
             if not row:
                 continue
@@ -449,13 +462,12 @@ def read_csv_rows(path: "str | Path", header: tuple[str, ...], parse) -> list[tu
                 if type(value) is int and not _INT64_MIN <= value <= _INT64_MAX:
                     raise ParameterError(f"{where}: outside int64: {field!r}")
                 values.append(value)
-            rows.append(tuple(values))
-    return rows
+            yield where, tuple(values)
 
 
 def read_workload_file(path: "str | Path") -> Workload:
     """Read interval queries from a CSV file with header lo,hi."""
-    rows = read_csv_rows(path, ("lo", "hi"), int)
+    rows = [row for _, row in read_csv_rows(path, ("lo", "hi"), int)]
     if not rows:
         raise ParameterError(f"{path}: no queries found")
     ends = np.asarray(rows)

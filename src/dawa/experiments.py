@@ -29,7 +29,7 @@ from .core import (
 from .generators import gen_synthetic_data, gen_workload
 from .estimation import flat_tree, scaled_trees
 from .mechanisms import MECHANISM_NAMES, MechanismConfig, hier_tree, private_stage1, run_mechanism
-from .partition import MODES, PartitionParams, check_stage1_size, deviation_table
+from .partition import MODES, check_stage1_size, deviation_table
 
 
 @dataclass(frozen=True)
@@ -167,18 +167,17 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     `private_stage1` record of every (epsilon, trial), on a fresh stream of
     the trial's seed, which dawa and partition_laplace both take, then
     dawa's tree over each record's partition and greedy_no_partition's,
-    scaled together.  A trial's wall_ms leaves out this shared work.  The
-    first trial whose error float64 cannot hold is refused, before the next.
+    scaled together.  A trial's wall_ms leaves out this shared work.  Every
+    epsilon's budget is split, and refused if a share is below
+    `core.EPSILON_FLOOR`, before the data is loaded.
     """
+    budgets = [PrivacyBudget.split(eps, cfg.stage1_fraction) for eps in cfg.epsilons]
     x = _load_data(cfg)
     two_stage = {"dawa", "partition_laplace"} & set(cfg.mechanisms)
-    budgets = [PrivacyBudget.split(eps, cfg.stage1_fraction) for eps in cfg.epsilons]
     deviations = None
     if two_stage:
         # refused before any trial unless the shared deviations fit beside one trial's noisy costs
-        # and the costs at the smallest epsilon, which are the largest, cannot overflow
-        params = PartitionParams.of_budget(PrivacyBudget.split(min(cfg.epsilons), cfg.stage1_fraction), cfg.mode, x.n)
-        check_stage1_size(x.n, x.total(), cfg.mode, tables=2, eps2=params.eps2, noise_scale=params.noise_scale)
+        check_stage1_size(x.n, x.total(), cfg.mode, tables=2)
         deviations = deviation_table(x, cfg.mode)
     fixed_trees = {name: hier_tree(name, x.n, cfg.branching) for name in ("hier_uniform", "hier_geometric")
                    if name in cfg.mechanisms}
@@ -208,9 +207,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                     xhat = run_mechanism(config, x, W, rng, stage1.get((eps, seed)), tree)
                     wall_ms = (time.perf_counter() - start) * 1000.0 if cfg.record_timing else 0.0
                     error = average_workload_error(W, x, xhat)
-                    if not np.isfinite(error):
-                        raise ParameterError(f"epsilon = {eps} is too small: mechanism {name!r} on workload {wid}, "
-                                             f"trial {trial} has an average error of {error}, past float64's range")
                     results.append(TrialResult(name, eps, wid, trial, seed, error, wall_ms))
     results = tuple(results)
     return Report(config=cfg.to_dict(), results=results, aggregates=compute_aggregates(results))

@@ -24,8 +24,8 @@ from .core import (
     PrivacyBudget,
     RngStream,
     Workload,
+    check_epsilon,
     laplace_draws,
-    laplace_scale,
     uniform_expand,
 )
 from .estimation import QueryTree, build_query_tree, check_branching, estimate_buckets, flat_tree, write_scalings
@@ -69,7 +69,7 @@ def private_stage1(x: DataVector, budget: PrivacyBudget, rng: RngStream, mode: s
     (x's `deviation_table`) if given.  A release of dawa or
     partition_laplace on a fresh stream of rng's seed, the same x, budget
     and mode can take the record in place of its own stage 1."""
-    buckets = private_partition(x, PartitionParams.of_budget(budget, mode, x.n), rng, deviations)
+    buckets = private_partition(x, PartitionParams(budget.eps1, budget.eps2, mode), rng, deviations)
     return Stage1(buckets, rng.generator.bit_generator.state)
 
 
@@ -139,7 +139,7 @@ def _two_stage(name: str, x: DataVector, W: "Workload | None", budget: PrivacyBu
     if stage1 is None:
         stage1 = private_stage1(x, budget, rng, mode)
     else:
-        params = PartitionParams.of_budget(budget, mode, x.n)
+        params = PartitionParams(budget.eps1, budget.eps2, mode)
         laplace_draws(params.noise_scale, rng, candidate_count(x.n, mode))
         rng.generator.bit_generator.state = stage1.state
     return _release(name, x, stage1.buckets, W, budget.eps2, t, rng, tree)
@@ -148,7 +148,7 @@ def _two_stage(name: str, x: DataVector, W: "Workload | None", budget: PrivacyBu
 def _one_stage(name: str, x: DataVector, W: "Workload | None", eps: float, t: int, rng: RngStream,
                tree: "QueryTree | None") -> EstimateVector:
     """A unit-bucket baseline: stage 2 alone, on the whole eps."""
-    laplace_scale(1.0, "eps", eps)  # refuses eps by name before any work
+    check_epsilon("eps", eps)  # by name, before any work
     return _release(name, x, Partition.unit(x.n), W, eps, t, rng, tree)
 
 

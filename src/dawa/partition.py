@@ -11,7 +11,9 @@ matrix for the ranks past them, log D levels per candidate.  Each cost is
 one float division away from the exact value and matches the direct
 per-bucket computation bit for bit.  The costs live in one flat array,
 which a release prices and noises in place, and the dynamic program gathers
-the candidates ending at each endpoint as one row of it.
+the candidates ending at each endpoint as one row of it.  Every epsilon is
+at least `core.EPSILON_FLOOR`, so noisy costs and their sums stay far inside
+float64 and nothing here predicts an overflow.
 """
 from __future__ import annotations
 
@@ -26,11 +28,9 @@ from .core import (
     DataVector,
     ParameterError,
     Partition,
-    PrivacyBudget,
     RngStream,
     check_epsilon,
     laplace_draws,
-    laplace_overflows,
     laplace_scale,
 )
 
@@ -69,7 +69,7 @@ class PartitionParams:
     delta_bcost: ClassVar[float] = BUCKET_COST_SENSITIVITY
 
     def __post_init__(self) -> None:
-        self.noise_scale  # refuses eps1 by name, also when its scale overflows
+        check_epsilon("eps1", self.eps1)
         check_epsilon("eps2", self.eps2)
         check_mode(self.mode)
 
@@ -77,26 +77,6 @@ class PartitionParams:
     def noise_scale(self) -> float:
         """Laplace scale of the cost noise: twice the per-entry sensitivity over eps1."""
         return laplace_scale(2.0 * self.delta_bcost, "eps1", self.eps1)
-
-    @classmethod
-    def of_budget(cls, budget: PrivacyBudget, mode: str, n: int) -> "PartitionParams":
-        """Stage 1's knobs for a two-stage budget over n positions.  A budget
-        is refused under the total epsilon, the name the caller gave, if
-        either stage's Laplace scale overflows at its largest draw, or if the
-        DP's path sums could: 2n times a noisy cost's bound in
-        `check_stage1_size` before any deviation is added."""
-        sensitivity = 2.0 * cls.delta_bcost
-        for stage, share, s, name in ((1, budget.eps1, sensitivity, "eps1"), (2, budget.eps2, 1.0, "eps2")):
-            if laplace_overflows(s, share):
-                raise ParameterError(f"epsilon = {budget.epsilon} is too small: its stage-{stage} share {share} "
-                                     f"overflows the Laplace scale {s:g}/{name}")
-        # the deviations' share, 2 * total per cost, is left out: with n * total <= 2**52, as
-        # check_stage1_size demands, it is below half an ulp of any bound whose 2n-fold sum overflows
-        if not math.isfinite(2.0 * n * _largest_cost(0, budget.eps2, sensitivity / budget.eps1)):
-            raise ParameterError(f"epsilon = {budget.epsilon} is too small: its stage shares {budget.eps1} and "
-                                 f"{budget.eps2} let noisy stage-1 costs, each up to 1/eps2 + 37 * "
-                                 f"{sensitivity:g}/eps1, overflow when summed over n = {n} positions")
-        return cls(budget.eps1, budget.eps2, mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,28 +195,15 @@ def candidate_count(n: int, mode: str) -> int:
     return n * (n + 1) // 2 if mode == "all" else bits * (n + 1) - (1 << bits) + 1
 
 
-def _check_sums_finite(largest: float, n: int) -> None:
-    # 2n times the largest |cost| bounds every path sum of the DP with room for rounding
-    if not math.isfinite(2.0 * n * largest):
-        raise ParameterError(f"stage-1 costs reach {largest:g}; summed over n = {n} positions they would "
-                             "overflow float64, so a larger eps1 or eps2 is needed")
-
-
-def _largest_cost(total: int, eps2: float, noise_scale: float) -> float:
-    # a deviation is at most 2 * total, and a Laplace draw at most 52 ln 2 < 37 times its scale
-    return 2.0 * total + 1.0 / eps2 + 37.0 * noise_scale
-
-
-def check_stage1_size(n: int, total: int, mode: str, tables: int = 1,
-                      eps2: float = math.inf, noise_scale: float = 0.0) -> int:
+def check_stage1_size(n: int, total: int, mode: str, tables: int = 1) -> int:
     """Stage 1's candidate count, from its parameters alone so that nothing
-    is built; refuses costs that would not be exact, costs priced 1/eps2 and
-    noised at `noise_scale` whose sums could overflow, and `tables` float64
-    per candidate that would not fit in memory."""
+    is built; refuses costs that would not be exact and `tables` float64 per
+    candidate that would not fit in memory.  Noisy costs cannot overflow:
+    every epsilon is at least `core.EPSILON_FLOOR`."""
+    check_mode(mode)
     candidates = candidate_count(n, mode)
     if n * total > EXACT_COST_LIMIT:
         raise ParameterError(f"n * total = {n * total} exceeds 2**52; stage-1 costs would not be exact")
-    _check_sums_finite(_largest_cost(total, eps2, noise_scale), n)
     # a release holds its costs, noisy on the private path; releases sharing deviations hold those too
     need, have = 8 * tables * candidates, _physical_memory()
     if need > have:
@@ -272,7 +239,7 @@ def _deviations(x: DataVector, mode: str) -> tuple[np.ndarray, np.ndarray, np.nd
 def all_costs(x: DataVector, eps2: float, mode: str = "pow2") -> CostTable:
     """Costs of every candidate bucket: its exact deviation plus the 1/eps2 price."""
     check_epsilon("eps2", eps2)
-    check_stage1_size(x.n, x.total(), mode, eps2=eps2)
+    check_stage1_size(x.n, x.total(), mode)
     lengths, offsets, costs = _deviations(x, mode)
     costs += 1.0 / eps2
     return CostTable(n=x.n, mode=mode, lengths=lengths, offsets=offsets, costs=costs)
@@ -322,12 +289,16 @@ def least_cost_partition(table: CostTable, n: int) -> Partition:
     so a length L > j adds inf to its gathered entry, an earlier length's
     cost.  That needs finite costs and path sums: a table where 2n times
     the largest |cost| overflows, which bounds every path sum with room for
-    rounding, is refused.
+    rounding, is refused.  Stage 1's own tables cannot fail this, since
+    every epsilon is at least `core.EPSILON_FLOOR`; a table built by hand can.
     """
     if n != table.n:
         raise ParameterError(f"table covers [1, {table.n}], asked for [1, {n}]")
     costs = table.costs
-    _check_sums_finite(float(max(costs.max(), -costs.min())), n)
+    largest = float(max(costs.max(), -costs.min()))
+    if not math.isfinite(2.0 * n * largest):
+        raise ParameterError(f"the table's largest |cost| is {largest:g}; summed over n = {n} positions, "
+                             "its costs could overflow float64")
     lengths = table.lengths[::-1]
     pad = int(lengths[0])
     base = (table.offsets - table.lengths)[::-1]
@@ -368,7 +339,7 @@ def private_partition(x: DataVector, params: PartitionParams, rng: RngStream,
     dynamic program: the bits of `perturb_costs(all_costs(...))`, in one table.
     """
     n, mode = x.n, params.mode
-    check_stage1_size(n, x.total(), mode, eps2=params.eps2, noise_scale=params.noise_scale)
+    check_stage1_size(n, x.total(), mode)
     if deviations is None:
         lengths, offsets, costs = _deviations(x, mode)
     elif (deviations.n, deviations.mode) == (n, mode):

@@ -6,6 +6,7 @@ sets of 1D runs, and answers assume uniformity within each cell.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -23,7 +24,7 @@ from .core import (
     read_csv_rows,
 )
 from .mechanisms import run_dawa
-from .partition import PartitionParams, check_stage1_size
+from .partition import check_stage1_size
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ class RectangleQuery:
     @classmethod
     def from_box(cls, spec: GridSpec, x0: float, x1: float, y0: float, y1: float) -> "RectangleQuery":
         if not (x1 > x0 and y1 > y0):
-            raise ParameterError("rectangle box must be non-degenerate")
+            raise ParameterError(f"rectangle box must be non-degenerate, got x [{x0}, {x1}], y [{y0}, {y1}]")
         x0, x1 = max(x0, spec.xmin), min(x1, spec.xmax)
         y0, y1 = max(y0, spec.ymin), min(y1, spec.ymax)
         u0 = (x0 - spec.xmin) / spec.cell_width
@@ -245,9 +246,7 @@ def run_spatial(
     Returns the per-rectangle answers and the private linearized estimate.
     """
     # refuse what stage 1 cannot run before the grid and curve table exist
-    n = spec.side * spec.side
-    params = PartitionParams.of_budget(budget, mode, n)
-    check_stage1_size(n, len(points), mode, eps2=params.eps2, noise_scale=params.noise_scale)
+    check_stage1_size(spec.side * spec.side, len(points), mode)
     map_ = HilbertMap(spec.g)
     grid = grid_discretize(points, spec)
     x = linearize(grid, map_)
@@ -258,16 +257,30 @@ def run_spatial(
 
 
 def read_points_file(path: "str | Path") -> np.ndarray:
-    """Read points from a CSV file with header x,y."""
-    pts = read_csv_rows(path, ("x", "y"), float)
+    """Read points from a CSV file with header x,y; a coordinate that is not
+    finite is refused at its path:line."""
+    pts = []
+    for where, (x, y) in read_csv_rows(path, ("x", "y"), float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParameterError(f"{where}: point coordinates must be finite, got x = {x}, y = {y}")
+        pts.append((x, y))
     if not pts:
         raise ParameterError(f"{path}: no points found")
     return np.asarray(pts, dtype=np.float64)
 
 
 def read_rectangles_file(path: "str | Path") -> list[tuple[float, float, float, float]]:
-    """Read rectangles from a CSV file with header xlo,xhi,ylo,yhi (real units)."""
-    boxes = read_csv_rows(path, ("xlo", "xhi", "ylo", "yhi"), float)
+    """Read rectangles from a CSV file with header xlo,xhi,ylo,yhi (real
+    units).  A row needs xlo < xhi and ylo < yhi, which also refuses NaN, at
+    its path:line; an infinite edge is kept, as `RectangleQuery.from_box`
+    clamps it to the grid's box."""
+    boxes = []
+    for where, box in read_csv_rows(path, ("xlo", "xhi", "ylo", "yhi"), float):
+        xlo, xhi, ylo, yhi = box
+        if not (xlo < xhi and ylo < yhi):
+            raise ParameterError(f"{where}: a rectangle needs xlo < xhi and ylo < yhi, got "
+                                 f"x [{xlo}, {xhi}], y [{ylo}, {yhi}]")
+        boxes.append(box)
     if not boxes:
         raise ParameterError(f"{path}: no rectangles found")
     return boxes

@@ -356,7 +356,7 @@ def reference_identity(x, eps, rng):
 def reference_partition_laplace(x, budget, rng, mode, deviations=None):
     """Stage 1's private partition, then every bucket total plus one
     Laplace(1/eps2) draw, spread uniformly over its bucket."""
-    buckets = private_partition(x, PartitionParams.of_budget(budget, mode, x.n), rng, deviations)
+    buckets = private_partition(x, PartitionParams(budget.eps1, budget.eps2, mode), rng, deviations)
     stats = buckets.bucket_totals(x.counts) + laplace_sample(1.0 / budget.eps2, rng, size=buckets.k)
     return uniform_expand(Histogram(partition=buckets, stats=stats), x.n)
 

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from dawa.cli import main
-from dawa.core import PrivacyBudget, read_data_file, read_workload_file
+from dawa.core import read_data_file, read_workload_file
 from dawa.generators import DATA_KINDS, WORKLOAD_KINDS, gen_synthetic_data, gen_workload
 
 from .memory import peak_bytes
+
+FLOOR_RULE = "the least epsilon accepted is 2**-50, about 8.9e-16"
 
 
 @pytest.fixture
@@ -105,10 +107,11 @@ class TestPartitionCmd:
         assert captured.err == "dawa: error: eps2 must be positive and finite, got inf\n"  # no warning first
 
     def test_overflowing_noise_scale_names_eps1(self, data_file, capsys):
+        # 4/eps1 would be inf; eps1 is below the floor on epsilon and refused by its flag's name
         rc = main(["partition", "--data", str(data_file), "--eps1", "1e-310", "--eps2", "0.75"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == "dawa: error: eps1 = 1e-310 is too small: the Laplace scale 4/eps1 overflows\n"
+        assert err == f"dawa: error: eps1 = 1e-310 is too small: {FLOOR_RULE}\n"
 
     def test_private_without_eps1_is_clean_error(self, data_file, capsys):
         rc = main(["partition", "--data", str(data_file), "--eps2", "0.75"])
@@ -123,7 +126,8 @@ class TestPartitionCmd:
         main(args)
         assert capsys.readouterr().out == first
 
-    # at eps2 = 1e-310 the bucket price 1/eps2 is inf, and at 1e-308 the sums of costs overflow
+    # at eps2 = 1e-310 the bucket price 1/eps2 would be inf, and at 1e-308 the sums of costs
+    # would overflow; both lie below the floor on epsilon and are refused by name, before any cost
     @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["private", "exact"])
     @pytest.mark.parametrize("eps2", ["1e-310", "1e-308"])
     def test_costs_that_overflow_are_clean_error(self, tmp_path, capsys, window_index_calls, eps2, exact):
@@ -131,11 +135,9 @@ class TestPartitionCmd:
         assert main(["datagen", "--kind", "piecewise-constant", "--n", "100", "--seed", "1", "--out", str(p)]) == 0
         rc = main(["partition", "--data", str(p), "--eps1", "0.25", "--eps2", eps2, "--mode", "pow2", *exact])
         assert rc == 1
-        assert window_index_calls == []  # refused from the parameters, before any cost
+        assert window_index_calls == []
         captured = capsys.readouterr()
-        assert captured.err.splitlines()[-1].startswith("dawa: error: stage-1 costs reach ")
-        assert "a larger eps1 or eps2 is needed" in captured.err
-        assert "Traceback" not in captured.err
+        assert captured.err == f"dawa: error: eps2 = {eps2} is too small: {FLOOR_RULE}\n"
         assert captured.out == ""
 
     # n = 4096 in mode all: the refusal used to come after 8.4M costs
@@ -148,7 +150,7 @@ class TestPartitionCmd:
         assert rc == 1
         assert window_index_calls == []
         captured = capsys.readouterr()
-        assert captured.err.splitlines()[-1].startswith("dawa: error: stage-1 costs reach ")
+        assert captured.err == f"dawa: error: eps2 = {eps2} is too small: {FLOOR_RULE}\n"
         assert captured.out == ""
 
     def test_count_outside_int64_is_clean_error(self, tmp_path, capsys):
@@ -301,8 +303,7 @@ class TestRunCmd:
         assert peak < 16 * 2**20
 
     def test_budget_too_small_for_stage1_names_epsilon(self, tmp_path, capsys):
-        # the config names no eps1, so neither may the refusal, which stage 1
-        # makes: the budget itself is valid for a single-stage mechanism
+        # the config names no eps1, so the refusal names epsilon and its short share
         cfg = {"mechanisms": ["identity", "dawa"], "epsilons": [1e-310],
                "workload": {"kind": "uniform", "num_queries": 5},
                "data": {"kind": "constant"}, "n": 8, "num_workloads": 1, "trials": 1}
@@ -310,14 +311,14 @@ class TestRunCmd:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
         assert capsys.readouterr().err == (
-            "dawa: error: epsilon = 1e-310 is too small: its stage-1 share 2.5e-311 "
-            "overflows the Laplace scale 4/eps1\n"
+            f"dawa: error: epsilon = 1e-310 is too small: its stage-1 share at stage1_fraction 0.25 is 2.5e-311, "
+            f"and {FLOOR_RULE}\n"
         )
         assert not (tmp_path / "r.json").exists()
-        assert PrivacyBudget.split(1e-310).eps1 == 2.5e-311
 
     def test_noise_that_would_overflow_is_refused_without_a_report(self, tmp_path, capsys):
-        # 1/eps = 1e308 is finite, but its largest Laplace draw, 36.04 times it, is not
+        # the largest Laplace draw at 1/eps = 1e308, 36.04 times it, would overflow: the
+        # budget is refused when it is split, before any trial
         cfg = {"mechanisms": ["identity"], "epsilons": [1e-308], "n": 16,
                "workload": {"kind": "uniform", "num_queries": 5},
                "data": {"kind": "constant"}, "num_workloads": 1, "trials": 1}
@@ -326,8 +327,25 @@ class TestRunCmd:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning would escape main as an exception
             assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
-        assert capsys.readouterr().err == "dawa: error: eps = 1e-308 is too small: the Laplace scale 1/eps overflows\n"
+        assert capsys.readouterr().err == (f"dawa: error: epsilon = 1e-308 is too small: its stage-1 share at "
+                                           f"stage1_fraction 0.25 is {1e-308 * 0.25}, and {FLOOR_RULE}\n")
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("mechanism, epsilon", [("hier_uniform", 3e-307), ("identity", 1e-305)])
+    def test_budget_whose_errors_overflowed_is_refused_without_a_report(self, tmp_path, capsys, mechanism, epsilon):
+        # every draw was finite, but hier_uniform's least squares overflowed to a NaN error and
+        # identity's errors, near 1e306, overflowed their std; the split budget is refused first
+        cfg = {"mechanisms": [mechanism], "epsilons": [epsilon], "n": 4096, "data": {"kind": "constant"},
+               "workload": {"kind": "uniform", "num_queries": 50}, "num_workloads": 1, "trials": 2}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"dawa: error: epsilon = {epsilon} is too small: its stage-1 share at stage1_fraction "
+                                f"0.25 is {epsilon * 0.25}, and {FLOOR_RULE}\n")
+        assert captured.out == "" and not (tmp_path / "r.json").exists()
 
     def test_missing_config(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "none.json"),
@@ -362,22 +380,22 @@ class TestSpatialCmd:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
-            "dawa: error: epsilon = 1e-309 is too small: its stage-1 share 2.5e-310 "
-            "overflows the Laplace scale 4/eps1\n"
+            f"dawa: error: epsilon = 1e-309 is too small: its stage-1 share at stage1_fraction 0.25 is 2.5e-310, "
+            f"and {FLOOR_RULE}\n"
         )
 
     @pytest.mark.parametrize("epsilon, fraction, reason", [
-        ("3e-308", "0.9", "its stage-1 share 2.7e-308 overflows the Laplace scale 4/eps1"),
-        ("1e-306", "0.25", "its stage-1 share 2.5e-307 overflows the Laplace scale 4/eps1"),
-        ("1e-306", "0.99", f"its stage-2 share {PrivacyBudget.split(1e-306, 0.99).eps2} overflows the Laplace scale "
-                           "1/eps2"),
-        # every draw is finite, but the sum of 2n = 32 noisy costs near 5.93e306 is not
-        ("1e-304", "0.25", "its stage shares {0.eps1} and {0.eps2} let noisy stage-1 costs, each up to "
-                           "1/eps2 + 37 * 4/eps1, overflow when summed over n = 16 positions"
-                           .format(PrivacyBudget.split(1e-304))),
+        # stage 1's noise would overflow at the first three, its sums of 2n = 32 costs at 1e-304;
+        # all have a share below the floor on epsilon
+        ("3e-308", "0.9", f"its stage-1 share at stage1_fraction 0.9 is {3e-308 * 0.9}"),
+        ("1e-306", "0.25", "its stage-1 share at stage1_fraction 0.25 is 2.5e-307"),
+        ("1e-306", "0.99", f"its stage-1 share at stage1_fraction 0.99 is {1e-306 * 0.99}"),
+        ("1e-304", "0.25", "its stage-1 share at stage1_fraction 0.25 is 2.5e-305"),
+        # stage 1's share clears the floor, stage 2's does not
+        ("1e-14", "0.99", f"its stage-2 share at stage1_fraction 0.99 is {1e-14 - 1e-14 * 0.99}"),
     ])
     def test_budget_whose_noise_overflows_names_epsilon(self, tmp_path, capsys, epsilon, fraction, reason):
-        # the command has neither --eps1 nor --eps2, so the refusal asks for neither
+        # the command has neither --eps1 nor --eps2, so the refusal names the total
         pts = tmp_path / "pts.csv"
         pts.write_text("x,y\n0.1,0.2\n0.5,0.5\n0.9,0.7\n")
         rects = tmp_path / "rects.csv"
@@ -386,7 +404,8 @@ class TestSpatialCmd:
                    "--stage1-fraction", fraction, "--g", "2"])
         assert rc == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"dawa: error: epsilon = {epsilon} is too small: {reason}\n"
+        assert captured.out == "" and captured.err == (
+            f"dawa: error: epsilon = {epsilon} is too small: {reason}, and {FLOOR_RULE}\n")
 
     def test_box_inferred_from_points(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
@@ -427,7 +446,14 @@ class TestSpatialCmd:
         ("x, y\n0,0\n4\n", "xlo,xhi,ylo,yhi\n0,4,0,4\n", "pts.csv", 3),
         ("x,y\n0,0\n4,four\n", "xlo,xhi,ylo,yhi\n0,4,0,4\n", "pts.csv", 3),
         ("x,y\n0,0\n4,4\n", "xlo,xhi,ylo,yhi\n0,4,0\n", "rects.csv", 2),
-    ], ids=["points-short-row", "points-not-number", "rects-short-row"])
+        # without --box a NaN point once reached the box from the points' extent
+        ("x,y\n0.5,0.2\n0.1,nan\n", "xlo,xhi,ylo,yhi\n0,4,0,4\n", "pts.csv", 3),
+        ("x,y\n0,0\n-inf,4\n", "xlo,xhi,ylo,yhi\n0,4,0,4\n", "pts.csv", 3),
+        ("x,y\n0,0\n4,4\n", "xlo,xhi,ylo,yhi\n0.5,0.2,0,1\n", "rects.csv", 2),
+        ("x,y\n0,0\n4,4\n", "xlo,xhi,ylo,yhi\n0,4,0,4\nnan,0.2,0,1\n", "rects.csv", 3),
+        ("x,y\n0,0\n4,4\n", "xlo,xhi,ylo,yhi\n0,1,0.3,0.3\n", "rects.csv", 2),
+    ], ids=["points-short-row", "points-not-number", "rects-short-row", "points-nan", "points-infinite",
+            "rects-reversed", "rects-nan", "rects-flat"])
     def test_bad_row_is_clean_error(self, tmp_path, capsys, points, rects, bad, line):
         (tmp_path / "pts.csv").write_text(points)
         (tmp_path / "rects.csv").write_text(rects)
@@ -438,6 +464,15 @@ class TestSpatialCmd:
         assert captured.err.startswith(f"dawa: error: {tmp_path / bad}:{line}: ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_infinite_rectangle_edge_is_clamped_to_the_box(self, tmp_path, capsys):
+        (tmp_path / "pts.csv").write_text("x,y\n0.5,0.5\n1.5,2.5\n3.2,3.9\n")
+        (tmp_path / "rects.csv").write_text("xlo,xhi,ylo,yhi\n-inf,inf,0,4\n")
+        rc = main(["spatial", "--points", str(tmp_path / "pts.csv"), "--rects", str(tmp_path / "rects.csv"),
+                   "--g", "1", "--epsilon", "1e9", "--box", "0", "4", "0", "4"])
+        assert rc == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[:4] == ["-inf", "inf", "0.0", "4.0"] and float(row[4]) == pytest.approx(3.0, abs=1e-4)
 
     @pytest.mark.parametrize("g", [32, 40])
     def test_oversized_grid_is_clean_error(self, tmp_path, capsys, g):

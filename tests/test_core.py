@@ -19,13 +19,12 @@ from dawa.core import (
     Partition,
     PrivacyBudget,
     RngStream,
+    EPSILON_FLOOR,
     Workload,
     average_workload_error,
-    LAPLACE_TAIL,
     derive_seed,
     evaluate_workload,
     laplace_draws,
-    laplace_overflows,
     laplace_sample,
     laplace_scale,
     read_data_file,
@@ -316,9 +315,21 @@ class TestPrivacyBudget:
 
     @pytest.mark.parametrize("frac", [0.01, 0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9])
     def test_split_accepts_its_own_output_at_every_scale(self, frac):
-        # an absolute tolerance refused 949 of these at fraction 0.1, 9415.615007157057 among them
-        for eps in [*np.logspace(-300, 300, 20_000).tolist(), 1e-306, 1e-310, 9415.615007157057]:
-            PrivacyBudget.split(eps, frac)
+        # an absolute tolerance refused 949 of these at fraction 0.1, 9415.615007157057 among them;
+        # from the floor up split accepts its own output, and below it names the first short share
+        least = EPSILON_FLOOR / min(frac, 1 - frac)
+        for eps in [*np.logspace(-300, 300, 20_000).tolist(), 1e-306, 1e-310, 9415.615007157057,
+                    least, np.nextafter(least, 0), np.nextafter(least, np.inf)]:
+            eps1 = eps * frac
+            short = [(stage, share) for stage, share in ((1, eps1), (2, eps - eps1)) if share < EPSILON_FLOOR]
+            try:
+                budget = PrivacyBudget.split(eps, frac)
+            except ParameterError as exc:
+                stage, share = short[0]
+                assert str(exc) == (f"epsilon = {eps} is too small: its stage-{stage} share at stage1_fraction "
+                                    f"{frac} is {share}, and the least epsilon accepted is 2**-50, about 8.9e-16")
+            else:
+                assert not short and budget.eps1 == eps1
 
     @pytest.mark.parametrize("eps", [0.0, -1.0])
     def test_positive(self, eps):
@@ -433,25 +444,14 @@ class TestLaplace:
         peak, _ = peak_bytes(laplace_sample, 1.0, RngStream(0), size=1_000_000)
         assert peak <= 2.2 * 8_000_000
 
-    def test_scale_is_refused_where_its_largest_draw_overflows(self, monkeypatch):
-        # the ends of the 2^-53 grid give the largest draws, 52 ln 2 = 36.04 scales
-        rng = RngStream(0)
-        monkeypatch.setattr(rng, "uniform_open", lambda size: np.array([2.0**-53, 1.0 - 2.0**-53]))
-        largest = np.finfo(np.float64).max / LAPLACE_TAIL  # the largest finite scale, within a step or two
-        while not laplace_overflows(np.nextafter(largest, np.inf), 1.0):
-            largest = np.nextafter(largest, np.inf)
-        while laplace_overflows(largest, 1.0):
-            largest = np.nextafter(largest, 0.0)
-        draws = laplace_draws(largest, rng, 2)(2)
-        assert np.all(np.isfinite(draws)) and np.abs(draws).max() == LAPLACE_TAIL * largest
-        above = np.nextafter(largest, np.inf)
-        assert laplace_overflows(above, 1.0)
-        with np.errstate(over="ignore"):
-            assert np.isinf(laplace_draws(above, rng, 2)(2)).any()
-        # 1/1e-307 is finite, but 36.04 times it is not
-        assert laplace_scale(1.0, "eps", 1e-306) == 1e306
-        with pytest.raises(ParameterError, match=r"^eps = 1e-307 is too small: the Laplace scale 1/eps overflows$"):
-            laplace_scale(1.0, "eps", 1e-307)
+    def test_scale_refuses_an_epsilon_below_the_floor(self):
+        # the largest scale is 4/eps1 at the floor; a scale is not an epsilon, so a tiny one is drawn
+        assert laplace_scale(4.0, "eps1", EPSILON_FLOOR) == 2.0**52
+        below = np.nextafter(EPSILON_FLOOR, 0)
+        with pytest.raises(ParameterError, match=rf"^eps1 = {below} is too small: the least epsilon accepted is "
+                                                 r"2\*\*-50, about 8\.9e-16$"):
+            laplace_scale(4.0, "eps1", below)
+        assert np.all(np.abs(laplace_draws(1e-300, RngStream(0), 4)(4)) < 37e-300)
 
     def test_invalid_scale(self):
         with pytest.raises(ParameterError):

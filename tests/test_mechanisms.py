@@ -1,6 +1,5 @@
 """End-to-end mechanisms: budget accounting, baselines, dispatch."""
 
-import re
 from unittest import mock
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 from dawa import estimation
 from dawa.core import (
+    EPSILON_FLOOR,
     DataVector,
     ParameterError,
     PrivacyBudget,
@@ -263,52 +263,25 @@ class TestDispatch:
     @pytest.mark.parametrize("name", MECHANISM_NAMES)
     @pytest.mark.parametrize("n", [8, 64])
     def test_tiny_epsilon(self, name, n):
-        # at 1e-300 every noise scale is finite and so are the estimates; at
-        # 1e-310 (subnormal) 1/eps overflows, refused by the budget it divides;
-        # a two-stage budget is refused by its total, the name the caller gave
+        # the least budget: both shares at the floor on epsilon, so the largest
+        # noise scale, 4/eps1 = 2**52, is drawn and every estimate is finite,
+        # with no warning; one ulp less and split refuses the budget
         x = gen_synthetic_data("piecewise_constant", n, seed=2, segments=4)
         W = gen_workload("uniform", n, seed=3, num_queries=20)
-        got = run_mechanism(MechanismConfig(name=name, budget=PrivacyBudget.split(1e-300)),
-                            x, W, RngStream(0))
+        budget = PrivacyBudget.split(2 * EPSILON_FLOOR, 0.5)
+        assert budget.eps1 == budget.eps2 == EPSILON_FLOOR
+        ledger = []
+        got = run_mechanism(MechanismConfig(name=name, budget=budget), x, W, RngStream(0, ledger=ledger))
         assert np.all(np.isfinite(got.values))
-        budget = PrivacyBudget.split(1e-310)
-        # stage 1's scale is 2 * 2 / eps1; every other scale is 1 / eps
-        message = "eps = 1e-310 is too small: the Laplace scale 1/eps overflows"
-        if name in ("dawa", "partition_laplace"):
-            message = (f"epsilon = 1e-310 is too small: its stage-1 share {budget.eps1} "
-                       "overflows the Laplace scale 4/eps1")
-        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
-            run_mechanism(MechanismConfig(name=name, budget=budget), x, W, RngStream(0))
+        assert max(scale for scale, _ in ledger) == (2.0**52 if name in ("dawa", "partition_laplace") else 2.0**49)
+        with pytest.raises(ParameterError, match=r"^epsilon = .* is too small: its stage-1 share"):
+            PrivacyBudget.split(np.nextafter(2 * EPSILON_FLOOR, 0), 0.5)
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             MechanismConfig(name="dawa", budget=PrivacyBudget.split(1.0), mode="bad")
         with pytest.raises(ParameterError, match=r"^need branching t >= 2, got 1$"):
             MechanismConfig(name="dawa", budget=PrivacyBudget.split(1.0), branching=1)
-
-
-def test_dawa_refuses_costs_that_overflow(window_index_calls):
-    # at eps = 1e-306 the largest stage-1 draw, 36.04 * 4/eps1 near 6e308,
-    # overflows; refused with the budget, before any cost
-    x = gen_synthetic_data("piecewise_constant", 1024, seed=1)
-    W = gen_workload("uniform", 1024, seed=2, num_queries=50)
-    message = "epsilon = 1e-306 is too small: its stage-1 share 2.5e-307 overflows the Laplace scale 4/eps1"
-    with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
-        run_dawa(x, W, PrivacyBudget.split(1e-306), RngStream(1))
-    assert window_index_calls == []
-
-
-def test_dawa_refuses_cost_sums_that_overflow(window_index_calls):
-    # at eps = 1e-304 every draw is finite, but 2n costs near 6e306 overflow
-    # when summed; refused under epsilon, the name the caller gave, before any cost
-    x = gen_synthetic_data("piecewise_constant", 1024, seed=1)
-    W = gen_workload("uniform", 1024, seed=2, num_queries=50)
-    budget = PrivacyBudget.split(1e-304)
-    message = (f"epsilon = 1e-304 is too small: its stage shares {budget.eps1} and {budget.eps2} let noisy stage-1 "
-               "costs, each up to 1/eps2 + 37 * 4/eps1, overflow when summed over n = 1024 positions")
-    with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
-        run_dawa(x, W, budget, RngStream(1))
-    assert window_index_calls == []
 
 
 def _epsilon_entries():

@@ -556,27 +556,14 @@ class TestLeastCost:
         table = all_costs(x, 1.0, mode)
         costs = np.random.default_rng(59).uniform(1e306, 1e307, size=len(table))
         costs[7] = top
-        with pytest.raises(ParameterError, match="a larger eps1 or eps2 is needed"):
+        with pytest.raises(ParameterError, match=r"^the table's largest \|cost\| is .*; summed over n = 100 positions, "
+                                                 "its costs could overflow float64$"):
             least_cost_partition(replace(table, costs=costs), x.n)
 
 
 class TestOverflowFromParameters:
-    # |cost| <= 2 * total + 1/eps2 + 37 * noise scale; stage 1 refuses when 2n
-    # times that is not finite, before it computes any cost
-
-    def test_noise_alone_can_overflow(self, window_index_calls):
-        x = gen_synthetic_data("piecewise_constant", 100, seed=1)
-        with pytest.raises(ParameterError, match="a larger eps1 or eps2 is needed"):
-            private_partition(x, PartitionParams(1e-306, 1.0), RngStream(0))
-        assert window_index_calls == []
-        # the same bound is finite on the exact path, which adds no noise
-        assert exact_partition(x, 1.0).n == 100
-
-    def test_bound_in_closed_form(self):
-        # 2n * (2 * 10 + 1e306 + 37 * 1e304) is finite at n = 10 and not at n = 100
-        assert check_stage1_size(10, 10, "pow2", eps2=1e-306, noise_scale=1e304) == 29
-        with pytest.raises(ParameterError, match="^stage-1 costs reach 1.37e\\+306; summed over n = 100 "):
-            check_stage1_size(100, 10, "pow2", eps2=1e-306, noise_scale=1e304)
+    # |cost| <= 2 * total + 1/eps2 + 37 * noise scale, the premises of the
+    # floor on epsilon (`core.EPSILON_FLOOR`) that keeps stage 1's sums finite
 
     def test_bound_holds_at_the_extremes(self, monkeypatch):
         # the largest Laplace draws come from the ends of the 2^-53 grid: 52 ln 2 = 36.04 scales
@@ -589,47 +576,14 @@ class TestOverflowFromParameters:
         assert deviation_table(x, "all").costs.max() == 2.0 * 50 * (1 - 1 / 100)
 
 
-class TestBudgetRefusals:
-    """A two-stage budget that overflows is refused under its total, the one
-    name every caller of `of_budget` has."""
-
-    @pytest.mark.parametrize("epsilon, fraction, stage", [
-        # the largest stage-1 draw, 36.04 * 4/eps1, overflows
-        (1e-306, 0.25, 1), (3e-308, 0.9, 1),
-        # 4/eps1 is fine, but 1/eps2 near 1e308 is not
-        (1e-306, 0.99, 2),
-    ])
-    def test_share_whose_noise_overflows(self, epsilon, fraction, stage):
-        budget = PrivacyBudget.split(epsilon, fraction)
-        share, scale = (budget.eps1, "4/eps1") if stage == 1 else (budget.eps2, "1/eps2")
-        message = f"epsilon = {epsilon} is too small: its stage-{stage} share {share} overflows the Laplace scale {scale}"
-        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
-            PartitionParams.of_budget(budget, "pow2", 1)
-
-    def test_cost_bound_that_overflows(self):
-        for epsilon, fraction, n in (
-            # 4/eps1 = 1/eps2 = 4.9e306 draw finitely, but 1/eps2 + 37 * 4/eps1 does not fit
-            (1.0204e-306, 0.8, 1),
-            # a noisy cost reaches 5.93e306: 2n = 30 of them fit in float64, 32 do not
-            (1e-304, 0.25, 16),
-        ):
-            budget = PrivacyBudget.split(epsilon, fraction)
-            message = (f"epsilon = {epsilon} is too small: its stage shares {budget.eps1} and {budget.eps2} let noisy "
-                       f"stage-1 costs, each up to 1/eps2 + 37 * 4/eps1, overflow when summed over n = {n} positions")
-            with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
-                PartitionParams.of_budget(budget, "all", n)
-        assert PartitionParams.of_budget(PrivacyBudget.split(1e-304), "all", 15).eps1 == 0.25 * 1e-304
-
-
 class TestRefusedReleaseChargesNothing:
     """A release that stage 1 refuses records no draws in the ledger and
     builds no window index."""
 
     @pytest.mark.parametrize("eps1, eps2, counts, match", [
-        # 1/eps2 overflows
-        (0.25, 1e-310, None, "a larger eps1 or eps2 is needed"),
-        # 4/eps1 overflows: refused by name when the parameters are built
-        (1e-310, 1e-310, None, "^eps1 = 1e-310 is too small: the Laplace scale 4/eps1 overflows$"),
+        # below the floor on epsilon: refused by name when the parameters are built
+        (0.25, 1e-310, None, "^eps2 = 1e-310 is too small: the least epsilon accepted is 2"),
+        (1e-310, 1e-310, None, "^eps1 = 1e-310 is too small: the least epsilon accepted is 2"),
         # 2**52 + 1 = 17 * 264917625139441
         (0.25, 0.75, [264917625139441 - 16] + [1] * 16, "2\\*\\*52"),
     ])

@@ -441,14 +441,21 @@ class TestRunSpatial:
         assert a == b
 
     def test_refuses_overflow_before_the_grid(self, monkeypatch, window_index_calls):
+        # costs past 2**52 are refused from the point count alone; a budget whose
+        # noise would overflow is refused before that, when it is split
         def discretize(*args):
             raise AssertionError("the grid was built")
 
+        class ManyPoints:
+            def __len__(self):
+                return 2**46 + 1
+
         monkeypatch.setattr(spatial, "grid_discretize", discretize)
         spec = GridSpec(g=3, xmin=0, xmax=8, ymin=0, ymax=8)
-        pts = np.random.default_rng(6).uniform(0, 8, size=(100, 2))
-        with pytest.raises(ParameterError, match=r"^epsilon = 1e-306 is too small: its stage-1 share 2\.5e-307 "):
-            run_spatial(pts, [RectangleQuery(2, 6, 0, 3)], spec, PrivacyBudget.split(1e-306), RngStream(0))
+        with pytest.raises(ParameterError, match=r"^n \* total = 4503599627370560 exceeds 2\*\*52; "):
+            run_spatial(ManyPoints(), [RectangleQuery(2, 6, 0, 3)], spec, PrivacyBudget.split(1.0), RngStream(0))
+        with pytest.raises(ParameterError, match=r"^epsilon = 1e-306 is too small: its stage-1 share "):
+            PrivacyBudget.split(1e-306)
         assert window_index_calls == []
 
 
@@ -465,6 +472,12 @@ class TestSpatialFiles:
         boxes = read_rectangles_file(p)
         assert boxes == [(0.0, 2.0, 0.0, 2.0)]
 
+    def test_infinite_rectangle_edge_is_read(self, tmp_path):
+        # RectangleQuery.from_box clamps it to the grid's box
+        p = tmp_path / "r.csv"
+        p.write_text("xlo,xhi,ylo,yhi\n-inf,inf,0,2\n")
+        assert read_rectangles_file(p) == [(-np.inf, np.inf, 0.0, 2.0)]
+
     def test_header_with_spaces(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("x, y\n0.5, 1.5\n")
@@ -479,8 +492,17 @@ class TestSpatialFiles:
         (read_points_file, "x,y", "0.5,abc\n", ":2: not float: 'abc'"),
         (read_rectangles_file, "xlo,xhi,ylo,yhi", "0,1,0\n", ":2: expected 4 fields, got 3"),
         (read_rectangles_file, "xlo,xhi,ylo,yhi", "0,1,0,1\n0,1,,1\n", ":3: not float: ''"),
+        (read_points_file, "x,y", "0.5,1.5\n0.1,nan\n", ":3: point coordinates must be finite, got x = 0.1, y = nan"),
+        (read_points_file, "x,y", "inf,0.5\n", ":2: point coordinates must be finite, got x = inf, y = 0.5"),
+        (read_rectangles_file, "xlo,xhi,ylo,yhi", "0.5,0.2,0,1\n",
+         ":2: a rectangle needs xlo < xhi and ylo < yhi, got x [0.5, 0.2], y [0.0, 1.0]"),
+        (read_rectangles_file, "xlo,xhi,ylo,yhi", "0,1,0,1\nnan,0.2,0,1\n",
+         ":3: a rectangle needs xlo < xhi and ylo < yhi, got x [nan, 0.2], y [0.0, 1.0]"),
+        (read_rectangles_file, "xlo,xhi,ylo,yhi", "0,1,0.3,0.3\n",
+         ":2: a rectangle needs xlo < xhi and ylo < yhi, got x [0.0, 1.0], y [0.3, 0.3]"),
     ], ids=["points-short-row", "points-extra-field", "points-not-float",
-            "rects-short-row", "rects-empty-field"])
+            "rects-short-row", "rects-empty-field", "points-nan", "points-infinite",
+            "rects-reversed", "rects-nan", "rects-flat"])
     def test_bad_row_names_line(self, tmp_path, reader, header, body, fragment):
         p = tmp_path / "f.csv"
         p.write_text(header + "\n" + body)
