@@ -274,14 +274,15 @@ class RngStream:
     """Seedable counter-based random stream that can be split per task.
 
     Children derived with the same tags are identical across runs and
-    independent of draw order elsewhere.  When a ledger list is attached,
-    every Laplace request records its (scale, count) there once, even when
-    drawn in slices; mechanisms use this to make budget accounting checkable.
+    independent of draw order elsewhere.  Every stream keeps a ledger, its
+    own list or the one passed in, which its children share: each Laplace
+    request records its (scale, count) there once, even when drawn in
+    slices, so a release's budget accounting is checkable.
     """
 
     def __init__(self, seed: int, ledger: list | None = None):
         self.seed = int(seed)
-        self.ledger = ledger
+        self.ledger = [] if ledger is None else ledger
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def split(self, *tags) -> "RngStream":
@@ -302,23 +303,29 @@ class RngStream:
 
 
 def laplace_sample(scale: float, rng: RngStream, size: int) -> np.ndarray:
-    """`size` zero-mean Laplace draws via the inverse CDF.
+    """`size` zero-mean Laplace(scale) draws, recorded as one ledger entry.
 
-    The inverse-CDF form keeps the consumed uniform stream in lockstep with
-    the number of requested draws, which is what makes runs reproducible.
-
-    Floating-point caveat (Mironov, CCS 2012): u lies on the 2^-53 grid and
-    the log rounds, so the draws take finitely many unevenly spaced values
-    and which values x + noise can take depends on x; an exact float can
-    tell neighbouring inputs apart.  The epsilon-DP claims hold for
-    real-valued Laplace noise; this sampler does not snap its outputs.
-    Stage 2's sensitivity is the largest sum of node weights covering one
-    bucket (`leaf_cover_sums`), and every measured tree makes each such sum
-    exactly 1.0 (`write_scalings`, or a `flat_tree`'s ones), so stage 2
-    charges exactly eps2, by construction.  That sum is added in float64,
-    and its own rounding, about 1e-16, falls under the caveat above.
+    The one-shot form of `laplace_noise`, with its sampler, for a caller
+    that holds a scale rather than an epsilon: any positive finite scale is
+    drawn.
     """
-    return laplace_draws(scale, rng, int(size))(int(size))
+    if not (np.isfinite(scale) and scale > 0):
+        raise ParameterError(f"scale must be positive and finite, got {scale}")
+    rng.ledger.append((float(scale), int(size)))
+    return _laplace(scale, rng, int(size))
+
+
+def _laplace(scale: float, rng: RngStream, size: int) -> np.ndarray:
+    """`size` Laplace(scale) draws via the inverse CDF, which keeps the
+    consumed uniform stream in lockstep with the number of draws."""
+    u = rng.uniform_open(size)
+    # -scale * sign(u - 1/2) * log(1 - 2|u - 1/2|), in place: one log per
+    # draw, and every step before the log is exact for u on the 2^-53 grid
+    sign = np.sign(np.subtract(u, 0.5, out=u))
+    np.log(np.add(np.multiply(np.abs(u, out=u), -2.0, out=u), 1.0, out=u), out=u)
+    sign *= -scale
+    u *= sign
+    return u
 
 
 # The least epsilon accepted, 2**-50 (about 8.9e-16), as in Google's differential-privacy
@@ -346,31 +353,39 @@ def check_epsilon(name: str, value: float) -> None:
         raise ParameterError(f"{name} = {value} is too small: {_FLOOR_RULE}")
 
 
-def laplace_scale(sensitivity: float, name: str, eps: float) -> float:
-    """Laplace scale sensitivity/eps; refuses eps by `name` if it is bad."""
+# Laplace draws per slice of `laplace_noise`, and stage 1's candidates per slice of its
+# cost computation and per block of rows its dynamic program gathers; sized for the L2 cache.
+_CHUNK = 1 << 13
+
+
+def laplace_noise(values: np.ndarray, sensitivity: float, name: str, eps: float, rng: RngStream) -> np.ndarray:
+    """Add Laplace(sensitivity/eps) noise to `values` in place, `_CHUNK`
+    draws at a time, record it as one (scale, count) ledger entry and
+    return `values`; refuses a bad `eps` under `name`.  Both stages draw
+    here: stage 1 on its candidate costs at twice their sensitivity over
+    eps1, stage 2 on its scaled answers at 1/eps2.
+
+    The draws are the inverse CDF's, so a run consumes one uniform per draw
+    and is reproducible; a uniform of exactly 0 (chance 2^-53) is redrawn
+    inside its slice.
+
+    Floating-point caveat (Mironov, CCS 2012): u lies on the 2^-53 grid and
+    the log rounds, so the draws take finitely many unevenly spaced values
+    and which values x + noise can take depends on x; an exact float can
+    tell neighbouring inputs apart.  The epsilon-DP claims hold for
+    real-valued Laplace noise; this sampler does not snap its outputs.
+    Stage 2's sensitivity is the largest sum of node weights covering one
+    bucket (`leaf_cover_sums`), and every measured tree makes each such sum
+    exactly 1.0 (`write_scalings`, or a `flat_tree`'s ones), so stage 2
+    charges exactly eps2, by construction.  That sum is added in float64,
+    and its own rounding, about 1e-16, falls under the caveat above.
+    """
     check_epsilon(name, eps)
-    return sensitivity / eps
-
-
-def laplace_draws(scale: float, rng: RngStream, count: int):
-    """Record `count` Laplace(scale) draws as one ledger entry; `draw(size)` takes the next `size`.
-    A scale is not an epsilon: any positive finite one is drawn."""
-    if not (np.isfinite(scale) and scale > 0):
-        raise ParameterError(f"scale must be positive and finite, got {scale}")
-    if rng.ledger is not None:
-        rng.ledger.append((float(scale), count))
-
-    def draw(size: int) -> np.ndarray:
-        u = rng.uniform_open(size)
-        # -scale * sign(u - 1/2) * log(1 - 2|u - 1/2|), in place: one log per
-        # draw, and every step before the log is exact for u on the 2^-53 grid
-        sign = np.sign(np.subtract(u, 0.5, out=u))
-        np.log(np.add(np.multiply(np.abs(u, out=u), -2.0, out=u), 1.0, out=u), out=u)
-        sign *= -scale
-        u *= sign
-        return u
-
-    return draw
+    scale = sensitivity / eps
+    rng.ledger.append((float(scale), values.size))
+    for at in range(0, values.size, _CHUNK):
+        values[at : at + _CHUNK] += _laplace(scale, rng, min(_CHUNK, values.size - at))
+    return values
 
 
 def evaluate_workload(W: Workload, x: "DataVector | EstimateVector | np.ndarray") -> np.ndarray:

@@ -48,8 +48,7 @@ from .core import (
     RngStream,
     SingularStrategyError,
     Workload,
-    laplace_sample,
-    laplace_scale,
+    laplace_noise,
 )
 from .transform import TransformedWorkload, transform_workload
 
@@ -446,17 +445,16 @@ def _plan_of(tree: QueryTree) -> _Plan:
 def measure(bucket_counts: np.ndarray, tree: QueryTree, eps2: float, rng: RngStream) -> np.ndarray:
     """Noisy answers of the nodes with positive scaling, in level order.
 
-    Each answer is scaling * true_sum + Laplace(1/eps2); nodes with zero
+    Each answer is scaling * true_sum + Laplace(1/eps2), the noise added in
+    place by `core.laplace_noise` as one ledger entry; nodes with zero
     scaling are skipped entirely and consume no randomness.
     """
     counts = np.asarray(bucket_counts, dtype=np.float64)
     if counts.shape != (tree.k,):
         raise DimensionError(f"expected {tree.k} bucket counts, got shape {counts.shape}")
-    scale = laplace_scale(1.0, "eps2", eps2)
     plan = _plan_of(tree)
     prefix = np.concatenate(([0.0], np.cumsum(counts)))
-    noise = laplace_sample(scale, rng, size=len(plan.scalings))
-    return plan.scalings * (prefix[plan.his] - prefix[plan.los]) + noise
+    return laplace_noise(plan.scalings * (prefix[plan.his] - prefix[plan.los]), 1.0, "eps2", eps2, rng)
 
 
 def ols_infer(tree: QueryTree, measurements: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Seeded workload and synthetic dataset generators for experiments."""
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .core import DataVector, ParameterError, RngStream, Workload
@@ -9,15 +11,23 @@ WORKLOAD_KINDS = ("identity", "uniform", "clustered", "large_clustered")
 DATA_KINDS = ("constant", "piecewise_constant", "heavy_tail")
 
 
+def _number(name: str, value, kind: type):
+    """value as `kind`, refused under `name` unless it is an int or a numpy
+    integer for int, a real number for float, and in either case not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer) if kind is int else numbers.Real):
+        raise ParameterError(f"{name} must be {'an integer' if kind is int else 'a real number'}, got {value!r}")
+    return kind(value)
+
+
 def _at_least_one(name: str, value) -> int:
-    value = int(value)
+    value = _number(name, value, int)
     if value < 1:
         raise ParameterError(f"{name} must be at least 1, got {value}")
     return value
 
 
 def _finite_nonnegative(name: str, value) -> float:
-    value = float(value)
+    value = _number(name, value, float)
     if not (np.isfinite(value) and value >= 0):
         raise ParameterError(f"{name} must be finite and nonnegative, got {value}")
     return value
@@ -89,14 +99,14 @@ def gen_synthetic_data(kind: str, n: int, seed: int, **params) -> DataVector:
         raise ParameterError(f"need n >= 1, got {n}")
     rng = RngStream(seed)
     if kind == "constant":
-        value = int(params.pop("value", 5))
+        value = _number("value", params.pop("value", 5), int)
         if params:
             raise ParameterError(f"unknown params for constant data: {sorted(params)}")
         if not 0 <= value < 2**63:
             raise ParameterError(f"value must be nonnegative and below 2**63, got {value}")
         return DataVector(np.full(n, value, dtype=np.int64))
     if kind == "piecewise_constant":
-        segments = int(params.pop("segments", 8))
+        segments = _number("segments", params.pop("segments", 8), int)
         total = _total(params, n)
         if params:
             raise ParameterError(f"unknown params for piecewise data: {sorted(params)}")
@@ -121,11 +131,14 @@ def gen_synthetic_data(kind: str, n: int, seed: int, **params) -> DataVector:
         raise ParameterError("could not draw distinct adjacent segment levels")
     if kind == "heavy_tail":
         total = _total(params, n)
-        alpha = float(params.pop("alpha", 1.5))
+        alpha = _number("alpha", params.pop("alpha", 1.5), float)
         if params:
             raise ParameterError(f"unknown params for heavy_tail data: {sorted(params)}")
         if not (np.isfinite(alpha) and alpha > 0):
             raise ParameterError(f"alpha must be positive and finite, got {alpha}")
         raw = rng.generator.pareto(alpha, size=n) + 1.0
+        # a small alpha's draws overflow to inf, which the scaling below would turn into NaN
+        if not np.isfinite(raw.sum()):
+            raise ParameterError(f"alpha = {alpha} is too small: its Pareto draws over n = {n} overflow float64")
         return DataVector(np.floor(raw * (total / raw.sum())).astype(np.int64))
     raise ParameterError(f"unknown data kind {kind!r}; choose from {DATA_KINDS}")

@@ -25,11 +25,10 @@ from .core import (
     RngStream,
     Workload,
     check_epsilon,
-    laplace_draws,
     uniform_expand,
 )
 from .estimation import QueryTree, build_query_tree, check_branching, estimate_buckets, flat_tree, write_scalings
-from .partition import CostTable, PartitionParams, candidate_count, check_mode, private_partition
+from .partition import CostTable, PartitionParams, check_mode, private_partition
 
 MECHANISM_NAMES = (
     "dawa",
@@ -56,21 +55,24 @@ class MechanismConfig:
 
 
 class Stage1(NamedTuple):
-    """Stage 1 of a two-stage release: its private partition, and the state
-    of its random stream after it."""
+    """Stage 1 of a two-stage release: its private partition, the ledger
+    entry (scale, count) its noise wrote, and the state of its random
+    stream after it."""
 
     buckets: Partition
+    charge: tuple[float, int]
     state: dict
 
 
 def private_stage1(x: DataVector, budget: PrivacyBudget, rng: RngStream, mode: str = "pow2",
                    deviations: CostTable | None = None) -> Stage1:
     """`private_partition` on budget.eps1, pricing a copy of `deviations`
-    (x's `deviation_table`) if given.  A release of dawa or
-    partition_laplace on a fresh stream of rng's seed, the same x, budget
-    and mode can take the record in place of its own stage 1."""
+    (x's `deviation_table`) if given, with the entry it just wrote on rng's
+    ledger.  A release of dawa or partition_laplace on a fresh stream of
+    rng's seed, the same x, budget and mode can take the record in place of
+    its own stage 1."""
     buckets = private_partition(x, PartitionParams(budget.eps1, budget.eps2, mode), rng, deviations)
-    return Stage1(buckets, rng.generator.bit_generator.state)
+    return Stage1(buckets, rng.ledger[-1], rng.generator.bit_generator.state)
 
 
 def run_dawa(x: DataVector, W: Workload, budget: PrivacyBudget, rng: RngStream, mode: str = "pow2",
@@ -133,14 +135,13 @@ def hier_tree(name: str, n: int, t: int = 2) -> QueryTree:
 def _two_stage(name: str, x: DataVector, W: "Workload | None", budget: PrivacyBudget, rng: RngStream,
                mode: str, t: int, stage1: "Stage1 | None", tree: "QueryTree | None") -> EstimateVector:
     """dawa or partition_laplace: stage 1 on eps1, or the `stage1` record
-    replayed (its ledger entry recorded and its stream state restored), then
-    stage 2 on eps2."""
+    replayed (the ledger entry it carries appended and its stream state
+    restored), then stage 2 on eps2."""
     check_branching(t)  # before stage 1, which dominates a release's time and memory
     if stage1 is None:
         stage1 = private_stage1(x, budget, rng, mode)
     else:
-        params = PartitionParams(budget.eps1, budget.eps2, mode)
-        laplace_draws(params.noise_scale, rng, candidate_count(x.n, mode))
+        rng.ledger.append(stage1.charge)
         rng.generator.bit_generator.state = stage1.state
     return _release(name, x, stage1.buckets, W, budget.eps2, t, rng, tree)
 

@@ -10,10 +10,11 @@ as many as _TABLE_CAP entries hold, one lookup per candidate, and a wavelet
 matrix for the ranks past them, log D levels per candidate.  Each cost is
 one float division away from the exact value and matches the direct
 per-bucket computation bit for bit.  The costs live in one flat array,
-which a release prices and noises in place, and the dynamic program gathers
-the candidates ending at each endpoint as one row of it.  Every epsilon is
-at least `core.EPSILON_FLOOR`, so noisy costs and their sums stay far inside
-float64 and nothing here predicts an overflow.
+which a release prices and noises in place with `core.laplace_noise`, and
+the dynamic program gathers the candidates ending at each endpoint as one
+row of it.  Every epsilon is at least `core.EPSILON_FLOOR`, so noisy costs
+and their sums stay far inside float64 and nothing here predicts an
+overflow.
 """
 from __future__ import annotations
 
@@ -29,9 +30,9 @@ from .core import (
     ParameterError,
     Partition,
     RngStream,
+    _CHUNK,
     check_epsilon,
-    laplace_draws,
-    laplace_scale,
+    laplace_noise,
 )
 
 # One count added or removed changes a bucket's deviation by at most 2.
@@ -43,10 +44,6 @@ MODES = ("all", "pow2")
 # Every numerator L*S - T*C is at most n * total; doubled, it must stay an
 # exact float64 integer for the cost to round exactly once.
 EXACT_COST_LIMIT = 2**52
-
-# Candidates per slice of the cost computation, and per block of rows the
-# dynamic program gathers; sized for the L2 cache.
-_CHUNK = 1 << 13
 
 # Most entries in the rank rows of `_WindowIndex`: its two int64 arrays
 # then take at most 1 MiB, stay in cache and need no memory check.
@@ -72,11 +69,6 @@ class PartitionParams:
         check_epsilon("eps1", self.eps1)
         check_epsilon("eps2", self.eps2)
         check_mode(self.mode)
-
-    @property
-    def noise_scale(self) -> float:
-        """Laplace scale of the cost noise: twice the per-entry sensitivity over eps1."""
-        return laplace_scale(2.0 * self.delta_bcost, "eps1", self.eps1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,24 +245,15 @@ def deviation_table(x: DataVector, mode: str = "pow2") -> CostTable:
     return CostTable(x.n, mode, *_deviations(x, mode))
 
 
-def _add_noise(costs: np.ndarray, scale: float, rng: RngStream) -> None:
-    """Add Laplace(scale) to `costs` in place, _CHUNK at a time, as one ledger entry."""
-    draw = laplace_draws(scale, rng, costs.size)
-    for at in range(0, costs.size, _CHUNK):
-        costs[at : at + _CHUNK] += draw(min(_CHUNK, costs.size - at))
-
-
 def perturb_costs(table: CostTable, eps1: float, rng: RngStream,
                   delta_bcost: float = BUCKET_COST_SENSITIVITY) -> CostTable:
     """A copy of the table with Laplace(2*delta_bcost/eps1) noise on every
-    cost entry, drawn as a release draws it.
+    cost entry, added by `core.laplace_noise` as a release adds it.
 
     The factor 2 on the sensitivity pays for reusing each count in the
     costs of overlapping candidate buckets.
     """
-    costs = table.costs.copy()
-    _add_noise(costs, laplace_scale(2.0 * delta_bcost, "eps1", eps1), rng)
-    return replace(table, costs=costs)
+    return replace(table, costs=laplace_noise(table.costs.copy(), 2.0 * delta_bcost, "eps1", eps1, rng))
 
 
 def least_cost_partition(table: CostTable, n: int) -> Partition:
@@ -334,9 +317,10 @@ def private_partition(x: DataVector, params: PartitionParams, rng: RngStream,
     """Choose a partition under eps1-differential privacy.
 
     Prices x's deviations at 1/eps2, fresh or a copy of `deviations` (x's
-    `deviation_table`), noises them in place with `perturb_costs`' sampler,
-    scaled to twice the per-entry sensitivity, then solves the least-cost
-    dynamic program: the bits of `perturb_costs(all_costs(...))`, in one table.
+    `deviation_table`), noises them in place with `core.laplace_noise` at
+    twice the per-entry sensitivity over eps1, recorded as one ledger entry,
+    then solves the least-cost dynamic program: the bits of
+    `perturb_costs(all_costs(...))`, in one table.
     """
     n, mode = x.n, params.mode
     check_stage1_size(n, x.total(), mode)
@@ -347,5 +331,5 @@ def private_partition(x: DataVector, params: PartitionParams, rng: RngStream,
     else:
         raise ParameterError(f"deviations of n = {deviations.n}, mode {deviations.mode!r} for n = {n}, mode {mode!r}")
     costs += 1.0 / params.eps2
-    _add_noise(costs, params.noise_scale, rng)
+    laplace_noise(costs, 2.0 * params.delta_bcost, "eps1", params.eps1, rng)
     return least_cost_partition(CostTable(n=n, mode=mode, lengths=lengths, offsets=offsets, costs=costs), n)

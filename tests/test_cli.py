@@ -347,6 +347,23 @@ class TestRunCmd:
                                 f"0.25 is {epsilon * 0.25}, and {FLOOR_RULE}\n")
         assert captured.out == "" and not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("part, params, message", [
+        ("workload", {"kind": "uniform", "num_queries": 5.5}, "num_queries must be an integer, got 5.5"),
+        ("data", {"kind": "heavy_tail", "alpha": 0.001},
+         "alpha = 0.001 is too small: its Pareto draws over n = 16 overflow float64"),
+    ])
+    def test_bad_generator_parameter_is_clean_error(self, tmp_path, capsys, part, params, message):
+        cfg = {"mechanisms": ["identity"], "epsilons": [0.5], "n": 16, "data": {"kind": "constant"},
+               "workload": {"kind": "uniform", "num_queries": 5}, "num_workloads": 1, "trials": 1, part: params}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"dawa: error: {message}\n"
+        assert captured.out == "" and not (tmp_path / "r.json").exists()
+
     def test_missing_config(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "r.json")])

@@ -24,9 +24,8 @@ from dawa.core import (
     average_workload_error,
     derive_seed,
     evaluate_workload,
-    laplace_draws,
+    laplace_noise,
     laplace_sample,
-    laplace_scale,
     read_data_file,
     read_workload_file,
     uniform_expand,
@@ -429,7 +428,7 @@ class TestLaplace:
         edges = np.array([ulp, 2 * ulp, 0.25, 0.5 - ulp, 0.5, 0.5 + ulp, 0.75, 1.0 - ulp])
 
         class FixedUniforms:
-            ledger = None
+            ledger = []
 
             def uniform_open(self, size):
                 return edges.copy()
@@ -439,6 +438,15 @@ class TestLaplace:
             want = reference_laplace_sample(scale, FixedUniforms(), len(edges))
             assert got.tobytes() == want.tobytes()
 
+    def test_noise_is_added_in_place_as_the_slices_of_one_draw(self):
+        # 20,000 draws in 3 slices of _CHUNK, recorded as one entry
+        values = np.arange(20_000.0)
+        rng = RngStream(5)
+        assert laplace_noise(values, 2.0, "eps2", 0.5, rng) is values
+        want = np.arange(20_000.0) + laplace_sample(4.0, RngStream(5), size=20_000)
+        assert values.tobytes() == want.tobytes()
+        assert rng.ledger == [(4.0, 20_000)]
+
     def test_million_draws_hold_two_draw_sized_arrays(self):
         # the uniforms, reused for the result, and the signs: 16 MB at most
         peak, _ = peak_bytes(laplace_sample, 1.0, RngStream(0), size=1_000_000)
@@ -446,12 +454,15 @@ class TestLaplace:
 
     def test_scale_refuses_an_epsilon_below_the_floor(self):
         # the largest scale is 4/eps1 at the floor; a scale is not an epsilon, so a tiny one is drawn
-        assert laplace_scale(4.0, "eps1", EPSILON_FLOOR) == 2.0**52
+        rng = RngStream(0)
+        laplace_noise(np.zeros(1), 4.0, "eps1", EPSILON_FLOOR, rng)
+        assert rng.ledger == [(2.0**52, 1)]
         below = np.nextafter(EPSILON_FLOOR, 0)
         with pytest.raises(ParameterError, match=rf"^eps1 = {below} is too small: the least epsilon accepted is "
                                                  r"2\*\*-50, about 8\.9e-16$"):
-            laplace_scale(4.0, "eps1", below)
-        assert np.all(np.abs(laplace_draws(1e-300, RngStream(0), 4)(4)) < 37e-300)
+            laplace_noise(np.zeros(1), 4.0, "eps1", below, rng)
+        assert rng.ledger == [(2.0**52, 1)]
+        assert np.all(np.abs(laplace_sample(1e-300, RngStream(0), 4)) < 37e-300)
 
     def test_invalid_scale(self):
         with pytest.raises(ParameterError):

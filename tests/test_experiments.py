@@ -306,7 +306,6 @@ class TestSharedWork:
             ledgers.append(rng.ledger)
             return real(config, x, W, rng, stage1, tree)
 
-        monkeypatch.setattr(dawa.experiments, "RngStream", lambda seed: RngStream(seed, ledger=[]))
         monkeypatch.setattr(dawa.experiments, "run_mechanism", run)
         report = run_experiment(self.config("all"))
         assert len(ledgers) == len(report.results)

@@ -11,6 +11,24 @@ from dawa.generators import DATA_KINDS, WORKLOAD_KINDS, gen_synthetic_data, gen_
 from .reference import reference_gen_workload
 
 
+@pytest.mark.parametrize("gen, kind, name, want, good, bad", [
+    (gen_workload, "uniform", "num_queries", "an integer", np.int32(3), [5.5, True, "7", np.float64(2.0)]),
+    (gen_workload, "clustered", "num_clusters", "an integer", np.int64(2), [2.9, True, "2"]),
+    (gen_workload, "clustered", "queries_per_cluster", "an integer", 3, [1.5, np.True_, "3"]),
+    (gen_synthetic_data, "piecewise_constant", "segments", "an integer", np.uint8(2), [2.9, True, "2"]),
+    (gen_synthetic_data, "constant", "value", "an integer", np.int64(2), [2.7, False, "2"]),
+    (gen_workload, "clustered", "sigma", "a real number", np.float32(3.0), ["3", True, None]),
+    (gen_synthetic_data, "heavy_tail", "total", "a real number", np.int64(100), ["100", True]),
+    (gen_synthetic_data, "heavy_tail", "alpha", "a real number", 2, ["2", False]),
+])
+def test_parameter_of_the_wrong_type_is_refused_by_name(gen, kind, name, want, good, bad):
+    # a float was once truncated, and a bool or a numeric str read as a number
+    gen(kind, 16, 0, **{name: good})
+    for value in bad:
+        with pytest.raises(ParameterError, match=rf"^{name} must be {want}, got "):
+            gen(kind, 16, 0, **{name: value})
+
+
 class TestWorkloads:
     def test_identity(self):
         W = gen_workload("identity", 8, seed=0)
@@ -146,6 +164,16 @@ class TestData:
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match=f"^{name} must be "):
                 gen_synthetic_data(kind, 16, seed=0, **params)
+
+    def test_heavy_tail_draws_that_overflow_are_refused_by_alpha(self):
+        # the draws overflow to inf, which scaling once turned into NaN counts
+        for alpha in (1e-3, 0.01):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ParameterError, match=rf"^alpha = {alpha} is too small: its Pareto draws over "
+                                                         r"n = 1000 overflow float64$"):
+                    gen_synthetic_data("heavy_tail", 1000, seed=1, alpha=alpha)
+        assert gen_synthetic_data("heavy_tail", 1000, seed=1, alpha=0.02).total() == 9999
 
     def test_unknown_param(self):
         with pytest.raises(ParameterError):

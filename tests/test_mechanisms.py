@@ -29,7 +29,7 @@ from dawa.mechanisms import (
     run_mechanism,
     run_partition_laplace,
 )
-from dawa.partition import PartitionParams, all_costs, deviation_table, perturb_costs
+from dawa.partition import PartitionParams, all_costs, candidate_count, deviation_table, perturb_costs
 
 from .memory import peak_bytes
 from .reference import reference_identity, reference_partition_laplace
@@ -108,6 +108,27 @@ def test_stage2_noise_is_drawn_once_in_measure(name, measured_trees, piecewise_x
     assert ledger[-1] == (1.0 / (budget.eps2 if two_stage else budget.epsilon), int(np.sum(tree.scalings > 0)))
     if name in ("identity", "partition_laplace"):
         assert tree.level_sizes == (tree.k,) and np.all(tree.scalings == 1.0)
+
+
+@pytest.mark.parametrize("mode", ["pow2", "all"])
+@pytest.mark.parametrize("name", MECHANISM_NAMES)
+def test_every_stream_keeps_a_ledger(name, mode, measured_trees, piecewise_x, uniform_W):
+    # a plain stream records a release's draws, and a release that takes a
+    # private_stage1 record appends the entry the record carries
+    budget = PrivacyBudget(1.0, 0.25, 0.75)
+    config = MechanismConfig(name, budget, mode)
+    rng = RngStream(4)
+    run_mechanism(config, piecewise_x, uniform_W, rng)
+    active = int(np.sum(measured_trees[0].scalings > 0))
+    if name not in ("dawa", "partition_laplace"):
+        assert rng.ledger == [(1.0 / budget.epsilon, active)]
+        return
+    assert rng.ledger == [(4.0 / budget.eps1, candidate_count(piecewise_x.n, mode)), (1.0 / budget.eps2, active)]
+    record = private_stage1(piecewise_x, budget, RngStream(4), mode)
+    assert record.charge == rng.ledger[0]
+    replay = RngStream(4)
+    run_mechanism(config, piecewise_x, uniform_W, replay, record)
+    assert replay.ledger == rng.ledger
 
 
 class TestHierBaselines:

@@ -20,7 +20,6 @@ from dawa.core import (
     Partition,
     PrivacyBudget,
     RngStream,
-    laplace_draws,
     laplace_sample,
 )
 from dawa.generators import gen_synthetic_data
@@ -569,7 +568,7 @@ class TestOverflowFromParameters:
         # the largest Laplace draws come from the ends of the 2^-53 grid: 52 ln 2 = 36.04 scales
         rng = RngStream(0)
         monkeypatch.setattr(rng, "uniform_open", lambda size: np.array([2.0**-53, 1.0 - 2.0**-53]))
-        draws = np.abs(laplace_draws(3.0, rng, 2)(2))
+        draws = np.abs(laplace_sample(3.0, rng, 2))
         assert np.all((36.0 * 3.0 < draws) & (draws <= 37.0 * 3.0))
         # one count among zeros deviates from its bucket's mean by 2 * total * (1 - 1/L)
         x = DataVector(np.array([0] * 99 + [50]))
